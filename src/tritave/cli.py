@@ -33,9 +33,7 @@ def _parse_ratio_or_note(text: str) -> FreqRatio:
 
 
 def _chord_from_args(args) -> harmony.Chord:
-    if args.system == "456":
-        return harmony.chord_456([notation.parse_edo12_note(n) for n in args.notes])
-    return harmony.chord_234([notation.parse_note(n) for n in args.notes])
+    return harmony._SYSTEMS[args.system].parse_chord(args.notes)
 
 
 def _note_names(chord: harmony.Chord) -> str:
@@ -60,7 +58,7 @@ def _cmd_scale(args) -> int:
                 f"  {row.deviation_cents:+6.2f}c{mark}"
             )
         return 0
-    system = scales.EDT19 if args.system == "edt19" else scales.EDO12
+    system = scales._SYSTEMS[args.system]
     for degree in range(0, system.notes_per_period + 1):
         print(f"{degree:>4}  {scales.note_at_scale_degree(degree, system):10.3f}c")
     return 0
@@ -73,15 +71,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_reduce(args) -> int:
     ratio = _parse_ratio_or_note(args.note)
-    system = scales.PYTH3 if args.system == "pyth3" else scales.PYTH2
+    system = scales._SYSTEMS[args.system]
     reduced, power = scales.reduce_to_fundamental(ratio, system)
     rep, shift = scales.period_reduce(reduced, system)
-    if system is scales.PYTH3:
-        name = str(notation.name_of(reduced))
-        rep_name = str(notation.name_of(rep))
-    else:
-        name = notation.pyth2_name_of(reduced)
-        rep_name = notation.pyth2_name_of(rep)
+    namer = notation.name_of if system is scales.PYTH3 else notation.pyth2_name_of
+    name, rep_name = str(namer(reduced)), str(namer(rep))
     print(f"input            {ratio}  (2^{ratio.u} * 3^{ratio.v})")
     print(f"enharmonic       {name}  = {reduced}  (comma power {power:+d})")
     print(f"class rep        {rep_name}  = {rep}  (period shift {shift:+d})")
@@ -113,24 +107,22 @@ def _cmd_convergents(args) -> int:
 
 
 def _cmd_plr(args) -> int:
+    # Every move runs before anything is printed, so a bad move letter
+    # leaves stdout empty.
     triad = tonnetz.triad_from_chord(_chord_from_args(args))
-    print(f"start  {_note_names(triad.chord())}  ({triad.quality})")
+    lines = [f"start  {_note_names(triad.chord())}  ({triad.quality})"]
     for move in args.moves:
         triad = tonnetz.apply_plr(triad, move)
-        print(f"{move.upper():<5}  {_note_names(triad.chord())}  ({triad.quality})")
+        lines.append(f"{move.upper():<5}  {_note_names(triad.chord())}  ({triad.quality})")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_reach(args) -> int:
-    if args.system == "456":
-        start = tonnetz.major_triad(notation.parse_edo12_note(args.start or "C"),
-                                    tonnetz.TONNETZ_456)
-        order = notation.NAMES_EDO12
-    else:
-        start = tonnetz.major_triad(notation.parse_note(args.start or "A"))
-        order = notation.BASE_NAMES_PYTH3
+    system = harmony._SYSTEMS[args.system]
+    start = tonnetz.major_triad(system.parse(args.start or system.home), system)
     for level in tonnetz.reachable_note_classes(start, args.k):
-        names = " ".join(sorted(level.classes, key=order.index))
+        names = " ".join(sorted(level.classes, key=system.class_names.index))
         print(f"{level.moves:>2} moves: {level.count:>2} classes  [{names}]")
     return 0
 

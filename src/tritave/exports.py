@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from importlib import resources
@@ -48,8 +49,7 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     """
     if scale not in SCL_SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {SCL_SCALES}")
-    system = {"pyth3": scales.PYTH3, "edt19": scales.EDT19,
-              "pyth2": scales.PYTH2, "edo12": scales.EDO12}[scale]
+    system = scales._SYSTEMS[scale]
     n = system.notes_per_period
     lines = [description or _SCL_DESCRIPTIONS[scale], str(n)]
     for degree in range(1, n + 1):
@@ -96,14 +96,14 @@ _PURITY_234_ROWS = [
 ]
 
 _PURITY_456_ROWS = [
-    ("major", (0, 4, 7)),
-    ("major, 1st inv", (4, 7, 12)),
-    ("major, 2nd inv", (7, 12, 16)),
-    ("minor", (-3, 0, 4)),
-    ("minor, 1st inv", (0, 4, 9)),
-    ("minor, 2nd inv", (4, 9, 12)),
-    ("augmented", (0, 4, 8)),
-    ("diminished", (-1, 2, 5)),
+    ("major", ("C", "E", "G")),
+    ("major, 1st inv", ("E", "G", "C'")),
+    ("major, 2nd inv", ("G", "C'", "E'")),
+    ("minor", ("A,", "C", "E")),
+    ("minor, 1st inv", ("C", "E", "A")),
+    ("minor, 2nd inv", ("E", "A", "C'")),
+    ("augmented", ("C", "E", "G#")),
+    ("diminished", ("B", "D", "F")),
 ]
 
 
@@ -138,29 +138,20 @@ def _diff_rows(degree_lo: int, degree_hi: int):
     return header, rows
 
 
-def _plr_rows(system: str):
-    if system == "234":
-        start = tonnetz.major_triad(notation.parse_note("A"))
-        max_moves = 8
-    else:
-        start = tonnetz.major_triad(0, tonnetz.TONNETZ_456)
-        max_moves = 3
+def _plr_rows(system: harmony.TonnetzSystem, max_moves: int):
+    start = tonnetz.major_triad(system.parse(system.home), system)
     header = ["moves", "reachable"]
     rows = [[lvl.moves, lvl.count]
             for lvl in tonnetz.reachable_note_classes(start, max_moves)]
     return header, rows
 
 
-def _purity_rows(system: str):
+def _purity_rows(system: harmony.TonnetzSystem, source_rows):
     header = ["quality", "chord", "harmonics", "reciprocal",
               "base_note", "d_base", "overtone_note", "d_overtone"]
     rows = []
-    source_rows = _PURITY_234_ROWS if system == "234" else _PURITY_456_ROWS
     for label, notes in source_rows:
-        if system == "234":
-            chord = harmony.chord_234([notation.parse_note(nm) for nm in notes])
-        else:
-            chord = harmony.chord_456(notes)
+        chord = system.parse_chord(notes)
         report = harmony.purity(chord)
         a, b, c = report.ratio
         x, y, z = report.reciprocal
@@ -177,6 +168,27 @@ def _purity_rows(system: str):
     return header, rows
 
 
+def _table_rows(
+    which: str,
+    degree_lo: int = scales.PIANO_DEGREE_LO,
+    degree_hi: int = scales.PIANO_DEGREE_HI,
+):
+    """Header and rows of one reference table (``which`` as for `emit_table`)."""
+    tables = {
+        "t1": lambda: _deviation_rows("pyth2_edo12"),
+        "t2": lambda: _deviation_rows("pyth3_edt19"),
+        "diff": lambda: _diff_rows(degree_lo, degree_hi),
+        "plr456": lambda: _plr_rows(harmony.TONNETZ_456, 3),
+        "plr234": lambda: _plr_rows(harmony.TONNETZ_234, 8),
+        "purity234": lambda: _purity_rows(harmony.TONNETZ_234, _PURITY_234_ROWS),
+        "purity456": lambda: _purity_rows(harmony.TONNETZ_456, _PURITY_456_ROWS),
+    }
+    key = which.lower()
+    if key not in tables:
+        raise ValueError(f"unknown table {which!r}; choose from {TABLE_IDS}")
+    return tables[key]()
+
+
 def emit_table(
     which: str,
     format: str = "csv",
@@ -190,24 +202,7 @@ def emit_table(
     differ; range configurable), ``plr234``/``plr456`` (note classes
     reachable by P/L/R moves) and ``purity234``/``purity456``.
     """
-    key = which.lower()
-    if key == "t1":
-        header, rows = _deviation_rows("pyth2_edo12")
-    elif key == "t2":
-        header, rows = _deviation_rows("pyth3_edt19")
-    elif key == "diff":
-        header, rows = _diff_rows(degree_lo, degree_hi)
-    elif key == "plr456":
-        header, rows = _plr_rows("456")
-    elif key == "plr234":
-        header, rows = _plr_rows("234")
-    elif key == "purity234":
-        header, rows = _purity_rows("234")
-    elif key == "purity456":
-        header, rows = _purity_rows("456")
-    else:
-        raise ValueError(f"unknown table {which!r}; choose from {TABLE_IDS}")
-
+    header, rows = _table_rows(which, degree_lo, degree_hi)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -229,23 +224,21 @@ class ProgressionError(ValueError):
 
 
 def parse_progression(text: str) -> list[harmony.Chord]:
-    """Parse a progression file: three note names per line, '#' comments."""
+    """Parse a progression file: three note names per line, '#' comments.
+
+    A comment starts at a word beginning with '#'; sharps in names stay.
+    """
     chords = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = list(itertools.takewhile(lambda tok: not tok.startswith("#"), raw.split()))
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 3:
             raise ProgressionError(
                 f"line {lineno}: expected 3 note names, found {len(tokens)}"
             )
         try:
-            ratios = [notation.parse_note(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ProgressionError(f"line {lineno}: {exc}") from exc
-        try:
-            chords.append(harmony.chord_234(ratios))
+            chords.append(harmony.TONNETZ_234.parse_chord(tokens))
         except ValueError as exc:
             raise ProgressionError(f"line {lineno}: {exc}") from exc
     return chords
@@ -271,7 +264,7 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
         raise ValueError("empty progression")
     notes: dict[FreqRatio, str] = {}
     for chord in chords:
-        if chord.system != "234":
+        if chord.system != harmony.TONNETZ_234:
             raise ValueError("lattice paths are drawn for 2:3:4 progressions")
         for note in chord.notes:
             if note not in notes:

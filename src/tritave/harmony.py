@@ -1,12 +1,12 @@
 """Chords, inversions, circle shifts, sequences and purity measures.
 
-Two harmonic systems share one chord type:
+Two harmonic systems, one `TonnetzSystem` object each, share one chord type:
 
-* ``"234"`` -- chords are triples of exact 3-smooth ratios.  Major stacks
+* ``TONNETZ_234`` -- chords are triples of exact 3-smooth ratios.  Major stacks
   a fifth then a fourth (2:3:4), minor a fourth then a fifth (3:4:6);
   two fifths make an augmented chord, two fourths a diminished one.
   Inversions move notes by whole tritaves, the circle shift by octaves.
-* ``"456"`` -- chords are triples of 12-EDO pitches (integer semitones
+* ``TONNETZ_456`` -- chords are triples of 12-EDO pitches (integer semitones
   relative to the central C, plain B one semitone below it).  Major is
   4+3 semitones, minor 3+4; inversions move by octaves, the circle shift
   by fifths.
@@ -25,11 +25,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import notation
+from . import notation, scales
 from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE
 
 __all__ = [
     "ChordQuality",
+    "TonnetzSystem",
+    "TONNETZ_234",
+    "TONNETZ_456",
     "Chord",
     "PurityReport",
     "chord_234",
@@ -58,15 +61,170 @@ class ChordQuality(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Chord:
-    """Three strictly ascending notes in one of the two systems."""
+class TonnetzSystem:
+    """One harmonic system: lattice geometry, note arithmetic, names, purity.
 
-    notes: tuple
-    system: str = "234"
+    The horizontal step is the circle step; the up diagonal (major step)
+    and the down diagonal (minor step) split it.  Notes repeat after
+    ``period``; ``home`` is the root of the default starting triad and
+    ``class_names`` lists the note classes in display order.  The two
+    subclasses supply everything that depends on the note type.
+    """
+
+    id: str
+    horizontal: FreqRatio | int
+    up_diagonal: FreqRatio | int
+    down_diagonal: FreqRatio | int
+    period: FreqRatio | int
+    home: str
+    class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.system not in ("234", "456"):
-            raise ValueError(f"unknown system {self.system!r}")
+        if self.shift(self.up_diagonal, self.down_diagonal) != self.horizontal:
+            raise ValueError(f"system {self.id}: diagonals {self.up_diagonal} and "
+                             f"{self.down_diagonal} miss the horizontal step {self.horizontal}")
+
+    def parse_chord(self, names) -> Chord:
+        """Chord of three note names given in any order."""
+        return Chord(tuple(sorted(self.parse(name) for name in names)), self)
+
+
+class _TritaveSystem(TonnetzSystem):
+    """2:3:4 notes are exact ratios; intervals multiply."""
+
+    def shift(self, note: FreqRatio, interval: FreqRatio, times: int = 1) -> FreqRatio:
+        return FreqRatio(note.u + interval.u * times, note.v + interval.v * times)
+
+    def step(self, low: FreqRatio, high: FreqRatio) -> FreqRatio:
+        return high / low
+
+    def name(self, note: FreqRatio) -> str:
+        return str(notation.name_of(note))
+
+    def parse(self, text: str) -> FreqRatio:
+        return notation.parse_note(text)
+
+    def class_name(self, note: FreqRatio) -> str:
+        h = (note.u + 9) % 19 - 9
+        degree = scales.harmonic_to_scale_degree(h, scales.PYTH3)
+        return self.class_names[degree + 9]
+
+    def lattice_points(self, notes: tuple) -> tuple:
+        """Inversions are not invisible here, so the plane is not rolled up."""
+        return notes
+
+    move_root = shift   # P/L/R root map: on the unrolled plane a plain shift
+
+    def voice_near(self, c: Chord, tonic: Chord) -> Chord:
+        return reduce_chord_to_domain(c, root=tonic.notes[0])
+
+    def just_frequencies(self, c: Chord) -> list[Fraction]:
+        return [n.as_fraction() for n in c.notes]
+
+    def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
+        ratio = FreqRatio.from_fraction(freq.numerator, freq.denominator)
+        names = []
+        for namer in (notation.name_of, notation.pyth2_name_of):
+            try:
+                names.append(str(namer(ratio)))
+            except ValueError:
+                pass
+        return tuple(names)
+
+
+class _OctaveSystem(TonnetzSystem):
+    """4:5:6 notes are integer 12-EDO semitones; intervals add."""
+
+    def shift(self, note: int, interval: int, times: int = 1) -> int:
+        return note + interval * times
+
+    def step(self, low: int, high: int) -> int:
+        return high - low
+
+    def name(self, note: int) -> str:
+        return notation.edo12_name(note)
+
+    def parse(self, text: str) -> int:
+        return notation.parse_edo12_note(text)
+
+    def class_name(self, note: int) -> str:
+        return self.class_names[note % self.period]
+
+    def lattice_points(self, notes: tuple) -> tuple:
+        """The lattice is rolled up onto the 12 pitch classes."""
+        return tuple(n % self.period for n in notes)
+
+    def move_root(self, root: int, interval: int, times: int) -> int:
+        """Moves the pitch class and keeps the root's octave block."""
+        return root - root % self.period + (root + interval * times) % self.period
+
+    def voice_near(self, c: Chord, tonic: Chord) -> Chord:
+        """Close voicing (span under an octave) nearest the tonic."""
+        r0 = tonic.notes[0]
+        base = sorted(r0 + (n - r0) % self.period for n in c.notes)
+        candidates = {0: base}
+        low = base
+        for j in (1, 2):
+            low = sorted([low[2] - self.period] + low[:2])
+            candidates[-j] = low
+        high = base
+        for j in (1, 2):
+            high = sorted(high[1:] + [high[0] + self.period])
+            candidates[j] = high
+
+        def cost(item):
+            j, notes = item
+            return (sum(abs(a - b) for a, b in zip(notes, tonic.notes)), abs(j), j)
+
+        _, best = min(candidates.items(), key=cost)
+        return chord_456(best)
+
+    def just_frequencies(self, c: Chord) -> list[Fraction]:
+        s1, s2 = _steps(c)
+        if s1 not in _JUST_STEP or s2 not in _JUST_STEP:
+            raise ValueError("no just interpretation for these step intervals")
+        pc = c.notes[0] % self.period
+        f0 = _CANON_FREQ[pc] * Fraction(2) ** ((c.notes[0] - pc) // self.period)
+        return [f0, f0 * _JUST_STEP[s1], f0 * _JUST_STEP[s1] * _JUST_STEP[s2]]
+
+    def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
+        k = 0
+        g = freq
+        while g >= 2 * _WINDOW_LO:
+            g /= 2
+            k += 1
+        while g < _WINDOW_LO:
+            g *= 2
+            k -= 1
+        letter = _FIVE_LIMIT_NAMES.get(g)
+        if letter is None:
+            return ()
+        return (letter + ("'" * k if k >= 0 else "," * -k),)
+
+
+TONNETZ_234 = _TritaveSystem(
+    "234", OCTAVE, FIFTH, FOURTH, TRITAVE, "A", tuple(notation.BASE_NAMES_PYTH3)
+)
+TONNETZ_456 = _OctaveSystem("456", 7, 4, 3, 12, "C", tuple(notation.NAMES_EDO12))
+
+_SYSTEMS = {s.id: s for s in (TONNETZ_234, TONNETZ_456)}
+
+
+@dataclass(frozen=True)
+class Chord:
+    """Three strictly ascending notes in one of the two systems.
+
+    ``system`` may also be given by its ``id`` string.
+    """
+
+    notes: tuple
+    system: TonnetzSystem = TONNETZ_234
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.system, TonnetzSystem):
+            if not isinstance(self.system, str) or self.system not in _SYSTEMS:
+                raise ValueError(f"unknown system {self.system!r}")
+            object.__setattr__(self, "system", _SYSTEMS[self.system])
         if len(self.notes) != 3:
             raise ValueError("a chord needs exactly 3 notes")
         a, b, c = self.notes
@@ -74,20 +232,18 @@ class Chord:
             raise ValueError("chord notes must be strictly ascending")
 
     def names(self) -> tuple[str, str, str]:
-        if self.system == "234":
-            return tuple(str(notation.name_of(n)) for n in self.notes)
-        return tuple(notation.edo12_name(n) for n in self.notes)
+        return tuple(self.system.name(n) for n in self.notes)
 
     def __str__(self) -> str:
         return "-".join(self.names())
 
 
 def chord_234(notes) -> Chord:
-    return Chord(tuple(sorted(notes)), "234")
+    return Chord(tuple(sorted(notes)), TONNETZ_234)
 
 
 def chord_456(notes) -> Chord:
-    return Chord(tuple(sorted(int(n) for n in notes)), "456")
+    return Chord(tuple(sorted(int(n) for n in notes)), TONNETZ_456)
 
 
 def major_triad_234(root: FreqRatio) -> Chord:
@@ -100,34 +256,21 @@ def minor_triad_234(root: FreqRatio) -> Chord:
 
 def _steps(c: Chord):
     a, b, top = c.notes
-    if c.system == "234":
-        return b / a, top / b
-    return b - a, top - b
-
-
-_QUALITY_234 = {
-    (FIFTH, FOURTH): ChordQuality.MAJOR,
-    (FOURTH, FIFTH): ChordQuality.MINOR,
-    (FIFTH, FIFTH): ChordQuality.AUGMENTED,
-    (FOURTH, FOURTH): ChordQuality.DIMINISHED,
-}
-
-_QUALITY_456 = {
-    (4, 3): ChordQuality.MAJOR,
-    (3, 4): ChordQuality.MINOR,
-    (4, 4): ChordQuality.AUGMENTED,
-    (3, 3): ChordQuality.DIMINISHED,
-}
+    return c.system.step(a, b), c.system.step(b, top)
 
 
 def classify(c: Chord) -> ChordQuality:
-    """Quality from the ordered pair of step intervals."""
-    table = _QUALITY_234 if c.system == "234" else _QUALITY_456
-    return table.get(_steps(c), ChordQuality.OTHER)
+    """Quality from the ordered pair of step intervals.
 
-
-def _period(c: Chord):
-    return TRITAVE if c.system == "234" else 12
+    Major stacks the up diagonal then the down one, minor the reverse.
+    """
+    up, down = c.system.up_diagonal, c.system.down_diagonal
+    return {
+        (up, down): ChordQuality.MAJOR,
+        (down, up): ChordQuality.MINOR,
+        (up, up): ChordQuality.AUGMENTED,
+        (down, down): ChordQuality.DIMINISHED,
+    }.get(_steps(c), ChordQuality.OTHER)
 
 
 def invert(c: Chord, direction: str = "first") -> Chord:
@@ -136,16 +279,14 @@ def invert(c: Chord, direction: str = "first") -> Chord:
     Three first inversions of a 2:3:4 chord land a whole tritave higher.
     """
     a, b, top = c.notes
-    per = _period(c)
+    system = c.system
     if direction == "first":
-        moved = a * per if c.system == "234" else a + per
-        notes = (b, top, moved)
+        notes = (b, top, system.shift(a, system.period))
     elif direction == "second":
-        moved = top / per if c.system == "234" else top - per
-        notes = (moved, a, b)
+        notes = (system.shift(top, system.period, -1), a, b)
     else:
         raise ValueError(f"direction must be 'first' or 'second', not {direction!r}")
-    return Chord(tuple(sorted(notes)), c.system)
+    return Chord(tuple(sorted(notes)), system)
 
 
 def shift_in_circle(c: Chord, steps: int) -> Chord:
@@ -154,9 +295,8 @@ def shift_in_circle(c: Chord, steps: int) -> Chord:
     The step is an octave for 2:3:4 chords (circle of octaves) and a fifth
     for 4:5:6 chords (circle of fifths).  No register reduction is applied.
     """
-    if c.system == "234":
-        return Chord(tuple(n * OCTAVE ** steps for n in c.notes), "234")
-    return Chord(tuple(n + 7 * steps for n in c.notes), "456")
+    system = c.system
+    return Chord(tuple(system.shift(n, system.horizontal, steps) for n in c.notes), system)
 
 
 def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
@@ -167,7 +307,7 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
     Each note keeps its tritave class, so this is a stack of first/second
     inversions; it is idempotent for a fixed root.
     """
-    if c.system != "234":
+    if c.system != TONNETZ_234:
         raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
     if root is None:
         root = c.notes[0]
@@ -186,41 +326,17 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
     return chord_234(reduced)
 
 
-def _closest_voicing_456(c: Chord, reference: Chord) -> Chord:
-    """Close voicing (span under an octave) nearest the reference chord."""
-    r0 = reference.notes[0]
-    base = sorted(r0 + (n - r0) % 12 for n in c.notes)
-    candidates = {0: base}
-    low = base
-    for j in (1, 2):
-        low = sorted([low[2] - 12] + low[:2])
-        candidates[-j] = low
-    high = base
-    for j in (1, 2):
-        high = sorted(high[1:] + [high[0] + 12])
-        candidates[j] = high
-
-    def cost(item):
-        j, notes = item
-        return (sum(abs(a - b) for a, b in zip(notes, reference.notes)), abs(j), j)
-
-    _, best = min(candidates.items(), key=cost)
-    return chord_456(best)
-
-
-def _reduce_for(tonic: Chord, c: Chord) -> Chord:
-    if tonic.system == "234":
-        return reduce_chord_to_domain(c, root=tonic.notes[0])
-    return _closest_voicing_456(c, tonic)
+def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
+    """Tonic, two circle shifts of it voiced near it, tonic."""
+    if classify(tonic) is not ChordQuality.MAJOR:
+        raise ValueError(f"{kind} sequence defined for major tonic")
+    moved = [tonic.system.voice_near(shift_in_circle(tonic, k), tonic) for k in steps]
+    return [tonic, *moved, tonic]
 
 
 def basic_sequence(tonic: Chord) -> list[Chord]:
     """tonic -- subdominant -- dominant -- tonic, voiced near the tonic."""
-    if classify(tonic) is not ChordQuality.MAJOR:
-        raise ValueError("basic sequence defined for major tonic")
-    sub = _reduce_for(tonic, shift_in_circle(tonic, -1))
-    dom = _reduce_for(tonic, shift_in_circle(tonic, +1))
-    return [tonic, sub, dom, tonic]
+    return _sequence("basic", tonic, (-1, +1))
 
 
 def cadence_sequence(tonic: Chord) -> list[Chord]:
@@ -229,11 +345,7 @@ def cadence_sequence(tonic: Chord) -> list[Chord]:
     The drop from the second dominant back to the tonic gives a stronger
     sense of finality than the plain dominant-tonic step.
     """
-    if classify(tonic) is not ChordQuality.MAJOR:
-        raise ValueError("cadence sequence defined for major tonic")
-    dom = _reduce_for(tonic, shift_in_circle(tonic, +1))
-    dom2 = _reduce_for(tonic, shift_in_circle(tonic, +2))
-    return [tonic, dom, dom2, tonic]
+    return _sequence("cadence", tonic, (+1, +2))
 
 
 # --- purity -----------------------------------------------------------------
@@ -272,56 +384,13 @@ _CANON_FREQ = {
     11: Fraction(15, 8),
 }
 
-_FIVE_LIMIT_NAMES = {
-    Fraction(15, 16): "B",
-    Fraction(1): "C",
-    Fraction(135, 128): "C#",
-    Fraction(9, 8): "D",
-    Fraction(6, 5): "Eb",
-    Fraction(5, 4): "E",
-    Fraction(4, 3): "F",
-    Fraction(45, 32): "F#",
-    Fraction(3, 2): "G",
-    Fraction(25, 16): "G#",
-    Fraction(5, 3): "A",
-    Fraction(9, 5): "Bb",
-}
-
 _WINDOW_LO = Fraction(15, 16)
 
-
-def _canon_freq(semitone: int) -> Fraction:
-    pc = semitone % 12
-    return _CANON_FREQ[pc] * Fraction(2) ** ((semitone - pc) // 12)
-
-
-def _five_limit_name(freq: Fraction) -> str | None:
-    k = 0
-    g = freq
-    while g >= 2 * _WINDOW_LO:
-        g /= 2
-        k += 1
-    while g < _WINDOW_LO:
-        g *= 2
-        k -= 1
-    letter = _FIVE_LIMIT_NAMES.get(g)
-    if letter is None:
-        return None
-    return letter + ("'" * k if k >= 0 else "," * -k)
-
-
-def _pyth_names(freq: Fraction) -> tuple[str, ...]:
-    ratio = FreqRatio.from_fraction(freq.numerator, freq.denominator)
-    names = []
-    try:
-        names.append(str(notation.name_of(ratio)))
-    except ValueError:
-        pass
-    try:
-        names.append(notation.pyth2_name_of(ratio))
-    except ValueError:
-        pass
-    return tuple(names)
+# Names of the canonical frequencies inside the naming window [15/16, 15/8).
+_FIVE_LIMIT_NAMES = {
+    freq / 2 if freq >= 2 * _WINDOW_LO else freq: name
+    for freq, name in zip(_CANON_FREQ.values(), notation.NAMES_EDO12)
+}
 
 
 @dataclass(frozen=True)
@@ -346,20 +415,7 @@ class PurityReport:
 
 def purity(c: Chord) -> PurityReport:
     """Express the chord as a:b:c and report both purity distances."""
-    if c.system == "234":
-        freqs = [n.as_fraction() for n in c.notes]
-        namer = _pyth_names
-    else:
-        s1, s2 = _steps(c)
-        if s1 not in _JUST_STEP or s2 not in _JUST_STEP:
-            raise ValueError("no just interpretation for these step intervals")
-        f0 = _canon_freq(c.notes[0])
-        freqs = [f0, f0 * _JUST_STEP[s1], f0 * _JUST_STEP[s1] * _JUST_STEP[s2]]
-
-        def namer(freq: Fraction) -> tuple[str, ...]:
-            name = _five_limit_name(freq)
-            return (name,) if name else ()
-
+    freqs = c.system.just_frequencies(c)
     rel = [f / freqs[0] for f in freqs]
     denom_lcm = math.lcm(*(r.denominator for r in rel))
     ints = [int(r * denom_lcm) for r in rel]
@@ -374,6 +430,6 @@ def purity(c: Chord) -> PurityReport:
         d_overtone=d_overtone,
         base_frequency=base,
         overtone_frequency=overtone,
-        base_names=namer(base),
-        overtone_names=namer(overtone),
+        base_names=c.system.frequency_names(base),
+        overtone_names=c.system.frequency_names(overtone),
     )

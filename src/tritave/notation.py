@@ -61,23 +61,18 @@ _UNICODE_MARKS = {"#": "♯", "b": "♭", "'": "′", ",": "⌄",
                   "^": "ˆ", "v": "ˇ"}
 
 
-def _base_ratio_pyth3(degree: int) -> FreqRatio:
-    return scales.fundamental_note(
-        scales.scale_to_harmonic(degree, scales.PYTH3), scales.PYTH3
-    )
+def _base_ratios(names: list[str], system: scales.ScaleSystem) -> dict[str, FreqRatio]:
+    """Fundamental-domain note of each base name, the names in scale-degree order."""
+    lo = system.harmonic_range[0]
+    return {
+        name: scales.fundamental_note(scales.scale_to_harmonic(lo + i, system), system)
+        for i, name in enumerate(names)
+    }
 
 
-_PYTH3_BASE_RATIO = {
-    name: _base_ratio_pyth3(degree - 9) for degree, name in enumerate(BASE_NAMES_PYTH3)
-}
+_PYTH3_BASE_RATIO = _base_ratios(BASE_NAMES_PYTH3, scales.PYTH3)
 _PYTH3_BASE_BY_U = {ratio.u: name for name, ratio in _PYTH3_BASE_RATIO.items()}
-
-_PYTH2_BASE_RATIO = {
-    name: scales.fundamental_note(
-        scales.scale_to_harmonic(degree - 5, scales.PYTH2), scales.PYTH2
-    )
-    for degree, name in enumerate(BASE_NAMES_PYTH2)
-}
+_PYTH2_BASE_RATIO = _base_ratios(BASE_NAMES_PYTH2, scales.PYTH2)
 _PYTH2_BASE_BY_V = {ratio.v: name for name, ratio in _PYTH2_BASE_RATIO.items()}
 
 # Longest match first so "F#," wins over "F#" wins over "F".
@@ -142,18 +137,22 @@ def _split_marks(text: str, bases: list[str]) -> tuple[str, str]:
     raise ValueError(f"unknown note name {text!r}")
 
 
+def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
+    """Signed count of the marks after a base name: +1 per ``up``, -1 per ``down``."""
+    if marks and set(marks) not in ({up}, {down}):
+        raise ValueError(f"bad {kind} marks in {text!r}: use only {up!r} or only {down!r}")
+    return len(marks) if marks.startswith(up) else -len(marks)
+
+
 def parse_note(text: str) -> FreqRatio:
     """Parse a tritave-system name (inverse of :func:`name_of`)."""
     base, marks = _split_marks(text, _PYTH3_BASES_DESC)
-    if marks and (set(marks) == {"'"} or set(marks) == {","}):
+    if marks and set(marks) in ({"'"}, {","}):
         raise ValueError(
             f"{text!r} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
-    if marks and set(marks) not in ({"^"}, {"v"}):
-        raise ValueError(f"bad shift marks in {text!r}: use only '^' or only 'v'")
-    shift = len(marks) if marks.startswith("^") else -len(marks)
-    return NoteName(base, shift).ratio()
+    return NoteName(base, _mark_shift(text, marks, "^", "v", "shift")).ratio()
 
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
@@ -170,10 +169,7 @@ def pyth2_name_of(ratio: FreqRatio) -> str:
 
 def parse_pyth2_note(text: str) -> FreqRatio:
     base, marks = _split_marks(text, _PYTH2_BASES_DESC)
-    if marks and set(marks) not in ({"'"}, {","}):
-        raise ValueError(f"bad octave marks in {text!r}: use only \"'\" or only ','")
-    shift = len(marks) if marks.startswith("'") else -len(marks)
-    return _PYTH2_BASE_RATIO[base] * OCTAVE ** shift
+    return _PYTH2_BASE_RATIO[base] * OCTAVE ** _mark_shift(text, marks, "'", ",", "octave")
 
 
 def edo12_name(semitone: int) -> str:
@@ -187,9 +183,7 @@ def edo12_name(semitone: int) -> str:
 
 def parse_edo12_note(text: str) -> int:
     base, marks = _split_marks(text, _EDO12_BASES_DESC)
-    if marks and set(marks) not in ({"'"}, {","}):
-        raise ValueError(f"bad octave marks in {text!r}: use only \"'\" or only ','")
-    shift = len(marks) if marks.startswith("'") else -len(marks)
+    shift = _mark_shift(text, marks, "'", ",", "octave")
     pc = NAMES_EDO12.index(base)
     return (pc - 12 if pc == 11 else pc) + 12 * shift
 

@@ -60,8 +60,11 @@ class ScaleSystem:
 
     def __post_init__(self) -> None:
         lo, hi = self.harmonic_range
-        assert hi - lo + 1 == self.notes_per_period
-        assert (self.degree_multiplier * self.degree_multiplier_inv) % self.notes_per_period == 1
+        n, b, b_inv = self.notes_per_period, self.degree_multiplier, self.degree_multiplier_inv
+        if hi - lo + 1 != n:
+            raise ValueError(f"scale {self.id}: harmonic range {lo, hi} does not hold {n} notes")
+        if b * b_inv % n != 1:
+            raise ValueError(f"scale {self.id}: multipliers {b}, {b_inv} not inverse modulo {n}")
 
 
 PYTH2 = ScaleSystem("pyth2", OCTAVE, 12, (-5, 6), 7, 7, True)

@@ -22,9 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import notation, scales
-from .harmony import Chord, ChordQuality, chord_234, chord_456, classify
-from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE
+from .harmony import (
+    TONNETZ_234,
+    TONNETZ_456,
+    Chord,
+    ChordQuality,
+    TonnetzSystem,
+    classify,
+)
+from .ratios import FreqRatio
 
 __all__ = [
     "TonnetzSystem",
@@ -45,26 +51,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TonnetzSystem:
-    """Lattice geometry: horizontal step split into the two diagonals."""
-
-    id: str
-    horizontal: FreqRatio | int
-    up_diagonal: FreqRatio | int
-    down_diagonal: FreqRatio | int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.horizontal, FreqRatio):
-            assert self.up_diagonal * self.down_diagonal == self.horizontal
-        else:
-            assert self.up_diagonal + self.down_diagonal == self.horizontal
-
-
-TONNETZ_234 = TonnetzSystem("234", OCTAVE, FIFTH, FOURTH)
-TONNETZ_456 = TonnetzSystem("456", 7, 4, 3)
-
-
-@dataclass(frozen=True)
 class Triad:
     """A major or minor triangle: system, root and quality."""
 
@@ -76,17 +62,19 @@ class Triad:
         if self.quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
             raise ValueError("a lattice triad is major or minor")
 
+    def _stack(self) -> tuple:
+        system = self.system
+        major = self.quality is ChordQuality.MAJOR
+        third = system.up_diagonal if major else system.down_diagonal
+        root = self.root
+        return (root, system.shift(root, third), system.shift(root, system.horizontal))
+
     def notes(self) -> tuple:
-        if self.system.id == "234":
-            mid = FIFTH if self.quality is ChordQuality.MAJOR else FOURTH
-            return (self.root, self.root * mid, self.root * OCTAVE)
-        third = 4 if self.quality is ChordQuality.MAJOR else 3
-        return (self.root % 12, (self.root + third) % 12, (self.root + 7) % 12)
+        """Vertices of the triangle as lattice points, root first."""
+        return self.system.lattice_points(self._stack())
 
     def chord(self) -> Chord:
-        if self.system.id == "234":
-            return chord_234(self.notes())
-        return chord_456((self.root, self.root + (4 if self.quality is ChordQuality.MAJOR else 3), self.root + 7))
+        return Chord(self._stack(), self.system)
 
 
 def major_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
@@ -101,12 +89,7 @@ def triad_from_chord(c: Chord) -> Triad:
     quality = classify(c)
     if quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
         raise ValueError(f"P/L/R moves need a major or minor triad, got {quality}")
-    system = TONNETZ_234 if c.system == "234" else TONNETZ_456
-    return Triad(system, c.notes[0], quality)
-
-
-# Root maps for the three moves; each is its own inverse.
-_MINOR_THIRD_DOWN = FreqRatio(-2, 1)   # 3/4: major root -> R-partner root
+    return Triad(c.system, c.notes[0], quality)
 
 
 def apply_plr(t: Triad, move: str) -> Triad:
@@ -116,21 +99,17 @@ def apply_plr(t: Triad, move: str) -> Triad:
         raise ValueError(f"move must be P, L or R, not {move!r}")
     major = t.quality is ChordQuality.MAJOR
     flipped = ChordQuality.MINOR if major else ChordQuality.MAJOR
-    if t.system.id == "234":
-        if move == "P":
-            root = t.root
-        elif move == "R":
-            root = t.root * (_MINOR_THIRD_DOWN if major else FOURTH)
-        else:  # L
-            root = t.root * (FIFTH if major else FIFTH.inverse())
-    else:
-        if move == "P":
-            root = t.root
-        elif move == "R":
-            root = (t.root + (9 if major else 3)) % 12
-        else:
-            root = (t.root + (4 if major else -4)) % 12
-    return Triad(t.system, root, flipped)
+    # R moves the root by -down for major triads and +down for minor ones, L by
+    # +up and -up, so each move is its own inverse.  A 4:5:6 root keeps its
+    # octave block, so roots 0-11 stay pitch classes.
+    system = t.system
+    if move == "P":
+        root = t.root
+    elif move == "R":
+        root = system.move_root(t.root, system.down_diagonal, -1 if major else 1)
+    else:  # L
+        root = system.move_root(t.root, system.up_diagonal, 1 if major else -1)
+    return Triad(system, root, flipped)
 
 
 def apply_plr_sequence(t: Triad, moves: str) -> Triad:
@@ -146,11 +125,7 @@ def note_class(note, system: TonnetzSystem) -> str:
     2-adic harmonic degree modulo 19; the label is the fundamental-domain
     name of that class.
     """
-    if system.id == "234":
-        h = (note.u + 9) % 19 - 9
-        degree = scales.harmonic_to_scale_degree(h, scales.PYTH3)
-        return notation.BASE_NAMES_PYTH3[degree + 9]
-    return notation.NAMES_EDO12[note % 12]
+    return system.class_name(note)
 
 
 @dataclass(frozen=True)
@@ -172,7 +147,8 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
         raise ValueError("max_moves must be in [0, 12]")
     seen = {(start.root, start.quality)}
     frontier = [start]
-    classes = {note_class(n, start.system) for n in start.notes()}
+    class_name = start.system.class_name
+    classes = {class_name(n) for n in start.notes()}
     levels = [ReachLevel(0, len(classes), frozenset(classes))]
     for k in range(1, max_moves + 1):
         nxt = []
@@ -184,7 +160,7 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
                     seen.add(key)
                     nxt.append(image)
         for triad in nxt:
-            classes.update(note_class(n, start.system) for n in triad.notes())
+            classes.update(class_name(n) for n in triad.notes())
         levels.append(ReachLevel(k, len(classes), frozenset(classes)))
         frontier = nxt
     return levels
@@ -201,6 +177,6 @@ def lattice_coordinates(t: Triad) -> tuple[tuple[int, int], ...]:
     Major triads point up, minor triads down; the base is always two units
     wide (one octave) with the middle vertex one unit off the base line.
     """
-    if t.system.id != "234":
+    if t.system != TONNETZ_234:
         raise ValueError("lattice coordinates are defined for the 2:3:4 system")
     return tuple(note_coordinates(n) for n in t.notes())

@@ -163,47 +163,23 @@ def _check_diff() -> SectionResult:
     return SectionResult("table_differences", "table", not failures, failures)
 
 
-def _check_plr(name: str, system: str, expected) -> SectionResult:
-    failures = []
-    if system == "234":
-        start = tonnetz.major_triad(notation.parse_note("A"))
-    else:
-        start = tonnetz.major_triad(0, tonnetz.TONNETZ_456)
-    levels = tonnetz.reachable_note_classes(start, len(expected) - 1)
-    counts = [lvl.count for lvl in levels]
-    if counts != expected:
-        failures.append(f"reach counts {counts} != {expected}")
-    if system == "456":
-        missing = set(notation.NAMES_EDO12) - set(levels[2].classes)
-        if missing != {"F#"}:
-            failures.append(f"classes missing after 2 moves: {sorted(missing)} != ['F#']")
+def _check_plr(name: str, table: str, expected) -> SectionResult:
+    counts = [count for _, count in exports._table_rows(table)[1]]
+    failures = [] if counts == expected else [f"reach counts {counts} != {expected}"]
     return SectionResult(name, "table", not failures, failures)
 
 
-def _check_purity(name: str, system: str, expected) -> SectionResult:
+def _check_purity(name: str, table: str, expected) -> SectionResult:
     failures = []
-    source_rows = (
-        exports._PURITY_234_ROWS if system == "234" else exports._PURITY_456_ROWS
-    )
-    for (label, notes), (elabel, ratio, d_b, base, d_o, over) in zip(source_rows, expected):
-        if system == "234":
-            chord = harmony.chord_234([notation.parse_note(nm) for nm in notes])
-        else:
-            chord = harmony.chord_456(notes)
-        report = harmony.purity(chord)
-        if label != elabel:
-            failures.append(f"{label}: row order mismatch")
-        if report.ratio != ratio:
-            failures.append(f"{label}: ratio {report.ratio} != {ratio}")
-        if (report.d_base, report.d_overtone) != (d_b, d_o):
-            failures.append(
-                f"{label}: distances {(report.d_base, report.d_overtone)} != {(d_b, d_o)}"
-            )
-        if report.base_names != base or report.overtone_names != over:
-            failures.append(
-                f"{label}: names {report.base_names}/{report.overtone_names}"
-                f" != {base}/{over}"
-            )
+    header, rows = exports._table_rows(table)
+    if len(rows) != len(expected):
+        failures.append(f"expected {len(expected)} rows, got {len(rows)}")
+    columns = ("quality", "harmonics", "d_base", "base_note", "d_overtone", "overtone_note")
+    for row, (label, ratio, d_b, base, d_o, over) in zip(rows, expected):
+        got = tuple(dict(zip(header, row))[column] for column in columns)
+        want = (label, ":".join(map(str, ratio)), d_b, "=".join(base), d_o, "=".join(over))
+        if got != want:
+            failures.append(f"{label}: {columns} {got} != {want}")
     return SectionResult(name, "table", not failures, failures)
 
 
@@ -290,6 +266,11 @@ def _check_harmony_identities() -> SectionResult:
         )
         if triple != lifted:
             failures.append(f"root {root}: triple first inversion != tritave shift")
+    # Two P/L/R moves from C major reach every 4:5:6 class but the tritone.
+    start = tonnetz.major_triad(0, tonnetz.TONNETZ_456)
+    missing = set(notation.NAMES_EDO12) - tonnetz.reachable_note_classes(start, 2)[2].classes
+    if missing != {"F#"}:
+        failures.append(f"classes missing after 2 moves: {sorted(missing)} != ['F#']")
     return SectionResult("harmony_identities", "invariants", not failures, failures)
 
 
@@ -300,8 +281,7 @@ def _check_scl_round_trip() -> SectionResult:
         if text != exports.emit_scl(scale):
             failures.append(f"{scale}: emitter not byte-stable")
         _, cents_list = exports.parse_scl(text)
-        system = {"pyth3": scales.PYTH3, "edt19": scales.EDT19,
-                  "pyth2": scales.PYTH2, "edo12": scales.EDO12}[scale]
+        system = scales._SYSTEMS[scale]
         for degree, got in enumerate(cents_list, start=1):
             pitch = scales.note_at_scale_degree(degree, system)
             want = pitch.cents() if isinstance(pitch, FreqRatio) else pitch
@@ -317,10 +297,10 @@ def verify_tables() -> VerifyReport:
         _check_deviation_table("table_pyth2_vs_edo12", "pyth2_edo12", EXPECTED_T1),
         _check_deviation_table("table_pyth3_vs_edt19", "pyth3_edt19", EXPECTED_T2),
         _check_diff(),
-        _check_plr("table_plr_456", "456", EXPECTED_PLR_456),
-        _check_plr("table_plr_234", "234", EXPECTED_PLR_234),
-        _check_purity("table_purity_234", "234", EXPECTED_PURITY_234),
-        _check_purity("table_purity_456", "456", EXPECTED_PURITY_456),
+        _check_plr("table_plr_456", "plr456", EXPECTED_PLR_456),
+        _check_plr("table_plr_234", "plr234", EXPECTED_PLR_234),
+        _check_purity("table_purity_234", "purity234", EXPECTED_PURITY_234),
+        _check_purity("table_purity_456", "purity456", EXPECTED_PURITY_456),
         _check_invariants(),
         _check_continued_fractions(),
         _check_keyboard(),

@@ -93,6 +93,17 @@ def test_plr_456(capsys):
     assert "A C' E'" in out    # the relative minor, printed from its root
 
 
+@pytest.mark.parametrize("argv, move", [
+    (("A", "E", "A'", "PX"), "X"),
+    (("C", "E", "G", "PRZ", "--system", "456"), "Z"),
+])
+def test_plr_bad_move_prints_nothing(capsys, argv, move):
+    code, out, err = run(capsys, "plr", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and repr(move) in err
+
+
 def test_reach(capsys):
     code, out, _ = run(capsys, "reach", "--k", "8")
     assert code == 0

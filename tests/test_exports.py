@@ -149,6 +149,14 @@ def test_parse_progression_skips_comments_and_blanks():
     assert len(chords) == 1
 
 
+def test_parse_progression_keeps_sharps_in_note_names():
+    chords = parse_progression("F# B Eb\nA E A' #tonic\n# C# in a comment\n")
+    assert chords == [
+        chord_234([parse_note(n) for n in ("F#", "B", "Eb")]),
+        chord_234([parse_note(n) for n in ("A", "E", "A'")]),
+    ]
+
+
 def test_tonnetz_path_sample_counts():
     dot = emit_tonnetz_path(parse_progression(sample_progression_text()))
     assert len(re.findall(r"^  chord\d+ \[", dot, re.M)) == 10

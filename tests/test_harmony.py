@@ -20,7 +20,7 @@ from tritave.harmony import (
 )
 from tritave.notation import parse_note
 from tritave.ratios import FreqRatio, OCTAVE, TRITAVE
-from tritave.tonnetz import apply_plr, major_triad
+from tritave.tonnetz import TONNETZ_234, TONNETZ_456, apply_plr, major_triad
 
 
 def c234(*names):
@@ -34,6 +34,15 @@ def test_chord_validation():
         Chord((parse_note("A"), parse_note("E")), "234")
     with pytest.raises(ValueError):
         Chord((1, 2, 3), "789")
+
+
+def test_chord_system_by_id_is_the_system_object():
+    notes = (parse_note("A"), parse_note("E"), parse_note("A'"))
+    by_id = Chord(notes, "234")
+    assert by_id.system is TONNETZ_234
+    assert by_id == chord_234(notes) and hash(by_id) == hash(chord_234(notes))
+    assert Chord((0, 4, 7), "456").system is TONNETZ_456
+    assert len({major_triad(0, TONNETZ_456), major_triad(0, TONNETZ_456)}) == 1
 
 
 def test_classify_234():

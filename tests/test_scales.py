@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from tritave.ratios import COMMA, FreqRatio, TRITAVE, cents
+from tritave.ratios import COMMA, OCTAVE, FreqRatio, TRITAVE, cents
 from tritave.scales import (
     EDO12,
     EDT19,
     PYTH2,
     PYTH3,
+    ScaleSystem,
     deviation_table,
     fundamental_note,
     harmonic_to_scale_degree,
@@ -200,3 +201,11 @@ def test_equal_temperament_gaps():
         assert abs(edo - edt) < 5.0
         just = note_at_scale_degree(n, PYTH3)
         assert abs(cents(just) - edt) <= 11.11 + 1e-2
+
+
+def test_scale_system_invariants_raise_value_error():
+    # an 11-degree harmonic range cannot hold 12 notes per period
+    with pytest.raises(ValueError, match=r"\(-5, 5\)"):
+        ScaleSystem("x", OCTAVE, 12, (-5, 5), 7, 7, True)
+    with pytest.raises(ValueError, match="not inverse"):
+        ScaleSystem("x", OCTAVE, 12, (-5, 6), 7, 5, True)

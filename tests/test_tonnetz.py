@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -56,6 +57,24 @@ def test_plr_moves_are_involutions():
     for triad in random_triads(23, 100):
         for move in "PLR":
             assert apply_plr(apply_plr(triad, move), move) == triad
+
+
+def test_plr_456_moves_are_involutions_for_every_integer_root():
+    for root in range(-24, 36):
+        for quality in (ChordQuality.MAJOR, ChordQuality.MINOR):
+            triad = Triad(TONNETZ_456, root, quality)
+            for move in "PLR":
+                image = apply_plr(triad, move)
+                assert apply_plr(image, move) == triad
+                assert image.root // 12 == root // 12    # octave block kept
+                assert image.notes() == apply_plr(
+                    Triad(TONNETZ_456, root % 12, quality), move
+                ).notes()
+
+
+def test_system_rejects_diagonals_that_miss_the_horizontal_step():
+    with pytest.raises(ValueError, match="horizontal"):
+        dataclasses.replace(TONNETZ_456, down_diagonal=4)
 
 
 def test_plr_toggles_quality_and_changes_one_note():
