@@ -44,10 +44,10 @@ def _cmd_scale(args) -> int:
     if args.scl:
         sys.stdout.write(exports.emit_scl(args.system, args.description))
         return 0
-    if args.system in ("pyth2", "pyth3"):
-        pair = "pyth2_edo12" if args.system == "pyth2" else "pyth3_edt19"
+    system = scales._SYSTEMS[args.system]
+    if system.just:
+        table, pair = exports._DEVIATION_TABLES[system]
         if args.format in ("csv", "json"):
-            table = "t1" if args.system == "pyth2" else "t2"
             sys.stdout.write(exports.emit_table(table, args.format))
             return 0
         for row in scales.deviation_table(pair):
@@ -58,7 +58,6 @@ def _cmd_scale(args) -> int:
                 f"  {row.deviation_cents:+6.2f}c{mark}"
             )
         return 0
-    system = scales._SYSTEMS[args.system]
     for degree in range(0, system.notes_per_period + 1):
         print(f"{degree:>4}  {scales.note_at_scale_degree(degree, system):10.3f}c")
     return 0
@@ -74,8 +73,7 @@ def _cmd_reduce(args) -> int:
     system = scales._SYSTEMS[args.system]
     reduced, power = scales.reduce_to_fundamental(ratio, system)
     rep, shift = scales.period_reduce(reduced, system)
-    namer = notation.name_of if system is scales.PYTH3 else notation.pyth2_name_of
-    name, rep_name = str(namer(reduced)), str(namer(rep))
+    name, rep_name = notation._name_in(reduced, system), notation._name_in(rep, system)
     print(f"input            {ratio}  (2^{ratio.u} * 3^{ratio.v})")
     print(f"enharmonic       {name}  = {reduced}  (comma power {power:+d})")
     print(f"class rep        {rep_name}  = {rep}  (period shift {shift:+d})")
@@ -135,8 +133,10 @@ def _cmd_sequence(args) -> int:
         if args.cadence
         else ["tonic", "subdominant", "dominant", "tonic"]
     )
-    for role, chord in zip(roles, seq):
-        print(f"{role:<16} {_note_names(chord)}  ({harmony.classify(chord)})")
+    # Name every chord before printing, so a chord without a name leaves stdout empty.
+    lines = [f"{role:<16} {_note_names(chord)}  ({harmony.classify(chord)})"
+             for role, chord in zip(roles, seq)]
+    print("\n".join(lines))
     return 0
 
 

@@ -54,12 +54,24 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     lines = [description or _SCL_DESCRIPTIONS[scale], str(n)]
     for degree in range(1, n + 1):
         if system.just:
-            pitch = scales.note_at_scale_degree(degree, system, "just")
+            pitch = scales.note_at_scale_degree(degree, system)
             frac = pitch.as_fraction()
             lines.append(f"{frac.numerator}/{frac.denominator}")
         else:
             lines.append(f"{scales.note_at_scale_degree(degree, system):.5f}")
     return "\n".join(lines) + "\n"
+
+
+def _scl_cents(token: str) -> float:
+    """One .scl pitch: cents when it holds a '.', else a ratio ``N/D`` or ``N``."""
+    if "." in token and "/" not in token:
+        return float(token)
+    num, _, den = token.partition("/")
+    num, den = int(num), int(den or 1)
+    if num <= 0 or den <= 0:
+        raise ValueError("a ratio needs a positive numerator and denominator")
+    # Logs of the integers, not of their quotient, which can leave float range.
+    return 1200.0 * (math.log2(num) - math.log2(den))
 
 
 def parse_scl(text: str) -> tuple[str, list[float]]:
@@ -74,19 +86,19 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
         token = raw.strip().split()[0] if raw.strip() else ""
         if not token:
             continue
-        if "/" in token:
-            num, den = token.split("/", 1)
-            pitches.append(1200.0 * math.log2(int(num) / int(den)))
-        elif "." in token:
-            pitches.append(float(token))
-        else:
-            pitches.append(1200.0 * math.log2(int(token)))
+        try:
+            pitches.append(_scl_cents(token))
+        except ValueError as exc:
+            raise ValueError(f"bad .scl pitch line {raw.strip()!r}: {exc}") from None
     if len(pitches) != count:
         raise ValueError(f"expected {count} pitches, found {len(pitches)}")
     return description, pitches
 
 
 TABLE_IDS = ("t1", "t2", "diff", "plr456", "plr234", "purity234", "purity456")
+
+#: Table id and `scales.deviation_table` pair of each just scale.
+_DEVIATION_TABLES = {scales.PYTH2: ("t1", "pyth2_edo12"), scales.PYTH3: ("t2", "pyth3_edt19")}
 
 _PURITY_234_ROWS = [
     ("major", ("A", "E", "A'")),
@@ -175,8 +187,6 @@ def _table_rows(
 ):
     """Header and rows of one reference table (``which`` as for `emit_table`)."""
     tables = {
-        "t1": lambda: _deviation_rows("pyth2_edo12"),
-        "t2": lambda: _deviation_rows("pyth3_edt19"),
         "diff": lambda: _diff_rows(degree_lo, degree_hi),
         "plr456": lambda: _plr_rows(harmony.TONNETZ_456, 3),
         "plr234": lambda: _plr_rows(harmony.TONNETZ_234, 8),
@@ -184,6 +194,9 @@ def _table_rows(
         "purity456": lambda: _purity_rows(harmony.TONNETZ_456, _PURITY_456_ROWS),
     }
     key = which.lower()
+    deviation_pairs = dict(_DEVIATION_TABLES.values())
+    if key in deviation_pairs:
+        return _deviation_rows(deviation_pairs[key])
     if key not in tables:
         raise ValueError(f"unknown table {which!r}; choose from {TABLE_IDS}")
     return tables[key]()

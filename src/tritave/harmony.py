@@ -105,9 +105,9 @@ class _TritaveSystem(TonnetzSystem):
         return notation.parse_note(text)
 
     def class_name(self, note: FreqRatio) -> str:
-        h = (note.u + 9) % 19 - 9
-        degree = scales.harmonic_to_scale_degree(h, scales.PYTH3)
-        return self.class_names[degree + 9]
+        system = scales.PYTH3
+        degree = scales.harmonic_to_scale_degree(scales._window(note.u, system), system)
+        return self.class_names[degree - system.harmonic_range[0]]
 
     def lattice_points(self, notes: tuple) -> tuple:
         """Inversions are not invisible here, so the plane is not rolled up."""
@@ -124,9 +124,9 @@ class _TritaveSystem(TonnetzSystem):
     def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
         ratio = FreqRatio.from_fraction(freq.numerator, freq.denominator)
         names = []
-        for namer in (notation.name_of, notation.pyth2_name_of):
+        for system in (scales.PYTH3, scales.PYTH2):
             try:
-                names.append(str(namer(ratio)))
+                names.append(notation._name_in(ratio, system))
             except ValueError:
                 pass
         return tuple(names)

@@ -61,23 +61,23 @@ _UNICODE_MARKS = {"#": "♯", "b": "♭", "'": "′", ",": "⌄",
                   "^": "ˆ", "v": "ˇ"}
 
 
-def _base_ratios(names: list[str], system: scales.ScaleSystem) -> dict[str, FreqRatio]:
-    """Fundamental-domain note of each base name, the names in scale-degree order."""
+def _base_tables(names: list[str], system: scales.ScaleSystem):
+    """Base name -> fundamental-domain note, harmonic degree -> base name,
+    and the names longest first; ``names`` are given in scale-degree order."""
     lo = system.harmonic_range[0]
-    return {
-        name: scales.fundamental_note(scales.scale_to_harmonic(lo + i, system), system)
-        for i, name in enumerate(names)
-    }
+    ratio = {name: scales.note_at_scale_degree(lo + i, system) for i, name in enumerate(names)}
+    by_degree = {scales.harmonic_degree(note, system): name for name, note in ratio.items()}
+    # Longest match first so "F#," wins over "F#" wins over "F".
+    return ratio, by_degree, sorted(names, key=len, reverse=True)
 
 
-_PYTH3_BASE_RATIO = _base_ratios(BASE_NAMES_PYTH3, scales.PYTH3)
-_PYTH3_BASE_BY_U = {ratio.u: name for name, ratio in _PYTH3_BASE_RATIO.items()}
-_PYTH2_BASE_RATIO = _base_ratios(BASE_NAMES_PYTH2, scales.PYTH2)
-_PYTH2_BASE_BY_V = {ratio.v: name for name, ratio in _PYTH2_BASE_RATIO.items()}
-
-# Longest match first so "F#," wins over "F#" wins over "F".
-_PYTH3_BASES_DESC = sorted(BASE_NAMES_PYTH3, key=len, reverse=True)
-_PYTH2_BASES_DESC = sorted(BASE_NAMES_PYTH2, key=len, reverse=True)
+# Per just scale, by id: base name -> note, harmonic degree -> base name,
+# and the base names longest first.
+_BASES = {
+    system.id: _base_tables(names, system)
+    for system, names in ((scales.PYTH3, BASE_NAMES_PYTH3), (scales.PYTH2, BASE_NAMES_PYTH2))
+}
+_TRITAVE_BASES = _BASES[scales.PYTH3.id][0]
 _EDO12_BASES_DESC = sorted(NAMES_EDO12, key=len, reverse=True)
 
 
@@ -89,11 +89,11 @@ class NoteName:
     tritave_shift: int = 0
 
     def __post_init__(self) -> None:
-        if self.base not in _PYTH3_BASE_RATIO:
+        if self.base not in _TRITAVE_BASES:
             raise ValueError(f"unknown base name {self.base!r}")
 
     def ratio(self) -> FreqRatio:
-        return _PYTH3_BASE_RATIO[self.base] * TRITAVE ** self.tritave_shift
+        return _TRITAVE_BASES[self.base] * TRITAVE ** self.tritave_shift
 
     def __str__(self) -> str:
         marks = "^" * self.tritave_shift if self.tritave_shift >= 0 else (
@@ -108,26 +108,28 @@ class NoteName:
         return "".join(_UNICODE_MARKS.get(ch, ch) for ch in text)
 
 
+def _spell(ratio: FreqRatio, system: scales.ScaleSystem, kind: str) -> tuple[str, int]:
+    """Base name and period shift of a note in a just scale."""
+    h = scales.harmonic_degree(ratio, system)
+    scales._check_harmonic(
+        h, system, f": not {kind}-system note, reduce to the fundamental set first"
+    )
+    return _BASES[system.id][1][h], scales.period_reduce(ratio, system)[1]
+
+
 def name_of(ratio: FreqRatio) -> NoteName:
     """The unique tritave-system name of a note.
 
     The 2-adic harmonic degree must already lie in [-9, 9]; callers holding
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
-    if not -9 <= ratio.u <= 9:
-        raise ValueError(
-            f"harmonic degree {ratio.u} outside [-9, 9]: "
-            "not a tritave-system note, reduce to the fundamental set first"
-        )
-    rep, shift = scales.period_reduce(ratio, scales.PYTH3)
-    return NoteName(_PYTH3_BASE_BY_U[rep.u], shift)
+    return NoteName(*_spell(ratio, scales.PYTH3, "a tritave"))
 
 
 def note_name_at_degree(degree: int) -> NoteName:
     """Name of the tritave-system note at an absolute scale degree."""
-    t = (degree + 9) // 19
-    s = (degree + 9) % 19 - 9
-    return NoteName(BASE_NAMES_PYTH3[s + 9], t)
+    t, s = scales._split_degree(degree, scales.PYTH3)
+    return NoteName(BASE_NAMES_PYTH3[s - scales.PYTH3.harmonic_range[0]], t)
 
 
 def _split_marks(text: str, bases: list[str]) -> tuple[str, str]:
@@ -146,7 +148,7 @@ def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
 
 def parse_note(text: str) -> FreqRatio:
     """Parse a tritave-system name (inverse of :func:`name_of`)."""
-    base, marks = _split_marks(text, _PYTH3_BASES_DESC)
+    base, marks = _split_marks(text, _BASES[scales.PYTH3.id][2])
     if marks and set(marks) in ({"'"}, {","}):
         raise ValueError(
             f"{text!r} uses octave-system marks; in the tritave system write "
@@ -157,19 +159,19 @@ def parse_note(text: str) -> FreqRatio:
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
     """Octave-system spelling: base name plus repeated primes/commas."""
-    if not -5 <= ratio.v <= 6:
-        raise ValueError(
-            f"harmonic degree {ratio.v} outside [-5, 6]: "
-            "not an octave-system note, reduce to the fundamental set first"
-        )
-    rep, shift = scales.period_reduce(ratio, scales.PYTH2)
-    base = _PYTH2_BASE_BY_V[rep.v]
+    base, shift = _spell(ratio, scales.PYTH2, "an octave")
     return base + ("'" * shift if shift >= 0 else "," * -shift)
 
 
 def parse_pyth2_note(text: str) -> FreqRatio:
-    base, marks = _split_marks(text, _PYTH2_BASES_DESC)
-    return _PYTH2_BASE_RATIO[base] * OCTAVE ** _mark_shift(text, marks, "'", ",", "octave")
+    ratio, _, bases = _BASES[scales.PYTH2.id]
+    base, marks = _split_marks(text, bases)
+    return ratio[base] * OCTAVE ** _mark_shift(text, marks, "'", ",", "octave")
+
+
+def _name_in(ratio: FreqRatio, system: scales.ScaleSystem) -> str:
+    """Spelling of a note in a just scale, the tritave or the octave one."""
+    return str(name_of(ratio)) if system.period == TRITAVE else pyth2_name_of(ratio)
 
 
 def edo12_name(semitone: int) -> str:
@@ -223,6 +225,5 @@ def key_color_by_harmonic_degree(h: int) -> str:
     Eleven white and eight black keys per tritave; the harmonic degree is
     tritave-invariant so the colouring repeats exactly.
     """
-    if not -9 <= h <= 9:
-        raise ValueError(f"harmonic degree {h} outside [-9, 9]")
+    scales._check_harmonic(h, scales.PYTH3)
     return "white" if abs(h) <= 5 else "black"

@@ -13,6 +13,7 @@ The exponents double as the two harmonic degrees of a note: ``u`` is the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,7 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return n, k
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class FreqRatio:
     """The exact ratio ``2**u * 3**v``."""
@@ -111,18 +113,12 @@ class FreqRatio:
         return 1200.0 * (self.u + self.v * LOG2_3)
 
     # Order comparisons are exact (big-integer cross multiplication), so
-    # they are safe to use on fundamental-domain boundaries.
+    # they are safe to use on fundamental-domain boundaries.  The other three
+    # come from `functools.total_ordering`; equal exponents are equal ratios.
     def __lt__(self, other: FreqRatio) -> bool:
+        if not isinstance(other, FreqRatio):
+            return NotImplemented
         return self.as_fraction() < other.as_fraction()
-
-    def __le__(self, other: FreqRatio) -> bool:
-        return self.as_fraction() <= other.as_fraction()
-
-    def __gt__(self, other: FreqRatio) -> bool:
-        return self.as_fraction() > other.as_fraction()
-
-    def __ge__(self, other: FreqRatio) -> bool:
-        return self.as_fraction() >= other.as_fraction()
 
     def __str__(self) -> str:
         return str(self.as_fraction())

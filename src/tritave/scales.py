@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .ratios import COMMA, FreqRatio, OCTAVE, TRITAVE, cents
+from .ratios import COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, cents
 
 __all__ = [
     "ScaleSystem",
@@ -74,24 +74,33 @@ EDT19 = replace(PYTH3, id="edt19", just=False)
 
 _SYSTEMS = {s.id: s for s in (PYTH2, PYTH3, EDO12, EDT19)}
 
-# Squared fundamental intervals, exact.  A ratio r lies in the half-open
-# interval (a, b] with b/a = period iff r**2 lies in (a*b, b*b]; squaring
-# removes the irrational square-root endpoints so membership is a pure
-# big-integer comparison.
-_KAPPA_SQ = Fraction(3, 1) ** 24 / Fraction(2, 1) ** 38
-_SQ_INTERVALS = {
-    "tritave": (Fraction(1, 3), Fraction(3)),          # (1/sqrt3, sqrt3]
-    "octave": (_KAPPA_SQ / 2, 2 * _KAPPA_SQ),          # (kappa/sqrt2, kappa*sqrt2]
+# Fundamental domain of each period P: a centre c and the squared bounds
+# (c**2/P, c**2*P] of the half-open interval (c/sqrt(P), c*sqrt(P)].
+# Squaring removes the irrational endpoints, so membership is a pure
+# big-integer comparison.  The tritave scales centre on 1, the octave
+# scales on the comma.
+_DOMAINS = {
+    period: (centre, (centre ** 2 / period).as_fraction(), (centre ** 2 * period).as_fraction())
+    for period, centre in ((TRITAVE, ONE), (OCTAVE, COMMA))
 }
 
 
-def _period_kind(system: ScaleSystem) -> str:
-    return "tritave" if system.period == TRITAVE else "octave"
+def _window(value: int, system: ScaleSystem) -> int:
+    """``value`` moved by whole windows into the system's harmonic range."""
+    lo = system.harmonic_range[0]
+    return (value - lo) % system.notes_per_period + lo
+
+
+def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
+    lo, hi = system.harmonic_range
+    if not lo <= h <= hi:
+        raise ValueError(f"harmonic degree {h} outside [{lo}, {hi}]{hint}")
 
 
 def harmonic_degree(ratio: FreqRatio, system: ScaleSystem) -> int:
-    """The exponent that locates a note in the system's harmonic circle."""
-    return ratio.u if _period_kind(system) == "tritave" else ratio.v
+    """The exponent that locates a note in the system's harmonic circle:
+    that of the prime other than the period, so whole periods keep it."""
+    return ratio.u if system.period == TRITAVE else ratio.v
 
 
 def reduce_to_fundamental(
@@ -104,17 +113,15 @@ def reduce_to_fundamental(
     The quotient/remainder split of the raw harmonic degree makes ``m``
     unique, so reducing twice is a no-op.
     """
-    lo = system.harmonic_range[0]
-    n = system.notes_per_period
-    if _period_kind(system) == "tritave":
-        m = (ratio.u - lo) // n                  # u = n*m + remainder
-    else:
-        m = -((ratio.v - lo) // n)               # comma raises v by 12 per power
+    h = harmonic_degree(ratio, system)
+    # One comma moves the harmonic degree by a whole window: u - 19 in the
+    # tritave scales, v + 12 in the octave scales.
+    m = (_window(h, system) - h) // harmonic_degree(COMMA, system)
     return ratio * COMMA ** m, m
 
 
 def in_fundamental_interval(ratio: FreqRatio, system: ScaleSystem) -> bool:
-    lower_sq, upper_sq = _SQ_INTERVALS[_period_kind(system)]
+    _, lower_sq, upper_sq = _DOMAINS[system.period]
     sq = ratio.as_fraction() ** 2
     return lower_sq < sq <= upper_sq
 
@@ -128,11 +135,9 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     itself is decided exactly.
     """
     period = system.period
-    per_cents = period.cents()
-    center = 0.0 if _period_kind(system) == "tritave" else COMMA.cents()
-    shift = round((ratio.cents() - center) / per_cents)
+    centre, lower_sq, upper_sq = _DOMAINS[period]
+    shift = round((ratio.cents() - centre.cents()) / period.cents())
     rep = ratio / period ** shift
-    lower_sq, upper_sq = _SQ_INTERVALS[_period_kind(system)]
     while rep.as_fraction() ** 2 > upper_sq:
         shift += 1
         rep = rep / period
@@ -142,38 +147,28 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     return rep, shift
 
 
-def _window(value: int, lo: int, size: int) -> int:
-    return (value - lo) % size + lo
-
-
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
     """Scale degree -> harmonic degree (multiplication by b**-1)."""
-    lo = system.harmonic_range[0]
-    return _window(system.degree_multiplier_inv * degree, lo, system.notes_per_period)
+    return _window(system.degree_multiplier_inv * degree, system)
 
 
 def harmonic_to_scale_degree(h: int, system: ScaleSystem) -> int:
     """Harmonic degree -> scale degree (multiplication by b)."""
-    lo, hi = system.harmonic_range
-    if not lo <= h <= hi:
-        raise ValueError(f"harmonic degree {h} outside [{lo}, {hi}]")
-    return _window(system.degree_multiplier * h, lo, system.notes_per_period)
+    _check_harmonic(h, system)
+    return _window(system.degree_multiplier * h, system)
 
 
 def fundamental_note(h: int, system: ScaleSystem) -> FreqRatio:
     """The unique note of harmonic degree ``h`` in the fundamental interval."""
-    lo, hi = system.harmonic_range
-    if not lo <= h <= hi:
-        raise ValueError(f"harmonic degree {h} outside [{lo}, {hi}]")
-    seed = FreqRatio(h, 0) if _period_kind(system) == "tritave" else FreqRatio(0, h)
-    return period_reduce(seed, system)[0]
+    _check_harmonic(h, system)
+    # 6**h = 2**h * 3**h has harmonic degree h in every system.
+    return period_reduce(FreqRatio(h, h), system)[0]
 
 
 def _split_degree(degree: int, system: ScaleSystem) -> tuple[int, int]:
     """Absolute scale degree -> (period shift, degree inside the window)."""
-    lo = system.harmonic_range[0]
-    s = _window(degree, lo, system.notes_per_period)
-    return (degree - lo) // system.notes_per_period, s
+    s = _window(degree, system)
+    return (degree - s) // system.notes_per_period, s
 
 
 def note_at_scale_degree(
@@ -186,6 +181,8 @@ def note_at_scale_degree(
     ``intonation`` may be ``"just"`` or ``"equal"`` and defaults to the
     system's own flavour.
     """
+    if intonation not in (None, "just", "equal"):
+        raise ValueError(f"intonation must be 'just' or 'equal', not {intonation!r}")
     just = system.just if intonation is None else intonation == "just"
     if not just:
         return degree / system.notes_per_period * system.period.cents()
@@ -208,44 +205,36 @@ class ScaleRow:
     boundary: bool = False
 
 
+# Each table pair: the just scale, its degrees, the boundary degrees (each
+# with the comma power that gives the spelling the table shows) and the
+# scale whose names label the boundary rows.  The 12-per-octave table
+# closes with the flat-side tritone (harmonic degree -6), one comma under
+# the G#.
+_TABLE_PAIRS = {
+    "pyth3_edt19": (PYTH3, range(-10, 11), {-10: 0, 10: 0}, PYTH2),
+    "pyth2_edo12": (PYTH2, range(-6, 7), {-6: -1}, PYTH3),
+}
+
+
 def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     """Compare a just scale against its equal temperament, row by row.
 
     ``pair`` is ``"pyth3_edt19"`` (19 rows plus the two boundary rows one
     degree outside the window) or ``"pyth2_edo12"`` (12 rows plus the
-    flat-side enharmonic boundary row).  Boundary rows are flagged.
+    flat-side enharmonic boundary row).  Boundary rows are flagged and
+    spelled in the other just scale.
     """
     from . import notation
 
-    if pair == "pyth3_edt19":
-        system = PYTH3
-        degrees = range(-10, 11)
-        boundary = {-10, 10}
-    elif pair == "pyth2_edo12":
-        system = PYTH2
-        degrees = range(-6, 7)
-        boundary = {-6}
-    else:
+    if pair not in _TABLE_PAIRS:
         raise ValueError(f"unknown table pair {pair!r}")
+    system, degrees, boundary, boundary_names = _TABLE_PAIRS[pair]
 
     rows = []
     for n in degrees:
-        if system is PYTH2 and n == -6:
-            # The tritone degree: the table closes with the flat-side
-            # enharmonic (harmonic degree -6), one comma under the G#.
-            just = note_at_scale_degree(n, system) / COMMA
-        else:
-            just = note_at_scale_degree(n, system)
-        # Boundary rows are labelled in the other system's spelling: the
-        # 19-per-tritave window has no name of its own one degree outside.
-        if system is PYTH3:
-            name = notation.pyth2_name_of(just) if n in boundary else str(
-                notation.note_name_at_degree(n)
-            )
-        else:
-            name = str(notation.name_of(just)) if n in boundary else (
-                notation.pyth2_name_of(just)
-            )
+        just = note_at_scale_degree(n, system) * COMMA ** boundary.get(n, 0)
+        # The window has no name of its own one degree outside.
+        name = notation._name_in(just, boundary_names if n in boundary else system)
         equal_exp = Fraction(n, system.notes_per_period)
         equal_cents = n / system.notes_per_period * system.period.cents()
         rows.append(

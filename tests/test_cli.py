@@ -104,6 +104,15 @@ def test_plr_bad_move_prints_nothing(capsys, argv, move):
     assert len(err.splitlines()) == 1 and repr(move) in err
 
 
+def test_sequence_without_a_name_prints_nothing(capsys):
+    # the dominant of this tonic reaches harmonic degree 10, which has no
+    # tritave-system name
+    code, out, err = run(capsys, "sequence", "Eb", "Bb'", "Ab^")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "harmonic degree 10" in err
+
+
 def test_reach(capsys):
     code, out, _ = run(capsys, "reach", "--k", "8")
     assert code == 0

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -62,6 +63,18 @@ def test_scl_reader_validates():
         parse_scl("only description")
     with pytest.raises(ValueError):
         parse_scl("desc\n3\n100.0\n200.0")
+
+
+@pytest.mark.parametrize("pitch", ["1/0", "0", "-3/2"])
+def test_scl_reader_rejects_non_positive_pitches_naming_the_line(pitch):
+    with pytest.raises(ValueError, match=f"pitch line '{pitch}'"):
+        parse_scl(f"x\n1\n{pitch}")
+
+
+def test_scl_reader_takes_ratios_beyond_float_range():
+    for text, want in [(f"{3 ** 700}/1", 700), (f"1/{3 ** 700}", -700)]:
+        _, (got,) = parse_scl(f"x\n1\n{text}")
+        assert abs(got - want * 1200 * math.log2(3)) < 1e-6 * abs(got)
 
 
 def test_emitters_are_byte_stable():

@@ -1,6 +1,7 @@
 import pytest
 
 from tritave.ratios import FreqRatio, TRITAVE
+from tritave.scales import PIANO_DEGREE_HI, PIANO_DEGREE_LO, PYTH3, note_at_scale_degree
 from tritave.notation import (
     BASE_NAMES_PYTH3,
     NoteName,
@@ -117,6 +118,11 @@ def test_note_name_at_degree_window_split():
     assert str(note_name_at_degree(46)) == "Bb'^^"
     assert str(note_name_at_degree(0)) == "D"
     assert str(note_name_at_degree(19)) == "D^"
+
+
+def test_note_name_at_degree_names_the_just_note_there():
+    for n in range(PIANO_DEGREE_LO, PIANO_DEGREE_HI + 1):
+        assert note_name_at_degree(n) == name_of(note_at_scale_degree(n, PYTH3))
 
 
 def test_edo12_names():

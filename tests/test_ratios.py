@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -110,6 +111,23 @@ def test_ordering_is_exact():
     assert COMMA > ONE
     assert COMMA.inverse() < ONE
     assert sorted([TRITAVE, ONE, FIFTH]) == [ONE, FIFTH, TRITAVE]
+
+
+def test_all_four_orderings_agree_with_fractions():
+    notes = [ONE, COMMA, COMMA.inverse(), FreqRatio(84, -53), FreqRatio(-84, 53), TRITAVE]
+    for a in notes:
+        for b in notes:
+            x, y = a.as_fraction(), b.as_fraction()
+            assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+
+
+@pytest.mark.parametrize("other", [1, 1.0, Fraction(1), "1", None],
+                         ids=["int", "float", "Fraction", "str", "None"])
+def test_ordering_against_other_types_raises_type_error(other):
+    a = FreqRatio(0, 0)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(a, other)
 
 
 def test_str_renders_reduced_fraction():

@@ -209,3 +209,9 @@ def test_scale_system_invariants_raise_value_error():
         ScaleSystem("x", OCTAVE, 12, (-5, 5), 7, 7, True)
     with pytest.raises(ValueError, match="not inverse"):
         ScaleSystem("x", OCTAVE, 12, (-5, 6), 7, 5, True)
+
+
+def test_note_at_scale_degree_rejects_unknown_intonation():
+    with pytest.raises(ValueError, match="'bogus'"):
+        note_at_scale_degree(1, PYTH3, "bogus")
+    assert note_at_scale_degree(1, PYTH3, "just") == note_at_scale_degree(1, PYTH3)
