@@ -51,7 +51,7 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
         raise ValueError(f"unknown scale {scale!r}; choose from {SCL_SCALES}")
     system = scales._SYSTEMS[scale]
     n = system.notes_per_period
-    lines = [description or _SCL_DESCRIPTIONS[scale], str(n)]
+    lines = [_SCL_DESCRIPTIONS[scale] if description is None else description, str(n)]
     for degree in range(1, n + 1):
         if system.just:
             pitch = scales.note_at_scale_degree(degree, system)
@@ -80,7 +80,10 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
     if len(lines) < 2:
         raise ValueError("truncated .scl: need a description and a note count")
     description = lines[0]
-    count = int(lines[1].strip())
+    try:
+        count = int(lines[1].strip())
+    except ValueError:
+        raise ValueError(f"bad .scl count line {lines[1].strip()!r}: must be a note count") from None
     pitches = []
     for raw in lines[2:]:
         token = raw.strip().split()[0] if raw.strip() else ""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import notation, scales
-from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE
+from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log
 
 __all__ = [
     "ChordQuality",
@@ -311,16 +311,8 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
         raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
     if root is None:
         root = c.notes[0]
-    root_frac = root.as_fraction()
-    reduced = []
-    for n in c.notes:
-        rel = n.as_fraction() / root_frac
-        k = -round(math.log(float(rel), 3))
-        while rel * Fraction(3) ** k >= 3:
-            k -= 1
-        while rel * Fraction(3) ** k < 1:
-            k += 1
-        reduced.append(n * TRITAVE ** k)
+    # n * TRITAVE**k lies in [root, 3*root) for k = -floor(log3(n / root)).
+    reduced = [n / TRITAVE ** _floor_log(n.u - root.u, n.v - root.v, 0, 1) for n in c.notes]
     if len(set(reduced)) != 3:
         raise ValueError("domain reduction collapses two notes onto one")
     return chord_234(reduced)

@@ -4,7 +4,8 @@ Every pitch handled by this package is a rational number of the form
 ``2**u * 3**v`` relative to a fixed reference note.  Ratios are stored as
 the integer exponent pair ``(u, v)`` and nothing is ever rounded; floating
 point enters only through :func:`cents`, which measures a ratio on the
-usual logarithmic scale (1200 cents per octave).
+usual logarithmic scale (1200 cents per octave), and as the first try of
+the exact sign test :func:`_log_sign` that orders ratios.
 
 The exponents double as the two harmonic degrees of a note: ``u`` is the
 2-adic valuation (its position in the circle of octaves) and ``v`` the
@@ -40,6 +41,15 @@ Cents = float
 
 _INT64 = 1 << 63
 
+# Bound on the rounding error of ``du + dv * LOG2_3`` in floats, per unit of
+# abs(du) + abs(dv).  With unit roundoff e = 2**-53: converting du and dv
+# to floats costs e*abs(du) and e*abs(dv) (exact below 2**53), LOG2_3 is
+# within e of log2(3) (a test checks it against the rational enclosure),
+# and the product and the sum round once each.  Summed, the error is at
+# most e*(2.01*abs(du) + 5.8*abs(dv)) < 2**-50*(abs(du) + abs(dv)); the
+# bound used is twice that, which also covers rounding the bound itself.
+_FLOAT_ERROR = 2.0 ** -49
+
 
 class NotThreeSmoothError(ValueError):
     """A fraction had a prime factor other than 2 or 3."""
@@ -53,6 +63,84 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return n, k
 
 
+def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds for atanh(1/inv)."""
+    x = Fraction(1, inv)
+    x2 = x * x
+    total = Fraction(0)
+    term = x
+    for k in range(terms):
+        total += term / (2 * k + 1)
+        term *= x2
+    tail = term / ((2 * terms + 1) * (1 - x2))
+    return total, total + tail
+
+
+@functools.lru_cache(maxsize=8)
+def _log_ratio_bounds(terms: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of log(2)/log(3) from ln2 = 2 atanh(1/3), ln(3/2) = 2 atanh(1/5).
+
+    The width shrinks about ninefold per term (about 1e-40 at 40 terms).
+    """
+    lo2, hi2 = _atanh_bounds(3, terms)
+    lo32, hi32 = _atanh_bounds(5, terms)
+    ln2 = (2 * lo2, 2 * hi2)
+    ln3 = (2 * (lo2 + lo32), 2 * (hi2 + hi32))
+    return ln2[0] / ln3[1], ln2[1] / ln3[0]
+
+
+def _log_sign(du: int, dv: int) -> int:
+    """The sign (-1, 0 or 1) of ``du + dv*log2(3)``, i.e. of log2 of ``2**du * 3**dv``.
+
+    log2(3) is irrational, so the sign is 0 only for du = dv = 0.  Floats
+    decide it whenever the sum clears its rounding bound ``_FLOAT_ERROR``;
+    that fails only where the sum nearly cancels, near the convergents
+    19/12, 84/53, ... of log2(3) with exponents beyond about 1e7.  Then the
+    sign of ``du*log(2)/log(3) + dv`` is read off a rational enclosure of
+    log(2)/log(3), refined until it excludes 0; no power of 2 or 3 is built.
+    """
+    if not dv:  # exact, and the only way to get 0
+        return (du > 0) - (du < 0)
+    x = du + dv * LOG2_3
+    if abs(x) > (abs(du) + abs(dv)) * _FLOAT_ERROR:
+        return 1 if x > 0 else -1
+    terms = 40
+    while True:  # ends: the enclosure shrinks onto an irrational point
+        lo, hi = _log_ratio_bounds(terms)
+        a, b = du * lo + dv, du * hi + dv
+        if min(a, b) > 0:
+            return 1
+        if max(a, b) < 0:
+            return -1
+        terms *= 2
+
+
+def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
+    """``floor(log(2**u * 3**v) / log(2**pu * 3**pv))`` for a base above 1, exactly.
+
+    That is the largest ``n`` with ``base**n <= 2**u * 3**v``.  A float
+    proposes ``n`` and two sign tests confirm it.  Where the proposal is
+    wrong (an exact integer quotient rounded down, or exponents beyond
+    about 2**48) the search widens in doubling steps and bisects.
+    """
+    def fits(n: int) -> bool:
+        return _log_sign(u - n * pu, v - n * pv) >= 0
+
+    lo = math.floor((u + v * LOG2_3) / (pu + pv * LOG2_3))
+    hi, step = lo + 1, 1
+    while not fits(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while fits(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class FreqRatio:
@@ -62,6 +150,9 @@ class FreqRatio:
     v: int
 
     def __post_init__(self) -> None:
+        for e in (self.u, self.v):
+            if not isinstance(e, int):
+                raise ValueError(f"exponent {e!r} is not an integer")
         if not (-_INT64 <= self.u < _INT64 and -_INT64 <= self.v < _INT64):
             raise OverflowError("exponent overflow")
 
@@ -112,13 +203,14 @@ class FreqRatio:
     def cents(self) -> Cents:
         return 1200.0 * (self.u + self.v * LOG2_3)
 
-    # Order comparisons are exact (big-integer cross multiplication), so
-    # they are safe to use on fundamental-domain boundaries.  The other three
-    # come from `functools.total_ordering`; equal exponents are equal ratios.
+    # Order comparisons are exact (the sign test on the exponents of the
+    # quotient), so they are safe to use on fundamental-domain boundaries.
+    # The other three come from `functools.total_ordering`; equal exponents
+    # are equal ratios.
     def __lt__(self, other: FreqRatio) -> bool:
         if not isinstance(other, FreqRatio):
             return NotImplemented
-        return self.as_fraction() < other.as_fraction()
+        return _log_sign(other.u - self.u, other.v - self.v) > 0
 
     def __str__(self) -> str:
         return str(self.as_fraction())

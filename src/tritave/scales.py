@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .ratios import COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, cents
+from .ratios import COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, _floor_log, _log_sign, cents
 
 __all__ = [
     "ScaleSystem",
@@ -74,13 +74,13 @@ EDT19 = replace(PYTH3, id="edt19", just=False)
 
 _SYSTEMS = {s.id: s for s in (PYTH2, PYTH3, EDO12, EDT19)}
 
-# Fundamental domain of each period P: a centre c and the squared bounds
-# (c**2/P, c**2*P] of the half-open interval (c/sqrt(P), c*sqrt(P)].
-# Squaring removes the irrational endpoints, so membership is a pure
-# big-integer comparison.  The tritave scales centre on 1, the octave
+# Fundamental domain of each period P: the squared bounds (c**2/P, c**2*P]
+# of the half-open interval (c/sqrt(P), c*sqrt(P)] around a centre c.
+# Squaring removes the irrational endpoints, so membership is the exact
+# sign test on exponents.  The tritave scales centre on 1, the octave
 # scales on the comma.
 _DOMAINS = {
-    period: (centre, (centre ** 2 / period).as_fraction(), (centre ** 2 * period).as_fraction())
+    period: (centre ** 2 / period, centre ** 2 * period)
     for period, centre in ((TRITAVE, ONE), (OCTAVE, COMMA))
 }
 
@@ -121,9 +121,10 @@ def reduce_to_fundamental(
 
 
 def in_fundamental_interval(ratio: FreqRatio, system: ScaleSystem) -> bool:
-    _, lower_sq, upper_sq = _DOMAINS[system.period]
-    sq = ratio.as_fraction() ** 2
-    return lower_sq < sq <= upper_sq
+    lower_sq, upper_sq = _DOMAINS[system.period]
+    u, v = 2 * ratio.u, 2 * ratio.v
+    return (_log_sign(u - lower_sq.u, v - lower_sq.v) > 0
+            and _log_sign(upper_sq.u - u, upper_sq.v - v) >= 0)
 
 
 def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int]:
@@ -131,20 +132,16 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
 
     Returns ``(rep, shift)`` with ``rep == ratio * period**(-shift)``, i.e.
     the input sits ``shift`` periods above its class representative.  The
-    harmonic degree is untouched.  A float seeds the shift; the boundary
-    itself is decided exactly.
+    harmonic degree is untouched.  The shift is the least one that puts
+    ``rep**2`` at or under the domain's upper bound,
+    ``ceil(log(ratio**2 / upper) / log(period**2))``; ``rep**2`` is then
+    above the lower bound, which sits one ``period**2`` further down.
     """
     period = system.period
-    centre, lower_sq, upper_sq = _DOMAINS[period]
-    shift = round((ratio.cents() - centre.cents()) / period.cents())
-    rep = ratio / period ** shift
-    while rep.as_fraction() ** 2 > upper_sq:
-        shift += 1
-        rep = rep / period
-    while rep.as_fraction() ** 2 <= lower_sq:
-        shift -= 1
-        rep = rep * period
-    return rep, shift
+    upper_sq = _DOMAINS[period][1]
+    shift = -_floor_log(upper_sq.u - 2 * ratio.u, upper_sq.v - 2 * ratio.v,
+                        2 * period.u, 2 * period.v)
+    return ratio / period ** shift, shift
 
 
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
@@ -244,7 +241,7 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
                 just_ratio=just,
                 harmonic_degree=harmonic_degree(just, system),
                 equal_exponent=equal_exp,
-                equal_value=float(system.period.as_fraction()) ** float(equal_exp),
+                equal_value=float(system.period.numerator) ** float(equal_exp),
                 deviation_cents=just.cents() - equal_cents,
                 boundary=n in boundary,
             )

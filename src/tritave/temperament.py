@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratios import Cents, FreqRatio
+from .ratios import Cents, FreqRatio, _log_ratio_bounds
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
@@ -28,28 +28,6 @@ MAX_TERMS = 20
 
 class _NeedsMorePrecision(Exception):
     pass
-
-
-def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds for atanh(1/inv)."""
-    x = Fraction(1, inv)
-    x2 = x * x
-    total = Fraction(0)
-    term = x
-    for k in range(terms):
-        total += term / (2 * k + 1)
-        term *= x2
-    tail = term / ((2 * terms + 1) * (1 - x2))
-    return total, total + tail
-
-
-def _log_ratio_bounds(terms: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of log(2)/log(3) from ln2 = 2 atanh(1/3), ln(3/2) = 2 atanh(1/5)."""
-    lo2, hi2 = _atanh_bounds(3, terms)
-    lo32, hi32 = _atanh_bounds(5, terms)
-    ln2 = (2 * lo2, 2 * hi2)
-    ln3 = (2 * (lo2 + lo32), 2 * (hi2 + hi32))
-    return ln2[0] / ln3[1], ln2[1] / ln3[0]
 
 
 def _expand(count: int, terms: int) -> list[int]:

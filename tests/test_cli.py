@@ -23,6 +23,12 @@ def test_scale_scl(capsys):
     assert out.splitlines()[2] == "100.10289"
 
 
+def test_scale_scl_with_empty_description(capsys):
+    code, out, _ = run(capsys, "scale", "pyth3", "--scl", "--description", "")
+    assert code == 0
+    assert out.splitlines()[:2] == ["", "19"]
+
+
 def test_scale_csv(capsys):
     code, out, _ = run(capsys, "scale", "pyth2", "--format", "csv")
     assert code == 0

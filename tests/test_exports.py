@@ -65,6 +65,16 @@ def test_scl_reader_validates():
         parse_scl("desc\n3\n100.0\n200.0")
 
 
+def test_scl_reader_rejects_a_bad_count_line_naming_it():
+    with pytest.raises(ValueError, match="count line 'abc': must be a note count"):
+        parse_scl("x\nabc\n3/2")
+
+
+def test_scl_empty_description_is_kept():
+    assert emit_scl("pyth3", "").splitlines()[:2] == ["", "19"]
+    assert emit_scl("pyth3").splitlines()[0] == emit_scl("pyth3", None).splitlines()[0] != ""
+
+
 @pytest.mark.parametrize("pitch", ["1/0", "0", "-3/2"])
 def test_scl_reader_rejects_non_positive_pitches_naming_the_line(pitch):
     with pytest.raises(ValueError, match=f"pitch line '{pitch}'"):

@@ -1,0 +1,199 @@
+"""Exact ordering from exponents, checked against independent oracles.
+
+`FreqRatio` ordering, `in_fundamental_interval`, `period_reduce` and
+`reduce_chord_to_domain` all decide the sign of ``du + dv*log2(3)`` without
+building ``2**u * 3**v``.  Here each is checked against the sign of
+``2**du * 3**dv - 1`` as a big-integer `Fraction` where that is affordable,
+and against 100-digit `decimal` logarithms for exponents near 2**53 and
+2**62, where the float test cannot decide and the rational enclosure must.
+"""
+
+import decimal
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from tritave import notation
+from tritave.harmony import chord_234, reduce_chord_to_domain
+from tritave.ratios import (
+    LOG2_3,
+    ONE,
+    TRITAVE,
+    FreqRatio,
+    _FLOAT_ERROR,
+    _log_ratio_bounds,
+    _log_sign,
+)
+from tritave.scales import PYTH2, PYTH3, in_fundamental_interval, period_reduce
+
+# Reproducible in CI: the examples depend only on the test code.
+EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+_CTX = decimal.Context(prec=100)
+_DEC_LOG2_3 = _CTX.divide(decimal.Decimal(3).ln(_CTX), decimal.Decimal(2).ln(_CTX))
+
+# Exponents up to this size are cheap enough for the Fraction oracle.
+_FRACTION_LIMIT = 20_000
+
+
+def oracle_sign(du: int, dv: int) -> int:
+    """Sign of log(2**du * 3**dv), from Fractions or 100-digit decimals."""
+    if max(abs(du), abs(dv)) <= _FRACTION_LIMIT:
+        x = Fraction(2) ** du * Fraction(3) ** dv - 1
+    else:
+        x = _CTX.add(du, _CTX.multiply(dv, _DEC_LOG2_3))
+        # |du + dv*log2(3)| exceeds 1e-40 for every exponent below 2**66
+        # (continued-fraction bound); 100 digits leave no doubt.
+        assert abs(x) > decimal.Decimal("1e-40")
+    return (x > 0) - (x < 0)
+
+
+def nearest_multiple(dv: int) -> int:
+    """The integer nearest to dv*log2(3)."""
+    return int(_CTX.multiply(dv, _DEC_LOG2_3).to_integral_value())
+
+
+small = st.integers(-300, 300)
+small_ratios = st.builds(FreqRatio, small, small)
+
+
+@st.composite
+def near_convergents(draw):
+    """Exponent pairs k*(19, -12) or k*(84, -53) plus a small offset.
+
+    These quotients are powers of the Pythagorean comma and of the 53-comma
+    times a small ratio, so the log nearly cancels."""
+    pu, pv = draw(st.sampled_from([(19, -12), (84, -53)]))
+    k = draw(st.one_of(st.integers(-200, 200), st.integers(-(2**55), 2**55)))
+    return k * pu + draw(st.integers(-3, 3)), k * pv + draw(st.integers(-3, 3))
+
+
+@st.composite
+def beyond_floats(draw):
+    """Exponent pairs near 2**53 or 2**62 whose log lies within the float
+    rounding bound of 0, so only the rational enclosure decides."""
+    bits = draw(st.sampled_from([53, 62]))
+    dv = draw(st.integers(2 ** (bits - 2), 2 ** (bits - 1))) * draw(st.sampled_from([1, -1]))
+    du = -nearest_multiple(dv) + draw(st.integers(-8, 8))
+    assert abs(du + dv * LOG2_3) <= (abs(du) + abs(dv)) * _FLOAT_ERROR
+    return du, dv
+
+
+exponent_pairs = st.one_of(st.tuples(small, small), near_convergents(), beyond_floats())
+
+
+def test_log2_3_constant_is_within_its_stated_error():
+    # `_FLOAT_ERROR` assumes LOG2_3 within 2**-53 of log2(3).
+    lo, hi = _log_ratio_bounds(40)
+    assert 1 / hi - Fraction(2) ** -53 < Fraction(LOG2_3) < 1 / lo + Fraction(2) ** -53
+    assert abs(decimal.Decimal(LOG2_3) - _DEC_LOG2_3) < decimal.Decimal(2) ** -53
+
+
+@EXACT
+@given(st.tuples(st.integers(-2000, 2000), st.integers(-2000, 2000)))
+def test_decimal_oracle_agrees_with_fractions(pair):
+    du, dv = pair
+    x = _CTX.add(du, _CTX.multiply(dv, _DEC_LOG2_3))
+    assert (x > 0) - (x < 0) == oracle_sign(du, dv)
+
+
+@EXACT
+@given(exponent_pairs)
+def test_log_sign_matches_the_oracle(pair):
+    assert _log_sign(*pair) == oracle_sign(*pair)
+
+
+@EXACT
+@given(small_ratios, exponent_pairs)
+def test_ordering_matches_the_oracle(a, pair):
+    du, dv = pair
+    b = a * FreqRatio(du, dv)
+    want = oracle_sign(du, dv)
+    assert (a < b, a <= b, a > b, a >= b) == (want > 0, want >= 0, want < 0, want <= 0)
+
+
+# Squared fundamental-domain bounds, written out independently of `scales`:
+# (1/3, 3] for the tritave scales, (c**2/2, 2*c**2] with c the comma for
+# the octave scales.
+_BOUNDS = {PYTH3: ((0, -1), (0, 1)), PYTH2: ((-39, 24), (-37, 24))}
+
+
+def oracle_in_domain(ratio: FreqRatio, system) -> bool:
+    (lu, lv), (hu, hv) = _BOUNDS[system]
+    u, v = 2 * ratio.u, 2 * ratio.v
+    return oracle_sign(u - lu, v - lv) > 0 and oracle_sign(hu - u, hv - v) >= 0
+
+
+systems = st.sampled_from([PYTH2, PYTH3])
+
+
+@st.composite
+def domain_probes(draw):
+    """Ratios at, near and far from a domain bound (exponents below 2**60)."""
+    system = draw(systems)
+    base = draw(st.one_of(small_ratios, near_convergents().map(lambda p: FreqRatio(*p))))
+    edge = system.period ** draw(st.integers(-1, 1))
+    far = draw(st.integers(-(2**60), 2**60))
+    twist = FreqRatio(far, 0) if system is PYTH3 else FreqRatio(0, far)
+    return draw(st.sampled_from([base, base * edge, period_reduce(base, system)[0] * edge, twist])), system
+
+
+@EXACT
+@given(domain_probes())
+def test_fundamental_interval_matches_the_oracle(probe):
+    ratio, system = probe
+    assert in_fundamental_interval(ratio, system) == oracle_in_domain(ratio, system)
+
+
+@EXACT
+@given(domain_probes())
+def test_period_reduce_lands_in_the_domain_by_whole_periods(probe):
+    ratio, system = probe
+    rep, shift = period_reduce(ratio, system)
+    assert rep == ratio / system.period ** shift
+    assert oracle_in_domain(rep, system)
+    assert period_reduce(rep, system) == (rep, 0)
+
+
+def oracle_in_tritave_above(note: FreqRatio, root: FreqRatio) -> bool:
+    du, dv = note.u - root.u, note.v - root.v
+    return oracle_sign(du, dv) >= 0 and oracle_sign(du, dv - 1) < 0
+
+
+@EXACT
+@given(small_ratios, st.sampled_from([1, 700, 10**6, 2**40, 2**60]), st.data())
+def test_chord_reduction_lands_in_the_tritave_above_the_root(root, spread, data):
+    spreads = st.integers(-spread, spread)
+    notes = {root * FreqRatio(u, data.draw(spreads)) for u in (0, 1, 2)}
+    reduced = reduce_chord_to_domain(chord_234(notes), root)
+    assert sorted(n.u for n in reduced.notes) == sorted(n.u for n in notes)
+    for note in reduced.notes:
+        assert oracle_in_tritave_above(note, root)
+    assert reduce_chord_to_domain(reduced, root) == reduced
+
+
+def test_chord_notes_700_tritaves_apart_reduce():
+    chord = chord_234([FreqRatio(0, 0), FreqRatio(1, 700), FreqRatio(2, -700)])
+    reduced = reduce_chord_to_domain(chord, ONE)
+    assert reduced.notes == (FreqRatio(0, 0), FreqRatio(2, -1), FreqRatio(1, 0))
+    # The default root is the lowest note, 4 * 3**-700.
+    assert reduce_chord_to_domain(chord).notes[0] == FreqRatio(2, -700)
+
+
+def _seconds(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def test_huge_exponents_are_named_and_compared_at_once():
+    # Building 3**(10**15) would exhaust memory; 3**631000 takes seconds.
+    name, took = _seconds(lambda: notation.name_of(FreqRatio(0, 10**15)))
+    assert (name.base, name.tritave_shift) == ("D", 10**15)
+    assert took < 0.5
+    lt, took = _seconds(lambda: FreqRatio(-10**6, 0) < FreqRatio(0, 631000))
+    assert lt and took < 0.5
+    gt, took = _seconds(lambda: FreqRatio(0, 631000) < FreqRatio(-10**6, 0))
+    assert not gt and took < 0.5
+    assert period_reduce(FreqRatio(0, 10**15) * TRITAVE, PYTH3)[1] == 10**15 + 1

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,13 @@ def test_exponent_overflow_signalled():
         big * big
     with pytest.raises(OverflowError):
         FreqRatio(2**63, 0)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, Fraction(1, 2), "3", None])
+def test_non_integer_exponents_rejected_naming_the_value(exponent):
+    for args in [(exponent, 0), (0, exponent)]:
+        with pytest.raises(ValueError, match=f"exponent {re.escape(repr(exponent))} is not an integer"):
+            FreqRatio(*args)
 
 
 def test_cents_examples():
