@@ -15,12 +15,11 @@ from .ratios import FreqRatio
 
 
 def _parse_ratio_or_note(text: str) -> FreqRatio:
-    head = text.split("/", 1)[0]
-    if head.isdigit():
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return FreqRatio.from_fraction(int(num), int(den))
-        return FreqRatio.from_fraction(int(text))
+    num, slash, den = text.partition("/")
+    if num.isdecimal():
+        if slash and not den.isdecimal():
+            raise ValueError(f"bad ratio {text!r}: write a whole number N or a fraction N/D")
+        return FreqRatio.from_fraction(int(num), int(den) if slash else 1)
     try:
         return notation.parse_note(text)
     except ValueError as primary:

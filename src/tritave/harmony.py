@@ -84,6 +84,12 @@ class TonnetzSystem:
             raise ValueError(f"system {self.id}: diagonals {self.up_diagonal} and "
                              f"{self.down_diagonal} miss the horizontal step {self.horizontal}")
 
+    def check_note(self, note) -> None:
+        """Reject a note of another type than the period's."""
+        if not isinstance(note, type(self.period)):
+            raise ValueError(f"system {self.id} takes {type(self.period).__name__} notes, "
+                             f"not {note!r}")
+
     def parse_chord(self, names) -> Chord:
         """Chord of three note names given in any order."""
         return Chord(tuple(sorted(self.parse(name) for name in names)), self)
@@ -199,7 +205,7 @@ class _OctaveSystem(TonnetzSystem):
         letter = _FIVE_LIMIT_NAMES.get(g)
         if letter is None:
             return ()
-        return (letter + ("'" * k if k >= 0 else "," * -k),)
+        return (letter + notation._marks(k, "'", ","),)
 
 
 TONNETZ_234 = _TritaveSystem(
@@ -227,6 +233,8 @@ class Chord:
             object.__setattr__(self, "system", _SYSTEMS[self.system])
         if len(self.notes) != 3:
             raise ValueError("a chord needs exactly 3 notes")
+        for note in self.notes:
+            self.system.check_note(note)
         a, b, c = self.notes
         if not (a < b < c):
             raise ValueError("chord notes must be strictly ascending")

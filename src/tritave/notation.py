@@ -60,6 +60,17 @@ NAMES_EDO12 = ["C", "C#", "D", "Eb", "E", "F", "F#", "G", "G#", "A", "Bb", "B"]
 _UNICODE_MARKS = {"#": "♯", "b": "♭", "'": "′", ",": "⌄",
                   "^": "ˆ", "v": "ˇ"}
 
+#: Most period marks one name may carry.  A name holds one mark per period,
+#: so a shift of 10**15 would take a petabyte to write.
+MAX_MARKS = 10**6
+
+
+def _marks(shift: int, up: str, down: str) -> str:
+    """Period marks for a shift: ``up`` once per period up, ``down`` per period down."""
+    if abs(shift) > MAX_MARKS:
+        raise ValueError(f"cannot spell a shift of {shift} periods: more than {MAX_MARKS} marks")
+    return up * shift if shift >= 0 else down * -shift
+
 
 def _base_tables(names: list[str], system: scales.ScaleSystem):
     """Base name -> fundamental-domain note, harmonic degree -> base name,
@@ -96,10 +107,7 @@ class NoteName:
         return _TRITAVE_BASES[self.base] * TRITAVE ** self.tritave_shift
 
     def __str__(self) -> str:
-        marks = "^" * self.tritave_shift if self.tritave_shift >= 0 else (
-            "v" * -self.tritave_shift
-        )
-        return self.base + marks
+        return self.base + _marks(self.tritave_shift, "^", "v")
 
     def render(self, unicode: bool = False) -> str:
         text = str(self)
@@ -160,7 +168,7 @@ def parse_note(text: str) -> FreqRatio:
 def pyth2_name_of(ratio: FreqRatio) -> str:
     """Octave-system spelling: base name plus repeated primes/commas."""
     base, shift = _spell(ratio, scales.PYTH2, "an octave")
-    return base + ("'" * shift if shift >= 0 else "," * -shift)
+    return base + _marks(shift, "'", ",")
 
 
 def parse_pyth2_note(text: str) -> FreqRatio:
@@ -180,7 +188,7 @@ def edo12_name(semitone: int) -> str:
     octaves = (semitone - pc) // 12
     if pc == 11:          # plain B is the semitone below plain C
         octaves += 1
-    return NAMES_EDO12[pc] + ("'" * octaves if octaves >= 0 else "," * -octaves)
+    return NAMES_EDO12[pc] + _marks(octaves, "'", ",")
 
 
 def parse_edo12_note(text: str) -> int:

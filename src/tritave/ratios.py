@@ -121,12 +121,14 @@ def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
     That is the largest ``n`` with ``base**n <= 2**u * 3**v``.  A float
     proposes ``n`` and two sign tests confirm it.  Where the proposal is
     wrong (an exact integer quotient rounded down, or exponents beyond
-    about 2**48) the search widens in doubling steps and bisects.
+    about 2**48) the search widens in doubling steps and bisects; it starts
+    at 0 for a base too close to 1 for its float log to clear the bound.
     """
     def fits(n: int) -> bool:
         return _log_sign(u - n * pu, v - n * pv) >= 0
 
-    lo = math.floor((u + v * LOG2_3) / (pu + pv * LOG2_3))
+    base = pu + pv * LOG2_3
+    lo = math.floor((u + v * LOG2_3) / base) if base > (abs(pu) + abs(pv)) * _FLOAT_ERROR else 0
     hi, step = lo + 1, 1
     while not fits(lo):
         lo, hi, step = lo - step, lo, 2 * step
@@ -164,7 +166,8 @@ class FreqRatio:
         other prime factor.
         """
         if numerator < 1 or denominator < 1:
-            raise ValueError("numerator and denominator must be positive integers")
+            raise ValueError("numerator and denominator must be positive integers, "
+                             f"not {numerator}/{denominator}")
         frac = Fraction(numerator, denominator)
         num, nu = _strip(frac.numerator, 2)
         num, nv = _strip(num, 3)

@@ -7,11 +7,12 @@ the 19-per-tritave scale (its defect is the Pythagorean comma), and 53/84
 is the outstanding next-but-one convergent, matching the classical
 53-note octave scale whose fifth sits at degree 31.
 
-Coefficients are extracted from exact rational enclosures of ln 2 and
-ln 3 (atanh series plus tail bounds), so every floor decision is a
-big-integer comparison and the expansion is reproducible to any supported
-depth; double-precision logs would start drifting after roughly fifteen
-terms.
+Coefficients come from Euclid's algorithm on logarithms (Shanks, "A
+Logarithm Algorithm", 1954): each partial quotient is the largest power
+of the current base that fits under the previous one, and the remainder
+becomes the next base.  Both stay ratios 2**u * 3**v, so every step is
+the exact floor-log of `ratios._floor_log`, whose sign tests hand close
+calls to exact arithmetic; no power of 2 or 3 is ever built.
 """
 
 from __future__ import annotations
@@ -19,31 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratios import Cents, FreqRatio, _log_ratio_bounds
+from .ratios import Cents, FreqRatio, _floor_log
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
 MAX_TERMS = 20
-
-
-class _NeedsMorePrecision(Exception):
-    pass
-
-
-def _expand(count: int, terms: int) -> list[int]:
-    lo, hi = _log_ratio_bounds(terms)
-    out: list[int] = []
-    for _ in range(count):
-        if lo <= 0:
-            raise _NeedsMorePrecision
-        lo, hi = 1 / hi, 1 / lo
-        floor_lo = lo.numerator // lo.denominator
-        floor_hi = hi.numerator // hi.denominator
-        if floor_lo != floor_hi:
-            raise _NeedsMorePrecision
-        out.append(floor_lo)
-        lo, hi = lo - floor_lo, hi - floor_lo
-    return out
 
 
 def cf_coefficients(count: int) -> list[int]:
@@ -51,16 +32,17 @@ def cf_coefficients(count: int) -> list[int]:
 
     The expansion begins 1, 1, 1, 2, 2, 3, 1, 5, ...
     """
-    if not 1 <= count <= MAX_TERMS:
-        raise ValueError(f"count must be in [1, {MAX_TERMS}]")
-    terms = 40
-    while True:
-        try:
-            return _expand(count, terms)
-        except _NeedsMorePrecision:
-            terms *= 2
-            if terms > 1280:  # pragma: no cover - 40 terms already cover depth 20
-                raise AssertionError("enclosure failed to converge")
+    if not isinstance(count, int) or not 1 <= count <= MAX_TERMS:
+        raise ValueError(f"count must be an integer in [1, {MAX_TERMS}], not {count!r}")
+    # Start from 3 over 2: log(3)/log(2), the reciprocal, has the same
+    # quotients without the leading 0.
+    (u, v), (pu, pv) = (0, 1), (1, 0)
+    out = []
+    for _ in range(count):
+        a = _floor_log(u, v, pu, pv)
+        out.append(a)
+        (u, v), (pu, pv) = (pu, pv), (u - a * pu, v - a * pv)
+    return out
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,7 @@ class Triad:
     def __post_init__(self) -> None:
         if self.quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
             raise ValueError("a lattice triad is major or minor")
+        self.system.check_note(self.root)
 
     def _stack(self) -> tuple:
         system = self.system

@@ -75,6 +75,15 @@ def test_parse_error_exit_code(capsys):
     assert "not 3-smooth" in err
 
 
+@pytest.mark.parametrize("command", ["name", "reduce"])
+@pytest.mark.parametrize("text", ["2/3/4", "1/", "3//2", "3/x", "0/3"])
+def test_malformed_ratio_is_named(capsys, command, text):
+    code, out, err = run(capsys, command, text)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and text in err
+
+
 def test_keyboard(capsys):
     code, out, _ = run(capsys, "keyboard", "--lo", "21", "--hi", "23")
     assert code == 0

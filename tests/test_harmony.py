@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,19 @@ def test_chord_validation():
         Chord((parse_note("A"), parse_note("E")), "234")
     with pytest.raises(ValueError):
         Chord((1, 2, 3), "789")
+
+
+@pytest.mark.parametrize("notes, system, message", [
+    ((1, 2, 3), TONNETZ_234, "system 234 takes FreqRatio notes, not 1"),
+    ((FreqRatio(0, 0), FreqRatio(1, 0), FreqRatio(2, 0)), TONNETZ_456,
+     "system 456 takes int notes, not FreqRatio(0, 0)"),
+    ((FreqRatio(0, 0), 1, FreqRatio(2, 0)), TONNETZ_234,
+     "system 234 takes FreqRatio notes, not 1"),
+    ((0, 4, FreqRatio(2, 0)), "456", "system 456 takes int notes, not FreqRatio(2, 0)"),
+])
+def test_chord_rejects_notes_of_the_other_system_naming_them(notes, system, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Chord(notes, system)
 
 
 def test_chord_system_by_id_is_the_system_object():

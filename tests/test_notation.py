@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
-from tritave.ratios import FreqRatio, TRITAVE
+from tritave.ratios import OCTAVE, FreqRatio, TRITAVE
 from tritave.scales import PIANO_DEGREE_HI, PIANO_DEGREE_LO, PYTH3, note_at_scale_degree
 from tritave.notation import (
     BASE_NAMES_PYTH3,
+    MAX_MARKS,
     NoteName,
     edo12_name,
     key_color_by_harmonic_degree,
@@ -135,3 +138,35 @@ def test_edo12_names():
     assert parse_edo12_note("Eb'") == 15
     for s in range(-24, 25):
         assert parse_edo12_note(edo12_name(s)) == s
+
+
+# One spelling per naming scheme: spell a note `shift` periods up, and parse it.
+SPELLINGS = {
+    "tritave": (lambda shift: str(NoteName("D", shift)), parse_note,
+                lambda shift: TRITAVE ** shift),
+    "octave": (lambda shift: pyth2_name_of(OCTAVE ** shift), parse_pyth2_note,
+               lambda shift: OCTAVE ** shift),
+    "edo12": (lambda shift: edo12_name(12 * shift), parse_edo12_note, lambda shift: 12 * shift),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SPELLINGS))
+@pytest.mark.parametrize("shift", [MAX_MARKS, -MAX_MARKS])
+def test_names_at_the_mark_bound_round_trip(scheme, shift):
+    spell, parse, note = SPELLINGS[scheme]
+    assert parse(spell(shift)) == note(shift)
+
+
+# An octave-system note cannot be shifted 10**19 periods: FreqRatio stops at 2**63.
+@pytest.mark.parametrize("scheme, shift", [
+    *((scheme, shift) for scheme in sorted(SPELLINGS)
+      for shift in (MAX_MARKS + 1, -MAX_MARKS - 1, 10**15)),
+    ("tritave", 10**19), ("edo12", 10**19),
+])
+def test_names_beyond_the_mark_bound_fail_fast_naming_the_shift(scheme, shift):
+    spell = SPELLINGS[scheme][0]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"shift of {shift} periods"):
+        spell(shift)
+    assert time.perf_counter() - start < 0.5
+

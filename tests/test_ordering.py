@@ -1,8 +1,9 @@
 """Exact ordering from exponents, checked against independent oracles.
 
-`FreqRatio` ordering, `in_fundamental_interval`, `period_reduce` and
-`reduce_chord_to_domain` all decide the sign of ``du + dv*log2(3)`` without
-building ``2**u * 3**v``.  Here each is checked against the sign of
+`FreqRatio` ordering, `in_fundamental_interval`, `period_reduce`,
+`reduce_chord_to_domain` and the floor-log behind them all decide the sign
+of ``du + dv*log2(3)`` without building ``2**u * 3**v``.  Here each is
+checked against the sign of
 ``2**du * 3**dv - 1`` as a big-integer `Fraction` where that is affordable,
 and against 100-digit `decimal` logarithms for exponents near 2**53 and
 2**62, where the float test cannot decide and the rational enclosure must.
@@ -12,7 +13,7 @@ import decimal
 import time
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tritave import notation
 from tritave.harmony import chord_234, reduce_chord_to_domain
@@ -22,6 +23,7 @@ from tritave.ratios import (
     TRITAVE,
     FreqRatio,
     _FLOAT_ERROR,
+    _floor_log,
     _log_ratio_bounds,
     _log_sign,
 )
@@ -83,6 +85,30 @@ def beyond_floats(draw):
 exponent_pairs = st.one_of(st.tuples(small, small), near_convergents(), beyond_floats())
 
 
+def above_one(pair: tuple[int, int]) -> tuple[int, int]:
+    """The exponent pair or its negation, whichever is a ratio above 1."""
+    du, dv = pair
+    return pair if oracle_sign(du, dv) > 0 else (-du, -dv)
+
+
+def log2_3_convergents(count: int) -> list[tuple[int, int]]:
+    """The first convergents p/q of log2(3), from its 100-digit value."""
+    x, (p0, q0), (p, q) = _DEC_LOG2_3, (0, 1), (1, 0)
+    out = []
+    for _ in range(count):
+        a = int(x)
+        (p0, q0), (p, q) = (p, q), (a * p + p0, a * q + q0)
+        out.append((p, q))
+        x = _CTX.divide(1, x - a)
+    return out
+
+
+# Ratios 3**q / 2**p just above or below 1: the remainders of Euclid's
+# algorithm on log(3)/log(2).  The float log of the 17th rounds to 0.
+CF_BASES = [above_one((-p, q)) for p, q in log2_3_convergents(30)]
+DEPTH_17_BASE = (-85137581, 53715833)
+
+
 def test_log2_3_constant_is_within_its_stated_error():
     # `_FLOAT_ERROR` assumes LOG2_3 within 2**-53 of log2(3).
     lo, hi = _log_ratio_bounds(40)
@@ -111,6 +137,20 @@ def test_ordering_matches_the_oracle(a, pair):
     b = a * FreqRatio(du, dv)
     want = oracle_sign(du, dv)
     assert (a < b, a <= b, a > b, a >= b) == (want > 0, want >= 0, want < 0, want <= 0)
+
+
+@EXACT
+@given(exponent_pairs, st.one_of(
+    exponent_pairs.filter(lambda pair: pair != (0, 0)).map(above_one),
+    st.sampled_from(CF_BASES),
+))
+@example((0, 1), DEPTH_17_BASE)
+def test_floor_log_matches_the_oracle(pair, base):
+    # The largest n with base**n <= 2**u * 3**v: base**n fits and base**(n+1) does not.
+    (u, v), (pu, pv) = pair, base
+    n = _floor_log(u, v, pu, pv)
+    assert oracle_sign(u - n * pu, v - n * pv) >= 0
+    assert oracle_sign(u - (n + 1) * pu, v - (n + 1) * pv) < 0
 
 
 # Squared fundamental-domain bounds, written out independently of `scales`:

@@ -40,6 +40,8 @@ def test_count_validation():
         cf_coefficients(0)
     with pytest.raises(ValueError):
         cf_coefficients(21)
+    with pytest.raises(ValueError, match="not 2.5"):
+        cf_coefficients(2.5)
 
 
 def test_convergent_values():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -179,3 +180,13 @@ def test_apply_sequence_and_chord_conversion():
 def test_system_invariant():
     assert TONNETZ_234.up_diagonal * TONNETZ_234.down_diagonal == TONNETZ_234.horizontal
     assert TONNETZ_456.up_diagonal + TONNETZ_456.down_diagonal == TONNETZ_456.horizontal
+
+
+@pytest.mark.parametrize("make, root, system, message", [
+    (major_triad, "A", TONNETZ_234, "system 234 takes FreqRatio notes, not 'A'"),
+    (minor_triad, 0, TONNETZ_234, "system 234 takes FreqRatio notes, not 0"),
+    (major_triad, A, TONNETZ_456, "system 456 takes int notes, not FreqRatio(-2, 1)"),
+])
+def test_triad_rejects_a_root_of_the_other_system_naming_it(make, root, system, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(root, system)
