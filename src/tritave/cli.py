@@ -8,10 +8,17 @@ parse errors.  Chords are given as three separate note-name arguments
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 
 from . import exports, harmony, notation, scales, temperament, tonnetz, verify
 from .ratios import FreqRatio
+
+
+#: Longest numerator or denominator accepted, in digits: Python's default
+#: limit for converting a digit string to an int.
+MAX_RATIO_DIGITS = 4300
 
 
 def _parse_ratio_or_note(text: str) -> FreqRatio:
@@ -19,6 +26,10 @@ def _parse_ratio_or_note(text: str) -> FreqRatio:
     if num.isdecimal():
         if slash and not den.isdecimal():
             raise ValueError(f"bad ratio {text!r}: write a whole number N or a fraction N/D")
+        for part, digits in (("numerator", num), ("denominator", den)):
+            if len(digits) > MAX_RATIO_DIGITS:
+                raise ValueError(f"ratio {text[:20]}...: the {part} has {len(digits)} digits, "
+                                 f"more than {MAX_RATIO_DIGITS}")
         return FreqRatio.from_fraction(int(num), int(den) if slash else 1)
     try:
         return notation.parse_note(text)
@@ -104,14 +115,11 @@ def _cmd_convergents(args) -> int:
 
 
 def _cmd_plr(args) -> int:
-    # Every move runs before anything is printed, so a bad move letter
-    # leaves stdout empty.
     triad = tonnetz.triad_from_chord(_chord_from_args(args))
-    lines = [f"start  {_note_names(triad.chord())}  ({triad.quality})"]
+    print(f"start  {_note_names(triad.chord())}  ({triad.quality})")
     for move in args.moves:
         triad = tonnetz.apply_plr(triad, move)
-        lines.append(f"{move.upper():<5}  {_note_names(triad.chord())}  ({triad.quality})")
-    print("\n".join(lines))
+        print(f"{move.upper():<5}  {_note_names(triad.chord())}  ({triad.quality})")
     return 0
 
 
@@ -132,10 +140,8 @@ def _cmd_sequence(args) -> int:
         if args.cadence
         else ["tonic", "subdominant", "dominant", "tonic"]
     )
-    # Name every chord before printing, so a chord without a name leaves stdout empty.
-    lines = [f"{role:<16} {_note_names(chord)}  ({harmony.classify(chord)})"
-             for role, chord in zip(roles, seq)]
-    print("\n".join(lines))
+    for role, chord in zip(roles, seq):
+        print(f"{role:<16} {_note_names(chord)}  ({harmony.classify(chord)})")
     return 0
 
 
@@ -246,11 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Output is held back until the command returns, so an error leaves
+    # stdout empty whichever command raised it and wherever.
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
+        sys.stdout.write(out.getvalue())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

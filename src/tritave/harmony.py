@@ -165,25 +165,24 @@ class _OctaveSystem(TonnetzSystem):
         return root - root % self.period + (root + interval * times) % self.period
 
     def voice_near(self, c: Chord, tonic: Chord) -> Chord:
-        """Close voicing (span under an octave) nearest the tonic."""
+        """Close voicing (span under an octave) nearest the tonic.
+
+        ``base`` folds the notes into the octave from the tonic root.  Read
+        cyclically, with an octave added per lap, its notes k = j, j+1, j+2
+        are the close voicing j steps up (j < 0: down) from it.  Of the five
+        voicings j in -2..2 the one with the least total motion from the
+        tonic wins; ties go to the smaller step, then to the lower voicing.
+        """
         r0 = tonic.notes[0]
         base = sorted(r0 + (n - r0) % self.period for n in c.notes)
-        candidates = {0: base}
-        low = base
-        for j in (1, 2):
-            low = sorted([low[2] - self.period] + low[:2])
-            candidates[-j] = low
-        high = base
-        for j in (1, 2):
-            high = sorted(high[1:] + [high[0] + self.period])
-            candidates[j] = high
 
-        def cost(item):
-            j, notes = item
-            return (sum(abs(a - b) for a, b in zip(notes, tonic.notes)), abs(j), j)
+        def voicing(j: int) -> list[int]:
+            return [base[k % 3] + self.period * (k // 3) for k in range(j, j + 3)]
 
-        _, best = min(candidates.items(), key=cost)
-        return chord_456(best)
+        def cost(j: int):
+            return (sum(abs(a - b) for a, b in zip(voicing(j), tonic.notes)), abs(j), j)
+
+        return chord_456(voicing(min(range(-2, 3), key=cost)))
 
     def just_frequencies(self, c: Chord) -> list[Fraction]:
         s1, s2 = _steps(c)
@@ -194,15 +193,11 @@ class _OctaveSystem(TonnetzSystem):
         return [f0, f0 * _JUST_STEP[s1], f0 * _JUST_STEP[s1] * _JUST_STEP[s2]]
 
     def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
-        k = 0
-        g = freq
-        while g >= 2 * _WINDOW_LO:
-            g /= 2
-            k += 1
-        while g < _WINDOW_LO:
-            g *= 2
-            k -= 1
-        letter = _FIVE_LIMIT_NAMES.get(g)
+        # k = floor(log2(g)) is the bit-length difference or one less
+        g = freq / _WINDOW_LO
+        k = g.numerator.bit_length() - g.denominator.bit_length()
+        k -= g < Fraction(2) ** k
+        letter = _FIVE_LIMIT_NAMES.get(freq / Fraction(2) ** k)
         if letter is None:
             return ()
         return (letter + notation._marks(k, "'", ","),)

@@ -56,11 +56,11 @@ class NotThreeSmoothError(ValueError):
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return n, k
+    """``(m, k)`` with ``n = m * p**k`` and p not dividing m; O(log k) divisions."""
+    if n % p:
+        return n, 0
+    m, j = _strip(n // p, p * p)   # n // p = m * p**(2j), at most one p left in m
+    return (m // p, 2 * j + 2) if m % p == 0 else (m, 2 * j + 1)
 
 
 def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:

@@ -190,3 +190,44 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["scale", "nonsense"])
     assert excinfo.value.code == 2
+
+
+def test_purity_failing_after_its_first_line_prints_nothing(capsys):
+    # 2*10**4 tritaves up the base frequency has more digits than Python
+    # converts to text, after the harmonics line is already formatted
+    up = "^" * 20000
+    code, out, err = run(capsys, "purity", "A" + up, "E" + up, "A'" + up)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_tonnetz_path_failing_on_a_later_chord_prints_nothing(tmp_path, capsys):
+    # the second chord parses but cannot be spelled: its top note is
+    # MAX_MARKS + 1 tritaves up
+    path = tmp_path / "prog.txt"
+    path.write_text("A E A'\nA E A'" + "^" * (10**6 + 1) + "\n")
+    code, out, err = run(capsys, "tonnetz-path", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "1000001 periods" in err
+
+
+@pytest.mark.parametrize("command", ["name", "reduce"])
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+def test_oversized_ratio_is_named_with_its_digit_count(capsys, command, part):
+    text = "1" * 5000 if part == "numerator" else "3/" + "1" * 5000
+    code, out, err = run(capsys, command, text)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert text[:20] in err and f"{part} has 5000 digits" in err
+
+
+@pytest.mark.parametrize("command", ["name", "reduce"])
+def test_ratio_at_the_digit_bound_is_parsed(capsys, command):
+    # 10**4299 = 2**4299 * 5**4299 has 4300 digits and is not 3-smooth
+    code, out, err = run(capsys, command, "1" + "0" * (cli.MAX_RATIO_DIGITS - 1))
+    assert code == 2
+    assert out == ""
+    assert "not 3-smooth" in err

@@ -1,0 +1,121 @@
+"""Closed forms against the step-at-a-time loops they replace.
+
+`_OctaveSystem.voice_near` reads the five close voicings off the sorted
+pitches, `_OctaveSystem.frequency_names` finds the octave count from bit
+lengths, and `ratios._strip` halves the exponent left to find at each
+division.  The reference copies below are the rotation and folding loops
+they replaced; results must agree exactly, and the cost must not grow
+with the number of octaves or tritaves.
+"""
+
+import time
+from fractions import Fraction
+
+import pytest
+
+from tritave import harmony, notation
+from tritave.harmony import TONNETZ_456, chord_456
+from tritave.ratios import TRITAVE, _strip
+
+
+def rotation_voice_near(c, tonic):
+    period = TONNETZ_456.period
+    r0 = tonic.notes[0]
+    base = sorted(r0 + (n - r0) % period for n in c.notes)
+    candidates = {0: base}
+    low = base
+    for j in (1, 2):
+        low = sorted([low[2] - period] + low[:2])
+        candidates[-j] = low
+    high = base
+    for j in (1, 2):
+        high = sorted(high[1:] + [high[0] + period])
+        candidates[j] = high
+
+    def cost(item):
+        j, notes = item
+        return (sum(abs(a - b) for a, b in zip(notes, tonic.notes)), abs(j), j)
+
+    _, best = min(candidates.items(), key=cost)
+    return chord_456(best)
+
+
+def folding_frequency_names(freq):
+    k = 0
+    g = freq
+    while g >= 2 * harmony._WINDOW_LO:
+        g /= 2
+        k += 1
+    while g < harmony._WINDOW_LO:
+        g *= 2
+        k -= 1
+    letter = harmony._FIVE_LIMIT_NAMES.get(g)
+    if letter is None:
+        return ()
+    return (letter + notation._marks(k, "'", ","),)
+
+
+ROOTS = range(-24, 36)
+TRIADS = [chord_456((r, r + a, r + 7)) for r in ROOTS for a in (3, 4)]
+
+
+@pytest.mark.parametrize("root", ROOTS)
+def test_voice_near_matches_the_rotations(root):
+    for third in (3, 4):
+        tonic = chord_456((root, root + third, root + 7))
+        for c in TRIADS:
+            assert TONNETZ_456.voice_near(c, tonic) == rotation_voice_near(c, tonic)
+
+
+CLUSTERS = [(a, b, c) for a in range(12) for b in range(a + 1, 12) for c in range(b + 1, 12)]
+
+
+@pytest.mark.parametrize("steps", [(1, 1), (5, 14), (7, 5), (11, 11), (12, 7), (23, 1)])
+def test_voice_near_matches_the_rotations_for_any_chords(steps):
+    # wide tonics are where the voicings two steps up or down win
+    for root in (-13, 0, 5, 30):
+        tonic = chord_456((root, root + steps[0], root + sum(steps)))
+        for notes in CLUSTERS:
+            c = chord_456(notes)
+            assert TONNETZ_456.voice_near(c, tonic) == rotation_voice_near(c, tonic)
+
+
+FREQUENCIES = [
+    *harmony._CANON_FREQ.values(),
+    Fraction(81, 80), Fraction(25, 24), Fraction(7, 4), Fraction(1, 3), Fraction(10, 1),
+    Fraction(3**20, 5**9), Fraction(5**12, 2**3 * 3**11),
+]
+
+
+@pytest.mark.parametrize("freq", FREQUENCIES, ids=str)
+def test_frequency_names_match_the_folding(freq):
+    for k in range(-60, 61):
+        scaled = freq * Fraction(2) ** k
+        assert TONNETZ_456.frequency_names(scaled) == folding_frequency_names(scaled)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_strip_recovers_the_exponent(p):
+    cofactors = [n for n in (1, 2, 3, 5, 7, 11, 10**40 + 1, 6**30 - 1) if n % p]
+    for n in cofactors:
+        for k in range(201):
+            assert _strip(n * p**k, p) == (n, k)
+
+
+def elapsed(f) -> float:
+    start = time.perf_counter()
+    f()
+    return time.perf_counter() - start
+
+
+def test_456_purity_far_up_is_cheap():
+    # folding one octave per step took seconds at this height
+    far = 12 * 10**5
+    c = chord_456((far, far + 4, far + 7))
+    assert elapsed(lambda: harmony.purity(c)) < 0.25
+
+
+def test_234_purity_far_up_is_cheap():
+    # one division per factor in from_fraction took over a second at this height
+    c = harmony.major_triad_234(notation.parse_note("A") * TRITAVE ** 40000)
+    assert elapsed(lambda: harmony.purity(c)) < 0.3
