@@ -45,10 +45,16 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     degree ascending: exact ``N/D`` ratios for the just scales, cents with
     five decimals for the equal ones.  The final entry is the period
     (``3/1`` for the tritave scales -- synths that assume octave repetition
-    need to be told otherwise).
+    need to be told otherwise).  A description must read back as line 1:
+    it may not start with ``!`` (a comment) or span lines.
     """
     if scale not in SCL_SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {SCL_SCALES}")
+    if description is not None and (
+        description.startswith("!") or description.splitlines() not in ([], [description])
+    ):
+        raise ValueError(f".scl description {description!r} must not start with '!' "
+                         "or span lines")
     system = scales._SYSTEMS[scale]
     n = system.notes_per_period
     lines = [_SCL_DESCRIPTIONS[scale] if description is None else description, str(n)]

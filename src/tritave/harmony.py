@@ -227,12 +227,13 @@ class Chord:
                 raise ValueError(f"unknown system {self.system!r}")
             object.__setattr__(self, "system", _SYSTEMS[self.system])
         if len(self.notes) != 3:
-            raise ValueError("a chord needs exactly 3 notes")
+            raise ValueError("a chord needs exactly 3 notes, "
+                             f"not {len(self.notes)}: {self.notes!r}")
         for note in self.notes:
             self.system.check_note(note)
         a, b, c = self.notes
         if not (a < b < c):
-            raise ValueError("chord notes must be strictly ascending")
+            raise ValueError(f"chord notes must be strictly ascending, not {self.notes!r}")
 
     def names(self) -> tuple[str, str, str]:
         return tuple(self.system.name(n) for n in self.notes)

@@ -212,7 +212,8 @@ _BLACK_PCS = {1, 3, 6, 8, 10}
 def keyboard_labels(midi_lo: int = 21, midi_hi: int = 108) -> list[KeyLabel]:
     """Tritave-system labels for a run of piano keys (D4 = MIDI 62 = degree 0)."""
     if not 0 <= midi_lo <= midi_hi <= 127:
-        raise ValueError("midi range must satisfy 0 <= lo <= hi <= 127")
+        raise ValueError("midi range must satisfy 0 <= lo <= hi <= 127, "
+                         f"not lo={midi_lo!r}, hi={midi_hi!r}")
     labels = []
     for midi in range(midi_lo, midi_hi + 1):
         degree = midi - 62

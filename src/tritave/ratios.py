@@ -156,7 +156,11 @@ class FreqRatio:
             if not isinstance(e, int):
                 raise ValueError(f"exponent {e!r} is not an integer")
         if not (-_INT64 <= self.u < _INT64 and -_INT64 <= self.v < _INT64):
-            raise OverflowError("exponent overflow")
+            e = self.v if -_INT64 <= self.u < _INT64 else self.u
+            # str() of an int beyond 4300 digits raises by itself.
+            shown = (f"exponent {e}" if abs(e) < 10**20 else
+                     f"{'negative ' if e < 0 else ''}exponent of {e.bit_length()} bits")
+            raise ValueError(f"{shown} is outside [-2**63, 2**63)")
 
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int = 1) -> FreqRatio:

@@ -262,7 +262,7 @@ def pyth2_pyth3_differences(
     from . import notation
 
     if degree_lo > degree_hi:
-        raise ValueError("degree_lo must not exceed degree_hi")
+        raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
     out = []
     for n in range(degree_lo, degree_hi + 1):
         p3 = note_at_scale_degree(n, PYTH3)

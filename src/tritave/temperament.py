@@ -81,6 +81,6 @@ def comma_for(p: int, q: int) -> tuple[FreqRatio, Cents]:
     For (12, 19) this is the Pythagorean comma, about 23.46 cents.
     """
     if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
+        raise ValueError(f"p and q must be positive, not p={p!r}, q={q!r}")
     ratio = FreqRatio(-q, p)
     return ratio, abs(ratio.cents())

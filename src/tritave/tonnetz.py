@@ -145,7 +145,7 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     4:5:6 system covers its 12 classes in three.
     """
     if not 0 <= max_moves <= 12:
-        raise ValueError("max_moves must be in [0, 12]")
+        raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
     seen = {(start.root, start.quality)}
     frontier = [start]
     class_name = start.system.class_name

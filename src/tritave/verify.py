@@ -4,7 +4,9 @@
 just-scale difference list, P/L/R reachability, purity measures) plus a
 set of invariant spot checks, and reports pass/fail per section.  The
 expected values are frozen here so a regression in any module trips the
-matching section.
+matching section.  Each section is a ``(name, kind, check)`` entry in
+`_SECTIONS`; its check is a generator that yields one message per failure,
+and a section passes when it yields none.
 """
 
 from __future__ import annotations
@@ -125,72 +127,63 @@ EXPECTED_CF_PREFIX = [1, 1, 1, 2, 2, 3, 1, 5]
 DEVIATION_TOL = 0.01
 
 
-def _check_deviation_table(name: str, pair: str, expected) -> SectionResult:
-    failures = []
+def _deviation_table(pair: str, expected):
     rows = scales.deviation_table(pair)
     if len(rows) != len(expected):
-        failures.append(f"expected {len(expected)} rows, got {len(rows)}")
+        yield f"expected {len(expected)} rows, got {len(rows)}"
     for row, (degree, note, ratio, harm, dev, boundary) in zip(rows, expected):
         where = f"degree {degree}"
         if row.scale_degree != degree:
-            failures.append(f"{where}: misplaced row {row.scale_degree}")
+            yield f"{where}: misplaced row {row.scale_degree}"
             continue
         if row.note != note:
-            failures.append(f"{where}: note {row.note} != {note}")
+            yield f"{where}: note {row.note} != {note}"
         if str(row.just_ratio) != ratio:
-            failures.append(f"{where}: ratio {row.just_ratio} != {ratio}")
+            yield f"{where}: ratio {row.just_ratio} != {ratio}"
         if row.harmonic_degree != harm:
-            failures.append(f"{where}: harmonic degree {row.harmonic_degree} != {harm}")
+            yield f"{where}: harmonic degree {row.harmonic_degree} != {harm}"
         if abs(row.deviation_cents - dev) > DEVIATION_TOL:
-            failures.append(
-                f"{where}: deviation {row.deviation_cents:+.3f} != {dev:+.2f}"
-            )
+            yield f"{where}: deviation {row.deviation_cents:+.3f} != {dev:+.2f}"
         if row.boundary != boundary:
-            failures.append(f"{where}: boundary flag {row.boundary} != {boundary}")
-    return SectionResult(name, "table", not failures, failures)
+            yield f"{where}: boundary flag {row.boundary} != {boundary}"
 
 
-def _check_diff() -> SectionResult:
-    failures = []
+def _differences():
     rows = scales.pyth2_pyth3_differences()
     got = [(d, str(p3), p2, q.v // 12) for d, p3, p2, q in rows]
     expected_degrees = [r[0] for r in EXPECTED_DIFF]
     if [g[0] for g in got] != expected_degrees:
-        failures.append(f"difference degrees {[g[0] for g in got]} != {expected_degrees}")
+        yield f"difference degrees {[g[0] for g in got]} != {expected_degrees}"
     for g, e in zip(got, EXPECTED_DIFF):
         if g != e:
-            failures.append(f"degree {e[0]}: {g} != {e}")
-    return SectionResult("table_differences", "table", not failures, failures)
+            yield f"degree {e[0]}: {g} != {e}"
 
 
-def _check_plr(name: str, table: str, expected) -> SectionResult:
+def _plr(table: str, expected):
     counts = [count for _, count in exports._table_rows(table)[1]]
-    failures = [] if counts == expected else [f"reach counts {counts} != {expected}"]
-    return SectionResult(name, "table", not failures, failures)
+    if counts != expected:
+        yield f"reach counts {counts} != {expected}"
 
 
-def _check_purity(name: str, table: str, expected) -> SectionResult:
-    failures = []
+def _purity(table: str, expected):
     header, rows = exports._table_rows(table)
     if len(rows) != len(expected):
-        failures.append(f"expected {len(expected)} rows, got {len(rows)}")
+        yield f"expected {len(expected)} rows, got {len(rows)}"
     columns = ("quality", "harmonics", "d_base", "base_note", "d_overtone", "overtone_note")
     for row, (label, ratio, d_b, base, d_o, over) in zip(rows, expected):
         got = tuple(dict(zip(header, row))[column] for column in columns)
         want = (label, ":".join(map(str, ratio)), d_b, "=".join(base), d_o, "=".join(over))
         if got != want:
-            failures.append(f"{label}: {columns} {got} != {want}")
-    return SectionResult(name, "table", not failures, failures)
+            yield f"{label}: {columns} {got} != {want}"
 
 
-def _check_invariants() -> SectionResult:
-    failures = []
+def _invariants():
     comma_cents = COMMA.cents()
     if abs(comma_cents - 23.460) > 0.001:
-        failures.append(f"comma is {comma_cents:.4f} cents, expected 23.460")
+        yield f"comma is {comma_cents:.4f} cents, expected 23.460"
     gap = 1200.0 * LOG2_3 / 19 - 100.0
     if abs(gap - 0.103) > 0.001:
-        failures.append(f"per-step gap {gap:.4f} != 0.103")
+        yield f"per-step gap {gap:.4f} != 0.103"
     worst_equal = max(
         abs(
             scales.note_at_scale_degree(n, scales.EDO12)
@@ -199,7 +192,7 @@ def _check_invariants() -> SectionResult:
         for n in range(scales.PIANO_DEGREE_LO, scales.PIANO_DEGREE_HI + 1)
     )
     if not worst_equal < 5.0:
-        failures.append(f"12-EDO vs 19-EDT spread {worst_equal:.3f} not under 5 cents")
+        yield f"12-EDO vs 19-EDT spread {worst_equal:.3f} not under 5 cents"
     worst_just = max(
         abs(
             scales.note_at_scale_degree(n, scales.PYTH3).cents()
@@ -208,48 +201,42 @@ def _check_invariants() -> SectionResult:
         for n in range(scales.PIANO_DEGREE_LO, scales.PIANO_DEGREE_HI + 1)
     )
     if not worst_just <= 11.12:
-        failures.append(f"just vs 19-EDT spread {worst_just:.3f} not within 11.12 cents")
-    return SectionResult("invariants", "invariants", not failures, failures)
+        yield f"just vs 19-EDT spread {worst_just:.3f} not within 11.12 cents"
 
 
-def _check_continued_fractions() -> SectionResult:
-    failures = []
+def _continued_fractions():
     prefix = temperament.cf_coefficients(8)
     if prefix != EXPECTED_CF_PREFIX:
-        failures.append(f"coefficients {prefix} != {EXPECTED_CF_PREFIX}")
+        yield f"coefficients {prefix} != {EXPECTED_CF_PREFIX}"
     convs = temperament.convergents(8)
     if (convs[4].p, convs[4].q) != (12, 19):
-        failures.append(f"convergent 5 is {convs[4]}, expected 12/19")
+        yield f"convergent 5 is {convs[4]}, expected 12/19"
     if (convs[6].p, convs[6].q) != (53, 84):
-        failures.append(f"convergent 7 is {convs[6]}, expected 53/84")
-    return SectionResult("continued_fractions", "invariants", not failures, failures)
+        yield f"convergent 7 is {convs[6]}, expected 53/84"
 
 
-def _check_keyboard() -> SectionResult:
-    failures = []
+def _keyboard():
     labels = notation.keyboard_labels(21, 108)
     names = [str(label.name) for label in labels]
     if len(set(names)) != 88:
-        failures.append("88 key names are not pairwise distinct")
+        yield "88 key names are not pairwise distinct"
     anchors = {21: "Bvv", 62: "D", 108: "Bb'^^"}
     for midi, expected in anchors.items():
         got = names[midi - 21]
         if got != expected:
-            failures.append(f"midi {midi} labelled {got}, expected {expected}")
+            yield f"midi {midi} labelled {got}, expected {expected}"
     whites = sum(
         notation.key_color_by_harmonic_degree(h) == "white" for h in range(-9, 10)
     )
     if whites != 11:
-        failures.append(f"{whites} white keys per tritave, expected 11")
-    return SectionResult("keyboard", "invariants", not failures, failures)
+        yield f"{whites} white keys per tritave, expected 11"
 
 
-def _check_harmony_identities() -> SectionResult:
-    failures = []
+def _harmony_identities():
     tonic = harmony.chord_234([notation.parse_note(n) for n in ("A", "E", "A'")])
     seq = [str(c) for c in harmony.basic_sequence(tonic)]
     if seq != ["A-E-A'", "A-E-B'", "A-D-A'", "A-E-A'"]:
-        failures.append(f"basic sequence {seq}")
+        yield f"basic sequence {seq}"
     for exponents in [(0, 0), (-2, 1), (3, -2), (5, -3)]:
         root = FreqRatio(*exponents)
         dom = harmony.reduce_chord_to_domain(
@@ -257,7 +244,7 @@ def _check_harmony_identities() -> SectionResult:
         )
         p_image = tonnetz.apply_plr(tonnetz.major_triad(root), "P").chord()
         if dom != p_image:
-            failures.append(f"root {root}: reduced dominant != P image")
+            yield f"root {root}: reduced dominant != P image"
         triple = harmony.major_triad_234(root)
         for _ in range(3):
             triple = harmony.invert(triple, "first")
@@ -265,46 +252,50 @@ def _check_harmony_identities() -> SectionResult:
             n * FreqRatio(0, 1) for n in harmony.major_triad_234(root).notes
         )
         if triple != lifted:
-            failures.append(f"root {root}: triple first inversion != tritave shift")
+            yield f"root {root}: triple first inversion != tritave shift"
     # Two P/L/R moves from C major reach every 4:5:6 class but the tritone.
     start = tonnetz.major_triad(0, tonnetz.TONNETZ_456)
     missing = set(notation.NAMES_EDO12) - tonnetz.reachable_note_classes(start, 2)[2].classes
     if missing != {"F#"}:
-        failures.append(f"classes missing after 2 moves: {sorted(missing)} != ['F#']")
-    return SectionResult("harmony_identities", "invariants", not failures, failures)
+        yield f"classes missing after 2 moves: {sorted(missing)} != ['F#']"
 
 
-def _check_scl_round_trip() -> SectionResult:
-    failures = []
+def _scl_round_trip():
     for scale in exports.SCL_SCALES:
         text = exports.emit_scl(scale)
         if text != exports.emit_scl(scale):
-            failures.append(f"{scale}: emitter not byte-stable")
+            yield f"{scale}: emitter not byte-stable"
         _, cents_list = exports.parse_scl(text)
         system = scales._SYSTEMS[scale]
         for degree, got in enumerate(cents_list, start=1):
             pitch = scales.note_at_scale_degree(degree, system)
             want = pitch.cents() if isinstance(pitch, FreqRatio) else pitch
             if abs(got - want) > 1e-4:
-                failures.append(f"{scale} degree {degree}: {got} != {want}")
+                yield f"{scale} degree {degree}: {got} != {want}"
                 break
-    return SectionResult("scl_round_trip", "invariants", not failures, failures)
+
+
+#: Every section in report order: (name, kind, check); a check yields its failures.
+_SECTIONS = [
+    ("table_pyth2_vs_edo12", "table", lambda: _deviation_table("pyth2_edo12", EXPECTED_T1)),
+    ("table_pyth3_vs_edt19", "table", lambda: _deviation_table("pyth3_edt19", EXPECTED_T2)),
+    ("table_differences", "table", _differences),
+    ("table_plr_456", "table", lambda: _plr("plr456", EXPECTED_PLR_456)),
+    ("table_plr_234", "table", lambda: _plr("plr234", EXPECTED_PLR_234)),
+    ("table_purity_234", "table", lambda: _purity("purity234", EXPECTED_PURITY_234)),
+    ("table_purity_456", "table", lambda: _purity("purity456", EXPECTED_PURITY_456)),
+    ("invariants", "invariants", _invariants),
+    ("continued_fractions", "invariants", _continued_fractions),
+    ("keyboard", "invariants", _keyboard),
+    ("harmony_identities", "invariants", _harmony_identities),
+    ("scl_round_trip", "invariants", _scl_round_trip),
+]
 
 
 def verify_tables() -> VerifyReport:
     """Recompute all reference tables and invariants; report per section."""
-    sections = [
-        _check_deviation_table("table_pyth2_vs_edo12", "pyth2_edo12", EXPECTED_T1),
-        _check_deviation_table("table_pyth3_vs_edt19", "pyth3_edt19", EXPECTED_T2),
-        _check_diff(),
-        _check_plr("table_plr_456", "plr456", EXPECTED_PLR_456),
-        _check_plr("table_plr_234", "plr234", EXPECTED_PLR_234),
-        _check_purity("table_purity_234", "purity234", EXPECTED_PURITY_234),
-        _check_purity("table_purity_456", "purity456", EXPECTED_PURITY_456),
-        _check_invariants(),
-        _check_continued_fractions(),
-        _check_keyboard(),
-        _check_harmony_identities(),
-        _check_scl_round_trip(),
-    ]
+    sections = []
+    for name, kind, check in _SECTIONS:
+        failures = list(check())
+        sections.append(SectionResult(name, kind, not failures, failures))
     return VerifyReport(sections)

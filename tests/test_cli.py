@@ -231,3 +231,18 @@ def test_ratio_at_the_digit_bound_is_parsed(capsys, command):
     assert code == 2
     assert out == ""
     assert "not 3-smooth" in err
+
+
+def test_reach_out_of_range_names_its_move_count(capsys):
+    code, out, err = run(capsys, "reach", "--k", "20")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "20" in err
+
+
+@pytest.mark.parametrize("description", ["!x", "a\nb"])
+def test_scale_scl_description_that_cannot_read_back_is_rejected(capsys, description):
+    code, out, err = run(capsys, "scale", "pyth3", "--scl", "--description", description)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and repr(description) in err

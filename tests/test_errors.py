@@ -1,0 +1,29 @@
+"""Library errors name the value that failed, on one line."""
+
+import pytest
+
+from tritave import harmony, notation, scales, temperament, tonnetz
+from tritave.ratios import FreqRatio
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tonnetz.reachable_note_classes(tonnetz.major_triad(FreqRatio(0, 0)), 20),
+     "max_moves must be in [0, 12], not 20"),
+    (lambda: notation.keyboard_labels(100, 50),
+     "midi range must satisfy 0 <= lo <= hi <= 127, not lo=100, hi=50"),
+    (lambda: harmony.Chord((FreqRatio(0, 0), FreqRatio(1, 0))),
+     "a chord needs exactly 3 notes, not 2: (FreqRatio(0, 0), FreqRatio(1, 0))"),
+    (lambda: harmony.TONNETZ_234.parse_chord(["A", "A", "E"]),
+     "chord notes must be strictly ascending, "
+     "not (FreqRatio(-2, 1), FreqRatio(-2, 1), FreqRatio(-3, 2))"),
+    (lambda: harmony.Chord((7, 4, 0), harmony.TONNETZ_456),
+     "chord notes must be strictly ascending, not (7, 4, 0)"),
+    (lambda: scales.pyth2_pyth3_differences(5, 3), "degree_lo 5 exceeds degree_hi 3"),
+    (lambda: temperament.comma_for(0, 19), "p and q must be positive, not p=0, q=19"),
+    (lambda: temperament.comma_for(12, -1), "p and q must be positive, not p=12, q=-1"),
+], ids=["max_moves", "midi-range", "chord-size", "ascending-234", "ascending-456",
+        "degree-range", "comma-p", "comma-q"])
+def test_error_names_the_failing_value(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

@@ -3,6 +3,7 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tritave import exports
 from tritave.exports import (
@@ -211,3 +212,29 @@ def test_tonnetz_path_flags_unclassified_chords():
 def test_tonnetz_path_rejects_empty():
     with pytest.raises(ValueError):
         emit_tonnetz_path([])
+
+
+# Every boundary `str.splitlines` splits on.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.text(max_size=12)
+       | st.builds(lambda a, b, c: a + b + c, st.sampled_from(["", "!", " !"]),
+                   st.text(max_size=4), st.sampled_from(_LINE_BREAKS + ["", "!"])))
+@example("!x")
+@example("a\nb")
+@example("")
+def test_scl_description_reads_back_or_is_rejected(description):
+    # oracle: the file with the description written unchecked as line 1
+    unchecked = description + "\n" + emit_scl("pyth3").split("\n", 1)[1]
+    try:
+        reads_back = parse_scl(unchecked)[0] == description
+    except ValueError:
+        reads_back = False
+    if reads_back:
+        assert emit_scl("pyth3", description) == unchecked
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            emit_scl("pyth3", description)
+        assert repr(description) in str(excinfo.value)

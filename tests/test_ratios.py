@@ -16,6 +16,7 @@ from tritave.ratios import (
     NotThreeSmoothError,
     cents,
 )
+from tritave.scales import PYTH3, note_at_scale_degree
 
 
 def test_from_fraction_examples():
@@ -81,10 +82,23 @@ def test_group_laws():
 
 def test_exponent_overflow_signalled():
     big = FreqRatio(2**62, 0)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match=r"^exponent 9223372036854775808 is outside"):
         big * big
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match=r"^exponent 9223372036854775808 is outside"):
         FreqRatio(2**63, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FreqRatio(0, -2**63 - 1), "exponent -9223372036854775809 is outside"),
+    (lambda: FreqRatio(-2**63, 2**63), "exponent 9223372036854775808 is outside"),
+    (lambda: OCTAVE ** 2**63, "exponent 9223372036854775808 is outside"),
+    (lambda: FreqRatio(10**5000, 0), "exponent of 16610 bits is outside"),
+    (lambda: FreqRatio(0, -10**5000), "negative exponent of 16610 bits is outside"),
+    (lambda: note_at_scale_degree(10**30, PYTH3), "exponent of 96 bits is outside"),
+], ids=["v-below", "v-above", "octave-power", "5000-digits", "negative-5000-digits", "degree-1e30"])
+def test_exponent_out_of_range_is_a_value_error_naming_it(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message + ' [-2**63, 2**63)')}$"):
+        make()
 
 
 @pytest.mark.parametrize("exponent", [1.5, 2.0, Fraction(1, 2), "3", None])
