@@ -49,48 +49,44 @@ from .notation import (
     parse_pyth2_note,
     pyth2_name_of,
 )
-from .temperament import Convergent, cf_coefficients, comma_for, convergents
-from .harmony import (
-    Chord,
-    ChordQuality,
-    PurityReport,
-    basic_sequence,
-    cadence_sequence,
-    chord_234,
-    chord_456,
-    classify,
-    invert,
-    major_triad_234,
-    minor_triad_234,
-    purity,
-    reduce_chord_to_domain,
-    shift_in_circle,
+
+# The names of these modules, and the modules themselves, are bound on
+# first use through `__getattr__` (PEP 562), so ``import tritave`` and a CLI
+# call load only the modules they run.
+_LAZY = {
+    "temperament": ("Convergent", "cf_coefficients", "comma_for", "convergents"),
+    "harmony": ("Chord", "ChordQuality", "PurityReport", "basic_sequence", "cadence_sequence",
+                "chord_234", "chord_456", "classify", "invert", "major_triad_234",
+                "minor_triad_234", "purity", "reduce_chord_to_domain", "shift_in_circle"),
+    "tonnetz": ("TONNETZ_234", "TONNETZ_456", "ReachLevel", "TonnetzSystem", "Triad",
+                "apply_plr", "apply_plr_sequence", "lattice_coordinates", "major_triad",
+                "minor_triad", "note_class", "note_coordinates", "reachable_note_classes",
+                "triad_from_chord"),
+    "exports": ("ProgressionError", "emit_scl", "emit_table", "emit_tonnetz_path",
+                "parse_progression", "parse_scl", "sample_progression_text"),
+    "verify": ("VerifyReport", "verify_tables"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | set(_LAZY) | set(_HOME)
 )
-from .tonnetz import (
-    TONNETZ_234,
-    TONNETZ_456,
-    ReachLevel,
-    TonnetzSystem,
-    Triad,
-    apply_plr,
-    apply_plr_sequence,
-    lattice_coordinates,
-    major_triad,
-    minor_triad,
-    note_class,
-    note_coordinates,
-    reachable_note_classes,
-    triad_from_chord,
-)
-from .exports import (
-    ProgressionError,
-    emit_scl,
-    emit_table,
-    emit_tonnetz_path,
-    parse_progression,
-    parse_scl,
-    sample_progression_text,
-)
-from .verify import VerifyReport, verify_tables
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # With a fromlist, __import__ returns the submodule itself; it spares
+    # loading `importlib` for `importlib.import_module`.
+    value = __import__(f"{__name__}.{module}", fromlist=[name])
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

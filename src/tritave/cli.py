@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 on usage or
 parse errors.  Chords are given as three separate note-name arguments
 (names may themselves contain commas, e.g. ``G,^``).
+
+Each command imports the modules it runs when it runs, so a call loads
+only what its subcommand needs; `notation` and `scales` serve them all.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import contextlib
 import io
 import sys
 
-from . import exports, harmony, notation, scales, temperament, tonnetz, verify
+from . import notation, scales
 from .ratios import FreqRatio
 
+#: `exports.TABLE_IDS`, written out so the parser does not load `exports`.
+TABLE_IDS = ("t1", "t2", "diff", "plr456", "plr234", "purity234", "purity456")
 
 #: Longest numerator or denominator accepted, in digits: Python's default
 #: limit for converting a digit string to an int.
@@ -42,15 +47,17 @@ def _parse_ratio_or_note(text: str) -> FreqRatio:
             raise primary from None
 
 
-def _chord_from_args(args) -> harmony.Chord:
+def _chord_from_args(args):
+    from . import harmony
     return harmony._SYSTEMS[args.system].parse_chord(args.notes)
 
 
-def _note_names(chord: harmony.Chord) -> str:
+def _note_names(chord) -> str:
     return " ".join(chord.names())
 
 
 def _cmd_scale(args) -> int:
+    from . import exports
     if args.scl:
         sys.stdout.write(exports.emit_scl(args.system, args.description))
         return 0
@@ -74,6 +81,7 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import exports
     sys.stdout.write(exports.emit_table(args.which, args.format))
     return 0
 
@@ -106,6 +114,7 @@ def _cmd_keyboard(args) -> int:
 
 
 def _cmd_convergents(args) -> int:
+    from . import temperament
     coefficients = temperament.cf_coefficients(args.count)
     print("coefficients:", " ".join(str(a) for a in coefficients))
     for i, conv in enumerate(temperament.convergents(args.count), start=1):
@@ -115,6 +124,7 @@ def _cmd_convergents(args) -> int:
 
 
 def _cmd_plr(args) -> int:
+    from . import tonnetz
     triad = tonnetz.triad_from_chord(_chord_from_args(args))
     print(f"start  {_note_names(triad.chord())}  ({triad.quality})")
     for move in args.moves:
@@ -124,6 +134,7 @@ def _cmd_plr(args) -> int:
 
 
 def _cmd_reach(args) -> int:
+    from . import harmony, tonnetz
     system = harmony._SYSTEMS[args.system]
     start = tonnetz.major_triad(system.parse(args.start or system.home), system)
     for level in tonnetz.reachable_note_classes(start, args.k):
@@ -133,6 +144,7 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    from . import harmony
     tonic = _chord_from_args(args)
     seq = (harmony.cadence_sequence if args.cadence else harmony.basic_sequence)(tonic)
     roles = (
@@ -146,6 +158,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_purity(args) -> int:
+    from . import harmony
     report = harmony.purity(_chord_from_args(args))
     a, b, c = report.ratio
     x, y, z = report.reciprocal
@@ -158,6 +171,7 @@ def _cmd_purity(args) -> int:
 
 
 def _cmd_tonnetz_path(args) -> int:
+    from . import exports, harmony
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -173,6 +187,7 @@ def _cmd_tonnetz_path(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     report = verify.verify_tables()
     print(report.render())
     return 0 if report.passed else 1
@@ -193,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("table", help="emit a reference table (csv/json)")
-    p.add_argument("which", choices=exports.TABLE_IDS)
+    p.add_argument("which", choices=TABLE_IDS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_table)
 

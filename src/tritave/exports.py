@@ -2,17 +2,15 @@
 
 All emitters are deterministic (byte-identical across runs): rows are
 ordered by the data they describe, numbers use '.' decimals regardless of
-locale, and nothing depends on time or environment.
+locale, and nothing depends on time or environment.  `csv`, `json` and
+`importlib.resources` are imported by the one function each that uses them.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
-import json
 import math
-from importlib import resources
 
 from . import harmony, notation, scales, tonnetz
 from .ratios import FreqRatio
@@ -226,12 +224,16 @@ def emit_table(
     """
     header, rows = _table_rows(which, degree_lo, degree_hi)
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
     if format == "json":
+        import json
+
         return json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2
         ) + "\n"
@@ -268,6 +270,8 @@ def parse_progression(text: str) -> list[harmony.Chord]:
 
 def sample_progression_text() -> str:
     """The bundled sample progression (a 2:3:4 closing sequence)."""
+    from importlib import resources
+
     return (
         resources.files("tritave").joinpath("data/sample_progression.txt")
         .read_text(encoding="ascii")

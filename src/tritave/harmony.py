@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import notation, scales
-from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log
+from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _Record
 
 __all__ = [
     "ChordQuality",
@@ -60,8 +59,7 @@ class ChordQuality(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TonnetzSystem:
+class TonnetzSystem(_Record):
     """One harmonic system: lattice geometry, note arithmetic, names, purity.
 
     The horizontal step is the circle step; the up diagonal (major step)
@@ -71,18 +69,16 @@ class TonnetzSystem:
     subclasses supply everything that depends on the note type.
     """
 
-    id: str
-    horizontal: FreqRatio | int
-    up_diagonal: FreqRatio | int
-    down_diagonal: FreqRatio | int
-    period: FreqRatio | int
-    home: str
-    class_names: tuple[str, ...]
+    __slots__ = ("id", "horizontal", "up_diagonal", "down_diagonal", "period", "home",
+                 "class_names")
 
-    def __post_init__(self) -> None:
-        if self.shift(self.up_diagonal, self.down_diagonal) != self.horizontal:
-            raise ValueError(f"system {self.id}: diagonals {self.up_diagonal} and "
-                             f"{self.down_diagonal} miss the horizontal step {self.horizontal}")
+    def __init__(self, id: str, horizontal: FreqRatio | int, up_diagonal: FreqRatio | int,
+                 down_diagonal: FreqRatio | int, period: FreqRatio | int, home: str,
+                 class_names: tuple[str, ...]) -> None:
+        if self.shift(up_diagonal, down_diagonal) != horizontal:
+            raise ValueError(f"system {id}: diagonals {up_diagonal} and "
+                             f"{down_diagonal} miss the horizontal step {horizontal}")
+        self._set(id, horizontal, up_diagonal, down_diagonal, period, home, class_names)
 
     def check_note(self, note) -> None:
         """Reject a note of another type than the period's."""
@@ -97,6 +93,8 @@ class TonnetzSystem:
 
 class _TritaveSystem(TonnetzSystem):
     """2:3:4 notes are exact ratios; intervals multiply."""
+
+    __slots__ = ()
 
     def shift(self, note: FreqRatio, interval: FreqRatio, times: int = 1) -> FreqRatio:
         return FreqRatio(note.u + interval.u * times, note.v + interval.v * times)
@@ -140,6 +138,8 @@ class _TritaveSystem(TonnetzSystem):
 
 class _OctaveSystem(TonnetzSystem):
     """4:5:6 notes are integer 12-EDO semitones; intervals add."""
+
+    __slots__ = ()
 
     def shift(self, note: int, interval: int, times: int = 1) -> int:
         return note + interval * times
@@ -211,29 +211,27 @@ TONNETZ_456 = _OctaveSystem("456", 7, 4, 3, 12, "C", tuple(notation.NAMES_EDO12)
 _SYSTEMS = {s.id: s for s in (TONNETZ_234, TONNETZ_456)}
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(_Record):
     """Three strictly ascending notes in one of the two systems.
 
     ``system`` may also be given by its ``id`` string.
     """
 
-    notes: tuple
-    system: TonnetzSystem = TONNETZ_234
+    __slots__ = ("notes", "system")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.system, TonnetzSystem):
-            if not isinstance(self.system, str) or self.system not in _SYSTEMS:
-                raise ValueError(f"unknown system {self.system!r}")
-            object.__setattr__(self, "system", _SYSTEMS[self.system])
-        if len(self.notes) != 3:
-            raise ValueError("a chord needs exactly 3 notes, "
-                             f"not {len(self.notes)}: {self.notes!r}")
-        for note in self.notes:
-            self.system.check_note(note)
-        a, b, c = self.notes
+    def __init__(self, notes: tuple, system: TonnetzSystem | str = TONNETZ_234) -> None:
+        if not isinstance(system, TonnetzSystem):
+            if not isinstance(system, str) or system not in _SYSTEMS:
+                raise ValueError(f"unknown system {system!r}")
+            system = _SYSTEMS[system]
+        if len(notes) != 3:
+            raise ValueError(f"a chord needs exactly 3 notes, not {len(notes)}: {notes!r}")
+        for note in notes:
+            system.check_note(note)
+        a, b, c = notes
         if not (a < b < c):
-            raise ValueError(f"chord notes must be strictly ascending, not {self.notes!r}")
+            raise ValueError(f"chord notes must be strictly ascending, not {notes!r}")
+        self._set(notes, system)
 
     def names(self) -> tuple[str, str, str]:
         return tuple(self.system.name(n) for n in self.notes)
@@ -389,17 +387,17 @@ _FIVE_LIMIT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(_Record):
     """Coprime chord ratio with base-note and overtone distances."""
 
-    ratio: tuple[int, int, int]
-    d_base: int
-    d_overtone: int
-    base_frequency: Fraction
-    overtone_frequency: Fraction
-    base_names: tuple[str, ...]
-    overtone_names: tuple[str, ...]
+    __slots__ = ("ratio", "d_base", "d_overtone", "base_frequency", "overtone_frequency",
+                 "base_names", "overtone_names")
+
+    def __init__(self, ratio: tuple[int, int, int], d_base: int, d_overtone: int,
+                 base_frequency: Fraction, overtone_frequency: Fraction,
+                 base_names: tuple[str, ...], overtone_names: tuple[str, ...]) -> None:
+        self._set(ratio, d_base, d_overtone, base_frequency, overtone_frequency,
+                  base_names, overtone_names)
 
     @property
     def reciprocal(self) -> tuple[int, int, int]:

@@ -20,10 +20,8 @@ unicode marks for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import scales
-from .ratios import TRITAVE, OCTAVE, FreqRatio
+from .ratios import TRITAVE, OCTAVE, FreqRatio, _Record
 
 __all__ = [
     "NoteName",
@@ -92,16 +90,15 @@ _TRITAVE_BASES = _BASES[scales.PYTH3.id][0]
 _EDO12_BASES_DESC = sorted(NAMES_EDO12, key=len, reverse=True)
 
 
-@dataclass(frozen=True)
-class NoteName:
+class NoteName(_Record):
     """A tritave-system note: base name plus whole-tritave shift."""
 
-    base: str
-    tritave_shift: int = 0
+    __slots__ = ("base", "tritave_shift")
 
-    def __post_init__(self) -> None:
-        if self.base not in _TRITAVE_BASES:
-            raise ValueError(f"unknown base name {self.base!r}")
+    def __init__(self, base: str, tritave_shift: int = 0) -> None:
+        if base not in _TRITAVE_BASES:
+            raise ValueError(f"unknown base name {base!r}")
+        self._set(base, tritave_shift)
 
     def ratio(self) -> FreqRatio:
         return _TRITAVE_BASES[self.base] * TRITAVE ** self.tritave_shift
@@ -198,12 +195,11 @@ def parse_edo12_note(text: str) -> int:
     return (pc - 12 if pc == 11 else pc) + 12 * shift
 
 
-@dataclass(frozen=True)
-class KeyLabel:
-    midi: int
-    name: NoteName
-    scale_degree: int
-    color: str  # "white" | "black"
+class KeyLabel(_Record):
+    __slots__ = ("midi", "name", "scale_degree", "color")    # color: "white" | "black"
+
+    def __init__(self, midi: int, name: NoteName, scale_degree: int, color: str) -> None:
+        self._set(midi, name, scale_degree, color)
 
 
 _BLACK_PCS = {1, 3, 6, 8, 10}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 __all__ = [
@@ -33,13 +33,20 @@ __all__ = [
     "COMMA",
 ]
 
-#: log2(3) at full double precision, the only irrational constant used.
+#: log2(3) at full double precision, the only irrational constant that
+#: orders or reduces notes.
 LOG2_3 = math.log2(3)
+
+_LOG10_2 = math.log10(2)    # for digit counts only
 
 #: Cents are plain floats; 1200 per octave, about 1901.955 per tritave.
 Cents = float
 
 _INT64 = 1 << 63
+
+#: Most digits `str` writes for a numerator or denominator: Python's
+#: default limit for converting an int to a digit string.
+MAX_STR_DIGITS = 4300
 
 # Bound on the rounding error of ``du + dv * LOG2_3`` in floats, per unit of
 # abs(du) + abs(dv).  With unit roundoff e = 2**-53: converting du and dv
@@ -143,24 +150,76 @@ def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
     return lo
 
 
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields in ``__slots__`` and sets each one once in
+    its own ``__init__``, through `_set`, which takes the values in field
+    order (or ``object.__setattr__``); the fields are those of the
+    ``__slots__`` along the MRO, base first, and ``__init__`` takes them as
+    parameters in that order, so ``cls(*fields)`` rebuilds a record.  The
+    base supplies the rest of a value type: equality with a record of the
+    same class whose fields are equal (``NotImplemented`` for any other
+    object), the hash of the field tuple, the repr
+    ``QualName(field=value, ...)``, an ``AttributeError`` on assigning or
+    deleting an attribute, and copies and pickles that call the class with
+    the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in c.__dict__.get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        get = operator.attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def _set(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):   # the slots' own setters
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
 @functools.total_ordering
-@dataclass(frozen=True)
-class FreqRatio:
+class FreqRatio(_Record):
     """The exact ratio ``2**u * 3**v``."""
 
-    u: int
-    v: int
+    __slots__ = ("u", "v")
 
-    def __post_init__(self) -> None:
-        for e in (self.u, self.v):
+    def __init__(self, u: int, v: int) -> None:
+        for e in (u, v):
             if not isinstance(e, int):
                 raise ValueError(f"exponent {e!r} is not an integer")
-        if not (-_INT64 <= self.u < _INT64 and -_INT64 <= self.v < _INT64):
-            e = self.v if -_INT64 <= self.u < _INT64 else self.u
+        if not (-_INT64 <= u < _INT64 and -_INT64 <= v < _INT64):
+            e = v if -_INT64 <= u < _INT64 else u
             # str() of an int beyond 4300 digits raises by itself.
             shown = (f"exponent {e}" if abs(e) < 10**20 else
                      f"{'negative ' if e < 0 else ''}exponent of {e.bit_length()} bits")
             raise ValueError(f"{shown} is outside [-2**63, 2**63)")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int = 1) -> FreqRatio:
@@ -212,14 +271,29 @@ class FreqRatio:
 
     # Order comparisons are exact (the sign test on the exponents of the
     # quotient), so they are safe to use on fundamental-domain boundaries.
-    # The other three come from `functools.total_ordering`; equal exponents
-    # are equal ratios.
+    # The other three come from `functools.total_ordering`; equality compares
+    # the exponents, since equal exponents are equal ratios.
     def __lt__(self, other: FreqRatio) -> bool:
         if not isinstance(other, FreqRatio):
             return NotImplemented
         return _log_sign(other.u - self.u, other.v - self.v) > 0
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
+
     def __str__(self) -> str:
+        """``N/D``, or ``N`` for a whole number; checked against `MAX_STR_DIGITS` first."""
+        for part, u, v in (("numerator", self.u, self.v), ("denominator", -self.u, -self.v)):
+            # log10 of the part, from its exponents: no power is built to count digits
+            digits = int((max(u, 0) + max(v, 0) * LOG2_3) * _LOG10_2) + 1
+            if digits > MAX_STR_DIGITS:
+                raise ValueError(f"cannot write {self!r}: its {part} has about {digits} digits, "
+                                 f"more than {MAX_STR_DIGITS}")
         return str(self.as_fraction())
 
     def __repr__(self) -> str:

@@ -15,10 +15,10 @@ a harmonic degree modulo the comma is what makes the scales finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .ratios import COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, _floor_log, _log_sign, cents
+from .ratios import (COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, _floor_log, _log_sign, _Record,
+                     cents)
 
 __all__ = [
     "ScaleSystem",
@@ -46,31 +46,30 @@ PIANO_DEGREE_LO = -41
 PIANO_DEGREE_HI = 46
 
 
-@dataclass(frozen=True)
-class ScaleSystem:
+class ScaleSystem(_Record):
     """Descriptor for one of the four scales."""
 
-    id: str
-    period: FreqRatio
-    notes_per_period: int
-    harmonic_range: tuple[int, int]
-    degree_multiplier: int        # scale degree of the generator (b)
-    degree_multiplier_inv: int    # b**-1 modulo notes_per_period
-    just: bool
+    __slots__ = ("id", "period", "notes_per_period", "harmonic_range",
+                 "degree_multiplier",        # scale degree of the generator (b)
+                 "degree_multiplier_inv",    # b**-1 modulo notes_per_period
+                 "just")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.harmonic_range
-        n, b, b_inv = self.notes_per_period, self.degree_multiplier, self.degree_multiplier_inv
+    def __init__(self, id: str, period: FreqRatio, notes_per_period: int,
+                 harmonic_range: tuple[int, int], degree_multiplier: int,
+                 degree_multiplier_inv: int, just: bool) -> None:
+        lo, hi = harmonic_range
+        n, b, b_inv = notes_per_period, degree_multiplier, degree_multiplier_inv
         if hi - lo + 1 != n:
-            raise ValueError(f"scale {self.id}: harmonic range {lo, hi} does not hold {n} notes")
+            raise ValueError(f"scale {id}: harmonic range {lo, hi} does not hold {n} notes")
         if b * b_inv % n != 1:
-            raise ValueError(f"scale {self.id}: multipliers {b}, {b_inv} not inverse modulo {n}")
+            raise ValueError(f"scale {id}: multipliers {b}, {b_inv} not inverse modulo {n}")
+        self._set(id, period, n, harmonic_range, b, b_inv, just)
 
 
 PYTH2 = ScaleSystem("pyth2", OCTAVE, 12, (-5, 6), 7, 7, True)
 PYTH3 = ScaleSystem("pyth3", TRITAVE, 19, (-9, 9), 12, 8, True)
-EDO12 = replace(PYTH2, id="edo12", just=False)
-EDT19 = replace(PYTH3, id="edt19", just=False)
+EDO12 = ScaleSystem("edo12", OCTAVE, 12, (-5, 6), 7, 7, False)
+EDT19 = ScaleSystem("edt19", TRITAVE, 19, (-9, 9), 12, 8, False)
 
 _SYSTEMS = {s.id: s for s in (PYTH2, PYTH3, EDO12, EDT19)}
 
@@ -188,18 +187,18 @@ def note_at_scale_degree(
     return note * system.period ** t
 
 
-@dataclass(frozen=True)
-class ScaleRow:
+class ScaleRow(_Record):
     """One row of a just-vs-equal comparison table."""
 
-    scale_degree: int
-    note: str
-    just_ratio: FreqRatio
-    harmonic_degree: int
-    equal_exponent: Fraction      # pitch = period ** equal_exponent
-    equal_value: float
-    deviation_cents: float
-    boundary: bool = False
+    __slots__ = ("scale_degree", "note", "just_ratio", "harmonic_degree",
+                 "equal_exponent",      # pitch = period ** equal_exponent
+                 "equal_value", "deviation_cents", "boundary")
+
+    def __init__(self, scale_degree: int, note: str, just_ratio: FreqRatio,
+                 harmonic_degree: int, equal_exponent: Fraction, equal_value: float,
+                 deviation_cents: float, boundary: bool = False) -> None:
+        self._set(scale_degree, note, just_ratio, harmonic_degree, equal_exponent,
+                  equal_value, deviation_cents, boundary)
 
 
 # Each table pair: the just scale, its degrees, the boundary degrees (each

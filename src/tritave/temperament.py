@@ -17,10 +17,9 @@ calls to exact arithmetic; no power of 2 or 3 is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratios import Cents, FreqRatio, _floor_log
+from .ratios import Cents, FreqRatio, _floor_log, _Record
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
@@ -45,12 +44,13 @@ def cf_coefficients(count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Record):
     """A rational approximation p/q of log(2)/log(3): octave at note p of q."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        self._set(p, q)
 
     @property
     def value(self) -> Fraction:

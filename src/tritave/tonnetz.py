@@ -20,8 +20,6 @@ the 19 classes of the finite lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .harmony import (
     TONNETZ_234,
     TONNETZ_456,
@@ -30,7 +28,7 @@ from .harmony import (
     TonnetzSystem,
     classify,
 )
-from .ratios import FreqRatio
+from .ratios import FreqRatio, _Record
 
 __all__ = [
     "TonnetzSystem",
@@ -50,18 +48,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Triad:
+class Triad(_Record):
     """A major or minor triangle: system, root and quality."""
 
-    system: TonnetzSystem
-    root: FreqRatio | int
-    quality: ChordQuality
+    __slots__ = ("system", "root", "quality")
 
-    def __post_init__(self) -> None:
-        if self.quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
+    def __init__(self, system: TonnetzSystem, root: FreqRatio | int,
+                 quality: ChordQuality) -> None:
+        if quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
             raise ValueError("a lattice triad is major or minor")
-        self.system.check_note(self.root)
+        system.check_note(root)
+        self._set(system, root, quality)
 
     def _stack(self) -> tuple:
         system = self.system
@@ -129,11 +126,11 @@ def note_class(note, system: TonnetzSystem) -> str:
     return system.class_name(note)
 
 
-@dataclass(frozen=True)
-class ReachLevel:
-    moves: int
-    count: int
-    classes: frozenset
+class ReachLevel(_Record):
+    __slots__ = ("moves", "count", "classes")
+
+    def __init__(self, moves: int, count: int, classes: frozenset) -> None:
+        self._set(moves, count, classes)
 
 
 def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:

@@ -11,25 +11,25 @@ and a section passes when it yields none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import exports, harmony, notation, scales, temperament, tonnetz
-from .ratios import COMMA, FreqRatio, LOG2_3
+from .ratios import COMMA, FreqRatio, LOG2_3, _Record
 
 __all__ = ["SectionResult", "VerifyReport", "verify_tables"]
 
 
-@dataclass
-class SectionResult:
-    name: str
-    kind: str                      # "table" | "invariants"
-    passed: bool
-    failures: list[str] = field(default_factory=list)
+class SectionResult(_Record):
+    __slots__ = ("name", "kind", "passed", "failures")    # kind: "table" | "invariants"
+
+    def __init__(self, name: str, kind: str, passed: bool,
+                 failures: list[str] | None = None) -> None:
+        self._set(name, kind, passed, [] if failures is None else failures)
 
 
-@dataclass
-class VerifyReport:
-    sections: list[SectionResult]
+class VerifyReport(_Record):
+    __slots__ = ("sections",)
+
+    def __init__(self, sections: list[SectionResult]) -> None:
+        self._set(sections)
 
     @property
     def passed(self) -> bool:

@@ -180,7 +180,6 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         [SectionResult("table_pyth3_vs_edt19", "table", False, ["boom"])]
     )
     monkeypatch.setattr(verify, "verify_tables", lambda: failing)
-    monkeypatch.setattr(cli.verify, "verify_tables", lambda: failing)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAIL" in out
@@ -222,6 +221,15 @@ def test_oversized_ratio_is_named_with_its_digit_count(capsys, command, part):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert text[:20] in err and f"{part} has 5000 digits" in err
+
+
+def test_reduce_of_a_note_too_long_to_write_as_a_ratio_is_named(capsys):
+    # D is 1, so ten thousand tritaves up is 3**10000, a number of 4772 digits
+    code, out, err = run(capsys, "reduce", "D" + "^" * 10**4)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: cannot write FreqRatio(0, 10000): its numerator has about "
+                   "4772 digits, more than 4300\n")
 
 
 @pytest.mark.parametrize("command", ["name", "reduce"])

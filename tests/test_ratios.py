@@ -9,6 +9,7 @@ from tritave.ratios import (
     COMMA,
     FIFTH,
     FOURTH,
+    MAX_STR_DIGITS,
     OCTAVE,
     ONE,
     TRITAVE,
@@ -156,3 +157,24 @@ def test_str_renders_reduced_fraction():
     assert str(FreqRatio(-9, 6)) == "729/512"
     assert str(ONE) == "1"
     assert str(FreqRatio(-2, 1)) == "3/4"
+
+
+@pytest.mark.parametrize("ratio, part, digits", [
+    (FreqRatio(10**6, 0), "numerator", 301030),
+    (FreqRatio(0, -10**4), "denominator", 4772),
+    (FreqRatio(-14285, 3), "denominator", 4301),
+])
+def test_str_past_the_digit_bound_names_the_ratio_before_building_it(ratio, part, digits):
+    message = f"cannot write {ratio!r}: its {part} has about {digits} digits, more than 4300"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        str(ratio)
+
+
+def test_str_at_the_digit_bound_is_written_out():
+    # 2**14284 has 4300 digits, 2**14285 has 4301
+    assert MAX_STR_DIGITS == 4300
+    assert str(FreqRatio(14284, 0)) == str(2**14284)
+    assert str(FreqRatio(-14284, 0)) == f"1/{2**14284}"
+    assert str(FreqRatio(14284, -9000)) == f"{2**14284}/{3**9000}"
+    with pytest.raises(ValueError, match="numerator has about 4301 digits"):
+        str(FreqRatio(14285, 0))

@@ -29,9 +29,10 @@ def test_fault_injection_fails_scale_tables(monkeypatch):
     # trip the table sections
     def corrupted(pair="pyth3_edt19"):
         rows = deviation_table(pair)
-        broken = rows[0].__class__(
-            **{**rows[0].__dict__, "deviation_cents": rows[0].deviation_cents + 23.46}
-        )
+        row = rows[0]
+        broken = row.__class__(row.scale_degree, row.note, row.just_ratio, row.harmonic_degree,
+                               row.equal_exponent, row.equal_value, row.deviation_cents + 23.46,
+                               row.boundary)
         return [broken] + rows[1:]
 
     monkeypatch.setattr(verify.scales, "deviation_table", corrupted)
