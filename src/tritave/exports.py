@@ -58,9 +58,8 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     lines = [_SCL_DESCRIPTIONS[scale] if description is None else description, str(n)]
     for degree in range(1, n + 1):
         if system.just:
-            pitch = scales.note_at_scale_degree(degree, system)
-            frac = pitch.as_fraction()
-            lines.append(f"{frac.numerator}/{frac.denominator}")
+            pitch = scales._just_note(degree, system)
+            lines.append(f"{pitch.numerator}/{pitch.denominator}")
         else:
             lines.append(f"{scales.note_at_scale_degree(degree, system):.5f}")
     return "\n".join(lines) + "\n"

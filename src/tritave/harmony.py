@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from . import notation, scales
-from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _Record
+from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _ratio, _Record
 
 __all__ = [
     "ChordQuality",
@@ -97,7 +97,9 @@ class _TritaveSystem(TonnetzSystem):
     __slots__ = ()
 
     def shift(self, note: FreqRatio, interval: FreqRatio, times: int = 1) -> FreqRatio:
-        return FreqRatio(note.u + interval.u * times, note.v + interval.v * times)
+        # A non-int ``times`` takes the checked constructor, which rejects the sum.
+        make = _ratio if isinstance(times, int) else FreqRatio
+        return make(note.u + interval.u * times, note.v + interval.v * times)
 
     def step(self, low: FreqRatio, high: FreqRatio) -> FreqRatio:
         return high / low

@@ -74,7 +74,7 @@ def _base_tables(names: list[str], system: scales.ScaleSystem):
     """Base name -> fundamental-domain note, harmonic degree -> base name,
     and the names longest first; ``names`` are given in scale-degree order."""
     lo = system.harmonic_range[0]
-    ratio = {name: scales.note_at_scale_degree(lo + i, system) for i, name in enumerate(names)}
+    ratio = {name: scales._just_note(lo + i, system) for i, name in enumerate(names)}
     by_degree = {scales.harmonic_degree(note, system): name for name, note in ratio.items()}
     # Longest match first so "F#," wins over "F#" wins over "F".
     return ratio, by_degree, sorted(names, key=len, reverse=True)

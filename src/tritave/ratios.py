@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 
 __all__ = [
     "Cents",
@@ -48,6 +47,10 @@ _INT64 = 1 << 63
 #: default limit for converting an int to a digit string.
 MAX_STR_DIGITS = 4300
 
+#: Most bits a numerator or denominator may have when it is built, about
+#: five million digits; 2:3:4 purity 2*10**5 tritaves up needs 3.2e5.
+MAX_POWER_BITS = 2**24
+
 # Bound on the rounding error of ``du + dv * LOG2_3`` in floats, per unit of
 # abs(du) + abs(dv).  With unit roundoff e = 2**-53: converting du and dv
 # to floats costs e*abs(du) and e*abs(dv) (exact below 2**53), LOG2_3 is
@@ -70,8 +73,15 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return (m // p, 2 * j + 2) if m % p == 0 else (m, 2 * j + 1)
 
 
+def _written(numerator: int, denominator: int) -> str:
+    """A reduced fraction as `fractions.Fraction` writes it: ``N/D``, or ``N``."""
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
+
+
 def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
     """Rational lower/upper bounds for atanh(1/inv)."""
+    from fractions import Fraction
+
     x = Fraction(1, inv)
     x2 = x * x
     total = Fraction(0)
@@ -231,40 +241,54 @@ class FreqRatio(_Record):
         if numerator < 1 or denominator < 1:
             raise ValueError("numerator and denominator must be positive integers, "
                              f"not {numerator}/{denominator}")
-        frac = Fraction(numerator, denominator)
-        num, nu = _strip(frac.numerator, 2)
+        g = math.gcd(numerator, denominator)
+        numerator, denominator = numerator // g, denominator // g
+        num, nu = _strip(numerator, 2)
         num, nv = _strip(num, 3)
-        den, du = _strip(frac.denominator, 2)
+        den, du = _strip(denominator, 2)
         den, dv = _strip(den, 3)
         if num != 1 or den != 1:
-            raise NotThreeSmoothError(
-                f"not 3-smooth: {frac} keeps a factor of {num * den}"
-            )
+            raise NotThreeSmoothError(f"not 3-smooth: {_written(numerator, denominator)} "
+                                      f"keeps a factor of {num * den}")
         return cls(nu - du, nv - dv)
 
     def __mul__(self, other: FreqRatio) -> FreqRatio:
-        return FreqRatio(self.u + other.u, self.v + other.v)
+        return _ratio(self.u + other.u, self.v + other.v)
 
     def __truediv__(self, other: FreqRatio) -> FreqRatio:
-        return FreqRatio(self.u - other.u, self.v - other.v)
+        return _ratio(self.u - other.u, self.v - other.v)
 
     def __pow__(self, exponent: int) -> FreqRatio:
-        return FreqRatio(self.u * exponent, self.v * exponent)
+        # A non-int exponent takes the checked constructor, which rejects the product.
+        make = _ratio if isinstance(exponent, int) else FreqRatio
+        return make(self.u * exponent, self.v * exponent)
 
     def inverse(self) -> FreqRatio:
-        return FreqRatio(-self.u, -self.v)
+        return _ratio(-self.u, -self.v)
 
-    def as_fraction(self) -> Fraction:
-        """The exact value as a big-integer fraction."""
-        return Fraction(2) ** self.u * Fraction(3) ** self.v
+    def _power(self, part: str, a: int, b: int) -> int:
+        """``2**a * 3**b`` for a, b >= 0, one part of the reduced fraction
+        (2 and 3 are coprime); its bits are checked against `MAX_POWER_BITS`
+        from the exponents before it is built."""
+        bits = int(a + b * LOG2_3) + 1
+        if bits > MAX_POWER_BITS:
+            raise ValueError(f"cannot build {self!r}: its {part} has about {bits} bits, "
+                             f"more than {MAX_POWER_BITS}")
+        return 3 ** b << a
 
     @property
     def numerator(self) -> int:
-        return self.as_fraction().numerator
+        return self._power("numerator", max(self.u, 0), max(self.v, 0))
 
     @property
     def denominator(self) -> int:
-        return self.as_fraction().denominator
+        return self._power("denominator", max(-self.u, 0), max(-self.v, 0))
+
+    def as_fraction(self) -> Fraction:
+        """The exact value as a big-integer fraction."""
+        from fractions import Fraction
+
+        return Fraction(self.numerator, self.denominator)
 
     def cents(self) -> Cents:
         return 1200.0 * (self.u + self.v * LOG2_3)
@@ -294,10 +318,25 @@ class FreqRatio(_Record):
             if digits > MAX_STR_DIGITS:
                 raise ValueError(f"cannot write {self!r}: its {part} has about {digits} digits, "
                                  f"more than {MAX_STR_DIGITS}")
-        return str(self.as_fraction())
+        return _written(self.numerator, self.denominator)
 
     def __repr__(self) -> str:
         return f"FreqRatio({self.u}, {self.v})"
+
+
+_set_u, _set_v = FreqRatio._setters
+
+
+def _ratio(u: int, v: int) -> FreqRatio:
+    """``FreqRatio(u, v)`` for int exponents, as built by the package's own
+    arithmetic: only the range is checked, and out of range the public
+    constructor raises its error."""
+    if -_INT64 <= u < _INT64 and -_INT64 <= v < _INT64:
+        ratio = object.__new__(FreqRatio)
+        _set_u(ratio, u)
+        _set_v(ratio, v)
+        return ratio
+    return FreqRatio(u, v)
 
 
 def cents(ratio: FreqRatio) -> Cents:

@@ -15,10 +15,8 @@ a harmonic degree modulo the comma is what makes the scales finite.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ratios import (COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, _floor_log, _log_sign, _Record,
-                     cents)
+from .ratios import (COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, _floor_log, _log_sign, _ratio,
+                     _Record, cents)
 
 __all__ = [
     "ScaleSystem",
@@ -140,7 +138,7 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     upper_sq = _DOMAINS[period][1]
     shift = -_floor_log(upper_sq.u - 2 * ratio.u, upper_sq.v - 2 * ratio.v,
                         2 * period.u, 2 * period.v)
-    return ratio / period ** shift, shift
+    return _ratio(ratio.u - shift * period.u, ratio.v - shift * period.v), shift
 
 
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
@@ -156,9 +154,8 @@ def harmonic_to_scale_degree(h: int, system: ScaleSystem) -> int:
 
 def fundamental_note(h: int, system: ScaleSystem) -> FreqRatio:
     """The unique note of harmonic degree ``h`` in the fundamental interval."""
-    _check_harmonic(h, system)
-    # 6**h = 2**h * 3**h has harmonic degree h in every system.
-    return period_reduce(FreqRatio(h, h), system)[0]
+    return _FUNDAMENTAL[system.period][harmonic_to_scale_degree(h, system)
+                                      - system.harmonic_range[0]]
 
 
 def _split_degree(degree: int, system: ScaleSystem) -> tuple[int, int]:
@@ -182,9 +179,28 @@ def note_at_scale_degree(
     just = system.just if intonation is None else intonation == "just"
     if not just:
         return degree / system.notes_per_period * system.period.cents()
+    return _just_note(degree, system)
+
+
+def _just_note(degree: int, system: ScaleSystem) -> FreqRatio:
+    """Just pitch at an absolute scale degree: the fundamental-interval note
+    shifted by whole periods."""
     t, s = _split_degree(degree, system)
-    note = fundamental_note(scale_to_harmonic(s, system), system)
-    return note * system.period ** t
+    note = _FUNDAMENTAL[system.period][s - system.harmonic_range[0]]
+    period = system.period
+    return _ratio(note.u + t * period.u, note.v + t * period.v)
+
+
+def _fundamental_notes(system: ScaleSystem) -> tuple[FreqRatio, ...]:
+    """The fundamental interval's notes in scale-degree order."""
+    lo, hi = system.harmonic_range
+    harmonics = (scale_to_harmonic(s, system) for s in range(lo, hi + 1))
+    # 6**h = 2**h * 3**h has harmonic degree h in every system.
+    return tuple(period_reduce(FreqRatio(h, h), system)[0] for h in harmonics)
+
+
+# By period: the equal scales share their periods and ranges with the just ones.
+_FUNDAMENTAL = {system.period: _fundamental_notes(system) for system in (PYTH2, PYTH3)}
 
 
 class ScaleRow(_Record):
@@ -220,6 +236,8 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     flat-side enharmonic boundary row).  Boundary rows are flagged and
     spelled in the other just scale.
     """
+    from fractions import Fraction
+
     from . import notation
 
     if pair not in _TABLE_PAIRS:
@@ -228,7 +246,7 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
 
     rows = []
     for n in degrees:
-        just = note_at_scale_degree(n, system) * COMMA ** boundary.get(n, 0)
+        just = _just_note(n, system) * COMMA ** boundary.get(n, 0)
         # The window has no name of its own one degree outside.
         name = notation._name_in(just, boundary_names if n in boundary else system)
         equal_exp = Fraction(n, system.notes_per_period)
@@ -264,8 +282,8 @@ def pyth2_pyth3_differences(
         raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
     out = []
     for n in range(degree_lo, degree_hi + 1):
-        p3 = note_at_scale_degree(n, PYTH3)
-        p2 = note_at_scale_degree(n, PYTH2)
+        p3 = _just_note(n, PYTH3)
+        p2 = _just_note(n, PYTH2)
         if p3 != p2:
             out.append(
                 (n, notation.name_of(p3), notation.pyth2_name_of(p2), p3 / p2)

@@ -195,7 +195,7 @@ def _invariants():
         yield f"12-EDO vs 19-EDT spread {worst_equal:.3f} not under 5 cents"
     worst_just = max(
         abs(
-            scales.note_at_scale_degree(n, scales.PYTH3).cents()
+            scales._just_note(n, scales.PYTH3).cents()
             - scales.note_at_scale_degree(n, scales.EDT19)
         )
         for n in range(scales.PIANO_DEGREE_LO, scales.PIANO_DEGREE_HI + 1)
@@ -268,8 +268,8 @@ def _scl_round_trip():
         _, cents_list = exports.parse_scl(text)
         system = scales._SYSTEMS[scale]
         for degree, got in enumerate(cents_list, start=1):
-            pitch = scales.note_at_scale_degree(degree, system)
-            want = pitch.cents() if isinstance(pitch, FreqRatio) else pitch
+            want = (scales._just_note(degree, system).cents() if system.just
+                    else scales.note_at_scale_degree(degree, system))
             if abs(got - want) > 1e-4:
                 yield f"{scale} degree {degree}: {got} != {want}"
                 break

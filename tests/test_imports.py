@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules that `import tritave` and the lookups `name` and `reduce` never load.
 UNUSED_BY_LOOKUPS = {
-    "dataclasses", "inspect", "json", "csv", "importlib.resources",
+    "dataclasses", "inspect", "json", "csv", "importlib.resources", "fractions", "decimal",
     "tritave.temperament", "tritave.harmony", "tritave.tonnetz", "tritave.exports",
     "tritave.verify",
 }
@@ -68,8 +68,12 @@ def test_a_name_lookup_loads_only_what_it_runs():
 
 
 def test_a_plr_call_adds_only_harmony_and_tonnetz():
-    assert loaded_after("plr", "A", "E", "A'", "P") - loaded_after("name", "3/2") == {
-        "tritave.harmony", "tritave.tonnetz"}
+    added = loaded_after("plr", "A", "E", "A'", "P") - loaded_after("name", "3/2")
+    assert {m for m in added if m.startswith("tritave")} == {"tritave.harmony", "tritave.tonnetz"}
+    # harmony's 4:5:6 tables are Fractions, so the stdlib it adds is what `fractions` loads.
+    assert "fractions" in added
+    assert added - {"tritave.harmony", "tritave.tonnetz"} <= set(
+        fresh("import sys, fractions\nprint(*sys.modules)").split())
 
 
 def test_verify_and_scale_tables_load_no_file_format_modules():

@@ -1,6 +1,7 @@
 import operator
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from tritave.ratios import (
     COMMA,
     FIFTH,
     FOURTH,
+    MAX_POWER_BITS,
     MAX_STR_DIGITS,
     OCTAVE,
     ONE,
@@ -178,3 +180,27 @@ def test_str_at_the_digit_bound_is_written_out():
     assert str(FreqRatio(14284, -9000)) == f"{2**14284}/{3**9000}"
     with pytest.raises(ValueError, match="numerator has about 4301 digits"):
         str(FreqRatio(14285, 0))
+
+
+
+# Just past the bound 2**(2**24) takes a tenth of a second to build, and
+# 2**(2**62) would not finish: the check must come first.
+@pytest.mark.parametrize("ratio, part, bits", [
+    (FreqRatio(MAX_POWER_BITS, 0), "numerator", MAX_POWER_BITS + 1),
+    (FreqRatio(-MAX_POWER_BITS, 5), "denominator", MAX_POWER_BITS + 1),
+    (FreqRatio(2**62, 0), "numerator", 2**62 + 1),
+    (FreqRatio(0, -2**62), "denominator", 7309349404307464193),
+])
+def test_parts_past_the_bit_bound_name_the_ratio_before_building_it(ratio, part, bits):
+    message = f"cannot build {ratio!r}: its {part} has about {bits} bits, more than {2**24}"
+    for build in (operator.attrgetter(part), FreqRatio.as_fraction):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(ratio)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_parts_at_the_bit_bound_are_built():
+    assert MAX_POWER_BITS == 2**24
+    assert FreqRatio(MAX_POWER_BITS - 1, 0).numerator == 1 << (MAX_POWER_BITS - 1)
+    assert FreqRatio(1 - MAX_POWER_BITS, 0).denominator == 1 << (MAX_POWER_BITS - 1)
