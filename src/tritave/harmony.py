@@ -21,8 +21,9 @@ single overtone series.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from fractions import Fraction
+from types import SimpleNamespace
 
 from . import notation, scales
 from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _ratio, _Record
@@ -111,9 +112,7 @@ class _TritaveSystem(TonnetzSystem):
         return notation.parse_note(text)
 
     def class_name(self, note: FreqRatio) -> str:
-        system = scales.PYTH3
-        degree = scales.harmonic_to_scale_degree(scales._window(note.u, system), system)
-        return self.class_names[degree - system.harmonic_range[0]]
+        return self.class_names[_CLASS_INDEX[note.u % len(_CLASS_INDEX)]]
 
     def lattice_points(self, notes: tuple) -> tuple:
         """Inversions are not invisible here, so the plane is not rolled up."""
@@ -136,6 +135,13 @@ class _TritaveSystem(TonnetzSystem):
             except ValueError:
                 pass
         return tuple(names)
+
+
+# Tritaves keep the 2-exponent and a comma moves it by 19, so a 2:3:4 class
+# is fixed by u mod 19: the index in ``class_names`` of each residue.
+_CLASS_INDEX = tuple(
+    scales.harmonic_to_scale_degree(scales._window(u, scales.PYTH3), scales.PYTH3)
+    - scales.PYTH3.harmonic_range[0] for u in range(scales.PYTH3.notes_per_period))
 
 
 class _OctaveSystem(TonnetzSystem):
@@ -187,19 +193,21 @@ class _OctaveSystem(TonnetzSystem):
         return chord_456(voicing(min(range(-2, 3), key=cost)))
 
     def just_frequencies(self, c: Chord) -> list[Fraction]:
+        just = _five_limit()
         s1, s2 = _steps(c)
-        if s1 not in _JUST_STEP or s2 not in _JUST_STEP:
+        if s1 not in just.step or s2 not in just.step:
             raise ValueError("no just interpretation for these step intervals")
         pc = c.notes[0] % self.period
-        f0 = _CANON_FREQ[pc] * Fraction(2) ** ((c.notes[0] - pc) // self.period)
-        return [f0, f0 * _JUST_STEP[s1], f0 * _JUST_STEP[s1] * _JUST_STEP[s2]]
+        f0 = just.canon_freq[pc] * just.two ** ((c.notes[0] - pc) // self.period)
+        return [f0, f0 * just.step[s1], f0 * just.step[s1] * just.step[s2]]
 
     def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
+        just = _five_limit()
         # k = floor(log2(g)) is the bit-length difference or one less
-        g = freq / _WINDOW_LO
+        g = freq / just.window_lo
         k = g.numerator.bit_length() - g.denominator.bit_length()
-        k -= g < Fraction(2) ** k
-        letter = _FIVE_LIMIT_NAMES.get(freq / Fraction(2) ** k)
+        k -= g < just.two ** k
+        letter = just.names.get(freq / just.two ** k)
         if letter is None:
             return ()
         return (letter + notation._marks(k, "'", ","),)
@@ -346,47 +354,55 @@ def cadence_sequence(tonic: Chord) -> list[Chord]:
 
 # --- purity -----------------------------------------------------------------
 
-# Just interpretation of 12-EDO steps (5-limit); only steps of 3..5
-# semitones occur in the classified triads and their inversions.
-_JUST_STEP = {
-    1: Fraction(16, 15),
-    2: Fraction(9, 8),
-    3: Fraction(6, 5),
-    4: Fraction(5, 4),
-    5: Fraction(4, 3),
-    6: Fraction(45, 32),
-    7: Fraction(3, 2),
-    8: Fraction(8, 5),
-    9: Fraction(5, 3),
-    10: Fraction(9, 5),
-    11: Fraction(15, 8),
-}
+@functools.cache
+def _five_limit() -> SimpleNamespace:
+    """The 4:5:6 just tables: steps, pitch-class frequencies, named window.
 
-# Canonical just frequencies of the 12-EDO pitch classes relative C = 1,
-# keyed by pitch class at semitones 0..11 (so the plain B of the naming
-# window, one semitone below C, comes out as 15/8 / 2 = 15/16).
-_CANON_FREQ = {
-    0: Fraction(1),
-    1: Fraction(135, 128),
-    2: Fraction(9, 8),
-    3: Fraction(6, 5),
-    4: Fraction(5, 4),
-    5: Fraction(4, 3),
-    6: Fraction(45, 32),
-    7: Fraction(3, 2),
-    8: Fraction(25, 16),
-    9: Fraction(5, 3),
-    10: Fraction(9, 5),
-    11: Fraction(15, 8),
-}
+    Built on the first 4:5:6 purity call, so that no other command loads
+    `fractions`.
+    """
+    from fractions import Fraction
 
-_WINDOW_LO = Fraction(15, 16)
-
-# Names of the canonical frequencies inside the naming window [15/16, 15/8).
-_FIVE_LIMIT_NAMES = {
-    freq / 2 if freq >= 2 * _WINDOW_LO else freq: name
-    for freq, name in zip(_CANON_FREQ.values(), notation.NAMES_EDO12)
-}
+    # Just interpretation of 12-EDO steps (5-limit); only steps of 3..5
+    # semitones occur in the classified triads and their inversions.
+    step = {
+        1: Fraction(16, 15),
+        2: Fraction(9, 8),
+        3: Fraction(6, 5),
+        4: Fraction(5, 4),
+        5: Fraction(4, 3),
+        6: Fraction(45, 32),
+        7: Fraction(3, 2),
+        8: Fraction(8, 5),
+        9: Fraction(5, 3),
+        10: Fraction(9, 5),
+        11: Fraction(15, 8),
+    }
+    # Canonical just frequencies of the 12-EDO pitch classes relative C = 1,
+    # keyed by pitch class at semitones 0..11 (so the plain B of the naming
+    # window, one semitone below C, comes out as 15/8 / 2 = 15/16).
+    canon_freq = {
+        0: Fraction(1),
+        1: Fraction(135, 128),
+        2: Fraction(9, 8),
+        3: Fraction(6, 5),
+        4: Fraction(5, 4),
+        5: Fraction(4, 3),
+        6: Fraction(45, 32),
+        7: Fraction(3, 2),
+        8: Fraction(25, 16),
+        9: Fraction(5, 3),
+        10: Fraction(9, 5),
+        11: Fraction(15, 8),
+    }
+    window_lo = Fraction(15, 16)
+    # Names of the canonical frequencies inside the naming window [15/16, 15/8).
+    names = {
+        freq / 2 if freq >= 2 * window_lo else freq: name
+        for freq, name in zip(canon_freq.values(), notation.NAMES_EDO12)
+    }
+    return SimpleNamespace(step=step, canon_freq=canon_freq, window_lo=window_lo,
+                           names=names, two=Fraction(2))
 
 
 class PurityReport(_Record):

@@ -48,6 +48,17 @@ __all__ = [
 ]
 
 
+# Bound once: reading an enum member off its class costs about 70 ns on
+# Python 3.11, and a P/L/R move reads four.
+_MAJOR, _MINOR = ChordQuality.MAJOR, ChordQuality.MINOR
+
+
+def _stack(system: TonnetzSystem, root, major: bool) -> tuple:
+    """Notes of the major or minor triad on ``root``, root first."""
+    third = system.up_diagonal if major else system.down_diagonal
+    return (root, system.shift(root, third), system.shift(root, system.horizontal))
+
+
 class Triad(_Record):
     """A major or minor triangle: system, root and quality."""
 
@@ -55,17 +66,13 @@ class Triad(_Record):
 
     def __init__(self, system: TonnetzSystem, root: FreqRatio | int,
                  quality: ChordQuality) -> None:
-        if quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
+        if quality not in (_MAJOR, _MINOR):
             raise ValueError("a lattice triad is major or minor")
         system.check_note(root)
         self._set(system, root, quality)
 
     def _stack(self) -> tuple:
-        system = self.system
-        major = self.quality is ChordQuality.MAJOR
-        third = system.up_diagonal if major else system.down_diagonal
-        root = self.root
-        return (root, system.shift(root, third), system.shift(root, system.horizontal))
+        return _stack(self.system, self.root, self.quality is _MAJOR)
 
     def notes(self) -> tuple:
         """Vertices of the triangle as lattice points, root first."""
@@ -76,41 +83,47 @@ class Triad(_Record):
 
 
 def major_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
-    return Triad(system, root, ChordQuality.MAJOR)
+    return Triad(system, root, _MAJOR)
 
 
 def minor_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
-    return Triad(system, root, ChordQuality.MINOR)
+    return Triad(system, root, _MINOR)
 
 
 def triad_from_chord(c: Chord) -> Triad:
     quality = classify(c)
-    if quality not in (ChordQuality.MAJOR, ChordQuality.MINOR):
+    if quality not in (_MAJOR, _MINOR):
         raise ValueError(f"P/L/R moves need a major or minor triad, got {quality}")
     return Triad(c.system, c.notes[0], quality)
 
 
+def _plr_root(system: TonnetzSystem, root, major: bool, move: str):
+    """Root of the P, L or R image of a triad; the image has the other quality.
+
+    R moves the root by -down for major triads and +down for minor ones, L by
+    +up and -up, so each move is its own inverse.  A 4:5:6 root keeps its
+    octave block, so roots 0-11 stay pitch classes.
+    """
+    if move == "P":
+        return root
+    if move == "R":
+        return system.move_root(root, system.down_diagonal, -1 if major else 1)
+    return system.move_root(root, system.up_diagonal, 1 if major else -1)
+
+
 def apply_plr(t: Triad, move: str) -> Triad:
     """One parallel / relative / leading-tone exchange; an involution."""
-    move = move.upper()
+    move = move.upper() if isinstance(move, str) else move
     if move not in ("P", "L", "R"):
         raise ValueError(f"move must be P, L or R, not {move!r}")
-    major = t.quality is ChordQuality.MAJOR
-    flipped = ChordQuality.MINOR if major else ChordQuality.MAJOR
-    # R moves the root by -down for major triads and +down for minor ones, L by
-    # +up and -up, so each move is its own inverse.  A 4:5:6 root keeps its
-    # octave block, so roots 0-11 stay pitch classes.
-    system = t.system
-    if move == "P":
-        root = t.root
-    elif move == "R":
-        root = system.move_root(t.root, system.down_diagonal, -1 if major else 1)
-    else:  # L
-        root = system.move_root(t.root, system.up_diagonal, 1 if major else -1)
-    return Triad(system, root, flipped)
+    major = t.quality is _MAJOR
+    return Triad(t.system, _plr_root(t.system, t.root, major, move),
+                 _MINOR if major else _MAJOR)
 
 
 def apply_plr_sequence(t: Triad, moves: str) -> Triad:
+    if not isinstance(moves, str):
+        raise ValueError(f"moves must be a string of P, L and R, not {moves!r}")
     for move in moves:
         t = apply_plr(t, move)
     return t
@@ -123,6 +136,7 @@ def note_class(note, system: TonnetzSystem) -> str:
     2-adic harmonic degree modulo 19; the label is the fundamental-domain
     name of that class.
     """
+    system.check_note(note)
     return system.class_name(note)
 
 
@@ -141,24 +155,29 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     two classes per move until all 19 are reached after eight moves; the
     4:5:6 system covers its 12 classes in three.
     """
+    if not isinstance(start, Triad):
+        raise ValueError(f"start must be a Triad, not {type(start).__name__} {start}")
+    if isinstance(max_moves, bool) or not isinstance(max_moves, int):
+        raise ValueError(f"max_moves must be an int, not {max_moves!r}")
     if not 0 <= max_moves <= 12:
         raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
-    seen = {(start.root, start.quality)}
-    frontier = [start]
-    class_name = start.system.class_name
-    classes = {class_name(n) for n in start.notes()}
+    # Triads are searched as (root, major) keys; none is built as a Triad.
+    system = start.system
+    class_name = system.class_name
+    key = (start.root, start.quality is _MAJOR)
+    seen = {key}
+    frontier = [key]
+    classes = set(map(class_name, _stack(system, *key)))
     levels = [ReachLevel(0, len(classes), frozenset(classes))]
     for k in range(1, max_moves + 1):
         nxt = []
-        for triad in frontier:
+        for root, major in frontier:
             for move in "PLR":
-                image = apply_plr(triad, move)
-                key = (image.root, image.quality)
+                key = (_plr_root(system, root, major, move), not major)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append(image)
-        for triad in nxt:
-            classes.update(class_name(n) for n in triad.notes())
+                    nxt.append(key)
+                    classes.update(map(class_name, _stack(system, *key)))
         levels.append(ReachLevel(k, len(classes), frozenset(classes)))
         frontier = nxt
     return levels

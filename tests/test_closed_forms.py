@@ -6,6 +6,11 @@ lengths, and `ratios._strip` halves the exponent left to find at each
 division.  The reference copies below are the rotation and folding loops
 they replaced; results must agree exactly, and the cost must not grow
 with the number of octaves or tritaves.
+
+`tonnetz.reachable_note_classes` searches ``(root, major)`` keys and
+`_TritaveSystem.class_name` reads a class off ``u mod 19``; their
+references are the search that built a `Triad` per move and the
+harmonic-to-scale-degree formula.
 """
 
 import time
@@ -13,9 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from tritave import harmony, notation
-from tritave.harmony import TONNETZ_456, chord_456
-from tritave.ratios import TRITAVE, _strip
+from tritave import harmony, notation, scales
+from tritave.harmony import TONNETZ_234, TONNETZ_456, ChordQuality, chord_456
+from tritave.ratios import TRITAVE, FreqRatio, _strip
+from tritave.tonnetz import ReachLevel, Triad, reachable_note_classes
 
 
 def rotation_voice_near(c, tonic):
@@ -41,15 +47,16 @@ def rotation_voice_near(c, tonic):
 
 
 def folding_frequency_names(freq):
+    just = harmony._five_limit()
     k = 0
     g = freq
-    while g >= 2 * harmony._WINDOW_LO:
+    while g >= 2 * just.window_lo:
         g /= 2
         k += 1
-    while g < harmony._WINDOW_LO:
+    while g < just.window_lo:
         g *= 2
         k -= 1
-    letter = harmony._FIVE_LIMIT_NAMES.get(g)
+    letter = just.names.get(g)
     if letter is None:
         return ()
     return (letter + notation._marks(k, "'", ","),)
@@ -81,7 +88,7 @@ def test_voice_near_matches_the_rotations_for_any_chords(steps):
 
 
 FREQUENCIES = [
-    *harmony._CANON_FREQ.values(),
+    *harmony._five_limit().canon_freq.values(),
     Fraction(81, 80), Fraction(25, 24), Fraction(7, 4), Fraction(1, 3), Fraction(10, 1),
     Fraction(3**20, 5**9), Fraction(5**12, 2**3 * 3**11),
 ]
@@ -119,3 +126,72 @@ def test_234_purity_far_up_is_cheap():
     # one division per factor in from_fraction took over a second at this height
     c = harmony.major_triad_234(notation.parse_note("A") * TRITAVE ** 40000)
     assert elapsed(lambda: harmony.purity(c)) < 0.3
+
+
+def formula_class_name(system, note):
+    if system is not TONNETZ_234:
+        return system.class_name(note)
+    pyth3 = scales.PYTH3
+    degree = scales.harmonic_to_scale_degree(scales._window(note.u, pyth3), pyth3)
+    return system.class_names[degree - pyth3.harmonic_range[0]]
+
+
+def triad_apply_plr(t, move):
+    major = t.quality is ChordQuality.MAJOR
+    flipped = ChordQuality.MINOR if major else ChordQuality.MAJOR
+    system = t.system
+    if move == "P":
+        root = t.root
+    elif move == "R":
+        root = system.move_root(t.root, system.down_diagonal, -1 if major else 1)
+    else:  # L
+        root = system.move_root(t.root, system.up_diagonal, 1 if major else -1)
+    return Triad(system, root, flipped)
+
+
+def triad_reachable_note_classes(start, max_moves):
+    seen = {(start.root, start.quality)}
+    frontier = [start]
+    classes = {formula_class_name(start.system, n) for n in start.notes()}
+    levels = [ReachLevel(0, len(classes), frozenset(classes))]
+    for k in range(1, max_moves + 1):
+        nxt = []
+        for triad in frontier:
+            for move in "PLR":
+                image = triad_apply_plr(triad, move)
+                key = (image.root, image.quality)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(image)
+        for triad in nxt:
+            classes.update(formula_class_name(triad.system, n) for n in triad.notes())
+        levels.append(ReachLevel(k, len(classes), frozenset(classes)))
+        frontier = nxt
+    return levels
+
+
+@pytest.mark.parametrize("quality", [ChordQuality.MAJOR, ChordQuality.MINOR], ids=str)
+@pytest.mark.parametrize("v", range(-5, 6))
+def test_reach_search_matches_the_triads_234(v, quality):
+    for u in range(-40, 41):
+        start = Triad(TONNETZ_234, FreqRatio(u, v), quality)
+        levels = reachable_note_classes(start, 12)
+        assert levels == triad_reachable_note_classes(start, 12)
+        k = (u - v) % 13    # a shorter search is the same levels cut short
+        assert reachable_note_classes(start, k) == levels[:k + 1]
+
+
+@pytest.mark.parametrize("quality", [ChordQuality.MAJOR, ChordQuality.MINOR], ids=str)
+def test_reach_search_matches_the_triads_456(quality):
+    for root in range(-30, 31):
+        start = Triad(TONNETZ_456, root, quality)
+        for k in range(13):
+            assert reachable_note_classes(start, k) == triad_reachable_note_classes(start, k)
+
+
+def test_class_table_matches_the_degree_formula():
+    us = [*range(-300, 301), *range(-2**63, -2**63 + 5), *range(2**63 - 4, 2**63)]
+    for u in us:
+        for v in (-7, 0, 2**40):
+            note = FreqRatio(u, v)
+            assert TONNETZ_234.class_name(note) == formula_class_name(TONNETZ_234, note)

@@ -27,3 +27,26 @@ def test_error_names_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
     assert str(excinfo.value) == message
+
+
+TRIAD = tonnetz.major_triad(FreqRatio(0, 0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tonnetz.reachable_note_classes(TRIAD, 2.0), "max_moves must be an int, not 2.0"),
+    (lambda: tonnetz.reachable_note_classes(TRIAD, "3"), "max_moves must be an int, not '3'"),
+    (lambda: tonnetz.reachable_note_classes(TRIAD, True), "max_moves must be an int, not True"),
+    (lambda: tonnetz.reachable_note_classes(TRIAD.chord(), 2),
+     "start must be a Triad, not Chord D-A'-G,^"),
+    (lambda: tonnetz.apply_plr(TRIAD, 5), "move must be P, L or R, not 5"),
+    (lambda: tonnetz.apply_plr_sequence(TRIAD, 5),
+     "moves must be a string of P, L and R, not 5"),
+    (lambda: tonnetz.note_class("A", tonnetz.TONNETZ_234),
+     "system 234 takes FreqRatio notes, not 'A'"),
+    (lambda: tonnetz.note_class(1.5, tonnetz.TONNETZ_456), "system 456 takes int notes, not 1.5"),
+], ids=["max_moves-float", "max_moves-str", "max_moves-bool", "start-chord", "move-int",
+        "moves-int", "note-class-str", "note-class-float"])
+def test_tonnetz_errors_name_the_failing_value(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tritave
 from tritave import cli, exports
 
@@ -69,11 +71,26 @@ def test_a_name_lookup_loads_only_what_it_runs():
 
 def test_a_plr_call_adds_only_harmony_and_tonnetz():
     added = loaded_after("plr", "A", "E", "A'", "P") - loaded_after("name", "3/2")
-    assert {m for m in added if m.startswith("tritave")} == {"tritave.harmony", "tritave.tonnetz"}
-    # harmony's 4:5:6 tables are Fractions, so the stdlib it adds is what `fractions` loads.
-    assert "fractions" in added
-    assert added - {"tritave.harmony", "tritave.tonnetz"} <= set(
-        fresh("import sys, fractions\nprint(*sys.modules)").split())
+    assert added == {"tritave.harmony", "tritave.tonnetz"}
+
+
+#: What `import fractions` loads; only 4:5:6 purity needs it among the chord commands.
+FRACTIONS = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("plr", "A", "E", "A'", "P"),
+    ("sequence", "A", "E", "A'"),
+    ("sequence", "--system", "456", "C", "E", "G"),
+    ("reach", "--k", "8"),
+    ("reach", "--system", "456", "--k", "3"),
+], ids=" ".join)
+def test_chord_commands_load_no_fractions(argv):
+    assert loaded_after(*argv) & FRACTIONS == set()
+
+
+def test_456_purity_loads_fractions_for_its_just_tables():
+    assert loaded_after("purity", "--system", "456", "C", "E", "G") >= FRACTIONS
 
 
 def test_verify_and_scale_tables_load_no_file_format_modules():
