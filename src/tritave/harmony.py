@@ -82,8 +82,8 @@ class TonnetzSystem(_Record):
         self._set(id, horizontal, up_diagonal, down_diagonal, period, home, class_names)
 
     def check_note(self, note) -> None:
-        """Reject a note of another type than the period's."""
-        if not isinstance(note, type(self.period)):
+        """Reject a note whose type is not exactly the period's: no bool is a 4:5:6 note."""
+        if type(note) is not type(self.period):
             raise ValueError(f"system {self.id} takes {type(self.period).__name__} notes, "
                              f"not {note!r}")
 

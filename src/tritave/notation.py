@@ -71,23 +71,20 @@ def _marks(shift: int, up: str, down: str) -> str:
 
 
 def _base_tables(names: list[str], system: scales.ScaleSystem):
-    """Base name -> fundamental-domain note, harmonic degree -> base name,
-    and the names longest first; ``names`` are given in scale-degree order."""
+    """Base name -> fundamental-domain note and harmonic degree -> base name;
+    ``names`` are given in scale-degree order."""
     lo = system.harmonic_range[0]
     ratio = {name: scales._just_note(lo + i, system) for i, name in enumerate(names)}
     by_degree = {scales.harmonic_degree(note, system): name for name, note in ratio.items()}
-    # Longest match first so "F#," wins over "F#" wins over "F".
-    return ratio, by_degree, sorted(names, key=len, reverse=True)
+    return ratio, by_degree
 
 
-# Per just scale, by id: base name -> note, harmonic degree -> base name,
-# and the base names longest first.
+# Per just scale, by id: base name -> note and harmonic degree -> base name.
 _BASES = {
     system.id: _base_tables(names, system)
     for system, names in ((scales.PYTH3, BASE_NAMES_PYTH3), (scales.PYTH2, BASE_NAMES_PYTH2))
 }
 _TRITAVE_BASES = _BASES[scales.PYTH3.id][0]
-_EDO12_BASES_DESC = sorted(NAMES_EDO12, key=len, reverse=True)
 
 
 class NoteName(_Record):
@@ -137,24 +134,29 @@ def note_name_at_degree(degree: int) -> NoteName:
     return NoteName(BASE_NAMES_PYTH3[s - scales.PYTH3.harmonic_range[0]], t)
 
 
-def _split_marks(text: str, bases: list[str]) -> tuple[str, str]:
-    for base in bases:
-        if text.startswith(base):
-            return base, text[len(base):]
+def _split_marks(text: str, bases) -> tuple[str, str]:
+    if not isinstance(text, str):
+        raise ValueError(f"a note name must be a str, not {type(text).__name__}")
+    # The longest base name has 3 characters ("F#,", "Bb'"), so the longest
+    # match is the first of three prefix lookups.
+    for k in (3, 2, 1):
+        if text[:k] in bases:
+            return text[:k], text[k:]
     raise ValueError(f"unknown note name {text!r}")
 
 
 def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
     """Signed count of the marks after a base name: +1 per ``up``, -1 per ``down``."""
-    if marks and set(marks) not in ({up}, {down}):
+    # str.count checks the run in one C pass; set() would hash every mark.
+    if marks and (marks[0] not in (up, down) or marks.count(marks[0]) != len(marks)):
         raise ValueError(f"bad {kind} marks in {text!r}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
 
 def parse_note(text: str) -> FreqRatio:
     """Parse a tritave-system name (inverse of :func:`name_of`)."""
-    base, marks = _split_marks(text, _BASES[scales.PYTH3.id][2])
-    if marks and set(marks) in ({"'"}, {","}):
+    base, marks = _split_marks(text, _TRITAVE_BASES)
+    if marks and marks[0] in "'," and marks.count(marks[0]) == len(marks):
         raise ValueError(
             f"{text!r} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
@@ -169,8 +171,8 @@ def pyth2_name_of(ratio: FreqRatio) -> str:
 
 
 def parse_pyth2_note(text: str) -> FreqRatio:
-    ratio, _, bases = _BASES[scales.PYTH2.id]
-    base, marks = _split_marks(text, bases)
+    ratio = _BASES[scales.PYTH2.id][0]
+    base, marks = _split_marks(text, ratio)
     return ratio[base] * OCTAVE ** _mark_shift(text, marks, "'", ",", "octave")
 
 
@@ -189,7 +191,7 @@ def edo12_name(semitone: int) -> str:
 
 
 def parse_edo12_note(text: str) -> int:
-    base, marks = _split_marks(text, _EDO12_BASES_DESC)
+    base, marks = _split_marks(text, NAMES_EDO12)
     shift = _mark_shift(text, marks, "'", ",", "octave")
     pc = NAMES_EDO12.index(base)
     return (pc - 12 if pc == 11 else pc) + 12 * shift

@@ -91,6 +91,8 @@ def minor_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
 
 
 def triad_from_chord(c: Chord) -> Triad:
+    if not isinstance(c, Chord):
+        raise ValueError(f"triad_from_chord takes a Chord, not {type(c).__name__}")
     quality = classify(c)
     if quality not in (_MAJOR, _MINOR):
         raise ValueError(f"P/L/R moves need a major or minor triad, got {quality}")
@@ -113,6 +115,8 @@ def _plr_root(system: TonnetzSystem, root, major: bool, move: str):
 
 def apply_plr(t: Triad, move: str) -> Triad:
     """One parallel / relative / leading-tone exchange; an involution."""
+    if not isinstance(t, Triad):
+        raise ValueError(f"apply_plr takes a Triad, not {type(t).__name__}")
     move = move.upper() if isinstance(move, str) else move
     if move not in ("P", "L", "R"):
         raise ValueError(f"move must be P, L or R, not {move!r}")
@@ -194,6 +198,8 @@ def lattice_coordinates(t: Triad) -> tuple[tuple[int, int], ...]:
     Major triads point up, minor triads down; the base is always two units
     wide (one octave) with the middle vertex one unit off the base line.
     """
+    if not isinstance(t, Triad):
+        raise ValueError(f"lattice_coordinates takes a Triad, not {type(t).__name__}")
     if t.system != TONNETZ_234:
         raise ValueError("lattice coordinates are defined for the 2:3:4 system")
     return tuple(note_coordinates(n) for n in t.notes())

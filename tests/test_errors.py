@@ -50,3 +50,23 @@ def test_tonnetz_errors_name_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
     assert str(excinfo.value) == message
+
+
+CHORD = TRIAD.chord()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tonnetz.apply_plr(CHORD, "P"), "apply_plr takes a Triad, not Chord"),
+    (lambda: tonnetz.lattice_coordinates(CHORD), "lattice_coordinates takes a Triad, not Chord"),
+    (lambda: tonnetz.triad_from_chord(TRIAD), "triad_from_chord takes a Chord, not Triad"),
+    (lambda: tonnetz.note_class(True, tonnetz.TONNETZ_456), "system 456 takes int notes, not True"),
+    (lambda: tonnetz.major_triad(False, tonnetz.TONNETZ_456),
+     "system 456 takes int notes, not False"),
+    (lambda: harmony.Chord((0, 4, True), harmony.TONNETZ_456),
+     "system 456 takes int notes, not True"),
+], ids=["apply_plr-chord", "lattice-chord", "triad_from_chord-triad", "note-class-bool",
+        "triad-bool", "chord-bool"])
+def test_tonnetz_records_and_notes_of_the_wrong_type_are_named(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

@@ -1,12 +1,22 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tritave.ratios import OCTAVE, FreqRatio, TRITAVE
-from tritave.scales import PIANO_DEGREE_HI, PIANO_DEGREE_LO, PYTH3, note_at_scale_degree
+from tritave.scales import (
+    PIANO_DEGREE_HI,
+    PIANO_DEGREE_LO,
+    PYTH2,
+    PYTH3,
+    fundamental_note,
+    note_at_scale_degree,
+)
 from tritave.notation import (
+    BASE_NAMES_PYTH2,
     BASE_NAMES_PYTH3,
     MAX_MARKS,
+    NAMES_EDO12,
     NoteName,
     edo12_name,
     key_color_by_harmonic_degree,
@@ -170,3 +180,113 @@ def test_names_beyond_the_mark_bound_fail_fast_naming_the_shift(scheme, shift):
         spell(shift)
     assert time.perf_counter() - start < 0.5
 
+
+# The parsers as they read names before the prefix lookup and the str.count
+# mark check: a longest-first startswith scan, and set() over the marks.
+def _oracle_split(text, bases):
+    for base in sorted(bases, key=len, reverse=True):
+        if text.startswith(base):
+            return base, text[len(base):]
+    raise ValueError(f"unknown note name {text!r}")
+
+
+def _oracle_shift(text, marks, up, down, kind):
+    if marks and set(marks) not in ({up}, {down}):
+        raise ValueError(f"bad {kind} marks in {text!r}: use only {up!r} or only {down!r}")
+    return len(marks) if marks.startswith(up) else -len(marks)
+
+
+def _oracle_parse_note(text):
+    base, marks = _oracle_split(text, BASE_NAMES_PYTH3)
+    if marks and set(marks) in ({"'"}, {","}):
+        raise ValueError(
+            f"{text!r} uses octave-system marks; in the tritave system write "
+            "whole-tritave shifts with '^' and 'v'"
+        )
+    return NoteName(base, _oracle_shift(text, marks, "^", "v", "shift")).ratio()
+
+
+def _oracle_parse_pyth2_note(text):
+    base, marks = _oracle_split(text, BASE_NAMES_PYTH2)
+    degree = PYTH2.harmonic_range[0] + BASE_NAMES_PYTH2.index(base)
+    note = note_at_scale_degree(degree, PYTH2)
+    return note * OCTAVE ** _oracle_shift(text, marks, "'", ",", "octave")
+
+
+def _oracle_parse_edo12_note(text):
+    base, marks = _oracle_split(text, NAMES_EDO12)
+    shift = _oracle_shift(text, marks, "'", ",", "octave")
+    pc = NAMES_EDO12.index(base)
+    return (pc - 12 if pc == 11 else pc) + 12 * shift
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:            # the exception type and message must match too
+        return type(exc), str(exc)
+
+
+def _with_one_other(run, others):
+    """``run`` with one character of ``others`` put at its start, middle or end."""
+    half = len(run) // 2
+    for other in others:
+        yield from (other + run, run[:half] + other + run[half:], run + other)
+
+
+def _parser_inputs():
+    """Names built from every base of the three tables, with the marks of both systems."""
+    bases = sorted(set(BASE_NAMES_PYTH3) | set(BASE_NAMES_PYTH2) | set(NAMES_EDO12))
+    marks = "^v',"
+    for base in bases:
+        yield base
+        for mark in marks:
+            yield from (base + mark * n for n in (1, 2, 10**5))
+            others = marks.replace(mark, "") + "#bx é"
+            yield from (base + run for run in _with_one_other(mark * 3, others))
+    # Long mixed runs, after a base of each length.
+    for base in ("D", "F#", "F#,", "Bb'"):
+        for mark in marks:
+            others = marks.replace(mark, "")
+            yield from (base + run for run in _with_one_other(mark * 10**5, others))
+    yield from ("", "H", "H^", "^", "'", ",", "v", "#", "b", "c", "d^", " D", "D ",
+                "F#,,", "F#,'", "F#x", "Bb''", "Bbb", "Bbx", "C##", "Ebb", "A'b",
+                "G#'^", "A''", "Ab'", "Bb'x", "F,x", "F#,,^")
+
+
+@pytest.mark.parametrize("parse, oracle", [
+    (parse_note, _oracle_parse_note),
+    (parse_pyth2_note, _oracle_parse_pyth2_note),
+    (parse_edo12_note, _oracle_parse_edo12_note),
+], ids=["tritave", "octave", "edo12"])
+def test_parsers_match_the_set_and_startswith_oracle(parse, oracle):
+    for text in _parser_inputs():
+        assert _outcome(parse, text) == _outcome(oracle, text), text[:20]
+
+
+@pytest.mark.parametrize("parse", [parse_note, parse_pyth2_note, parse_edo12_note])
+@pytest.mark.parametrize("value, kind", [
+    (None, "NoneType"), (3, "int"), (b"C", "bytes"), (["C"], "list"),
+])
+def test_parsers_reject_a_non_str_naming_its_type(parse, value, kind):
+    with pytest.raises(ValueError) as excinfo:
+        parse(value)
+    assert str(excinfo.value) == f"a note name must be a str, not {kind}"
+
+
+ROUND_TRIP = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+SHIFTS = st.integers(-10**5, 10**5)
+
+
+@ROUND_TRIP
+@given(st.integers(*PYTH3.harmonic_range), SHIFTS)
+def test_tritave_names_round_trip_up_to_1e5_tritaves(h, shift):
+    ratio = fundamental_note(h, PYTH3) * TRITAVE ** shift
+    assert parse_note(str(name_of(ratio))) == ratio
+
+
+@ROUND_TRIP
+@given(st.integers(*PYTH2.harmonic_range), SHIFTS)
+def test_octave_names_round_trip_up_to_1e5_octaves(h, shift):
+    ratio = fundamental_note(h, PYTH2) * OCTAVE ** shift
+    assert parse_pyth2_note(pyth2_name_of(ratio)) == ratio
