@@ -16,14 +16,22 @@ base note (all chord notes are among its overtones) sits ``a`` steps below
 the lowest note, and the first common overtone ``lcm(a,b,c)/c`` steps
 above the highest.  Small values on both sides mean the chord hugs a
 single overtone series.
+
+`purity` works, in both systems, on just pitches written as exponent
+vectors over the primes (2, 3, 5), "monzos": a 2:3:4 note is ``(u, v, 0)``,
+a 4:5:6 note its just pitch class's vector an octave count up, each step
+adding its just interval's vector.  The base note is the per-prime minimum
+of the three vectors and the common overtone the per-prime maximum; a:b:c
+are the notes over the base, and ``lcm(a,b,c)`` is the overtone over it.
+So nothing is factored, and the base and overtone frequencies are the only
+`Fraction`s built.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from types import SimpleNamespace
+import operator
 
 from . import notation, scales
 from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _ratio, _Record
@@ -123,15 +131,15 @@ class _TritaveSystem(TonnetzSystem):
     def voice_near(self, c: Chord, tonic: Chord) -> Chord:
         return reduce_chord_to_domain(c, root=tonic.notes[0])
 
-    def just_frequencies(self, c: Chord) -> list[Fraction]:
-        return [n.as_fraction() for n in c.notes]
+    def just_monzos(self, c: Chord) -> list[tuple[int, int, int]]:
+        return [(n.u, n.v, 0) for n in c.notes]
 
-    def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
-        ratio = FreqRatio.from_fraction(freq.numerator, freq.denominator)
+    def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
+        note = _ratio(monzo[0], monzo[1])
         names = []
         for system in (scales.PYTH3, scales.PYTH2):
             try:
-                names.append(notation._name_in(ratio, system))
+                names.append(notation._name_in(note, system))
             except ValueError:
                 pass
         return tuple(names)
@@ -192,25 +200,25 @@ class _OctaveSystem(TonnetzSystem):
 
         return chord_456(voicing(min(range(-2, 3), key=cost)))
 
-    def just_frequencies(self, c: Chord) -> list[Fraction]:
-        just = _five_limit()
-        s1, s2 = _steps(c)
-        if s1 not in just.step or s2 not in just.step:
-            raise ValueError("no just interpretation for these step intervals")
-        pc = c.notes[0] % self.period
-        f0 = just.canon_freq[pc] * just.two ** ((c.notes[0] - pc) // self.period)
-        return [f0, f0 * just.step[s1], f0 * just.step[s1] * just.step[s2]]
+    def just_monzos(self, c: Chord) -> list[tuple[int, int, int]]:
+        """The lowest note's just pitch class an octave count up, then the just steps."""
+        low = c.notes[0]
+        pc = low % self.period
+        two, three, five = _JUST_CLASSES[pc]
+        monzos = [(two + (low - pc) // self.period, three, five)]
+        for step in _steps(c):
+            if step not in _JUST_STEPS:
+                raise ValueError("no just interpretation for these step intervals")
+            monzos.append(tuple(map(operator.add, monzos[-1], _JUST_STEPS[step])))
+        return monzos
 
-    def frequency_names(self, freq: Fraction) -> tuple[str, ...]:
-        just = _five_limit()
-        # k = floor(log2(g)) is the bit-length difference or one less
-        g = freq / just.window_lo
-        k = g.numerator.bit_length() - g.denominator.bit_length()
-        k -= g < just.two ** k
-        letter = just.names.get(freq / just.two ** k)
-        if letter is None:
+    def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
+        two, three, five = monzo
+        named = _JUST_NAMES.get((three, five))
+        if named is None:
             return ()
-        return (letter + notation._marks(k, "'", ","),)
+        letter, window_two = named
+        return (letter + notation._marks(two - window_two, "'", ","),)
 
 
 TONNETZ_234 = _TritaveSystem(
@@ -219,6 +227,17 @@ TONNETZ_234 = _TritaveSystem(
 TONNETZ_456 = _OctaveSystem("456", 7, 4, 3, 12, "C", tuple(notation.NAMES_EDO12))
 
 _SYSTEMS = {s.id: s for s in (TONNETZ_234, TONNETZ_456)}
+
+# `classify`'s table: per system id, the quality of each ordered pair of steps.
+_QUALITIES = {
+    s.id: {
+        (s.up_diagonal, s.down_diagonal): ChordQuality.MAJOR,
+        (s.down_diagonal, s.up_diagonal): ChordQuality.MINOR,
+        (s.up_diagonal, s.up_diagonal): ChordQuality.AUGMENTED,
+        (s.down_diagonal, s.down_diagonal): ChordQuality.DIMINISHED,
+    }
+    for s in (TONNETZ_234, TONNETZ_456)
+}
 
 
 class Chord(_Record):
@@ -276,13 +295,7 @@ def classify(c: Chord) -> ChordQuality:
 
     Major stacks the up diagonal then the down one, minor the reverse.
     """
-    up, down = c.system.up_diagonal, c.system.down_diagonal
-    return {
-        (up, down): ChordQuality.MAJOR,
-        (down, up): ChordQuality.MINOR,
-        (up, up): ChordQuality.AUGMENTED,
-        (down, down): ChordQuality.DIMINISHED,
-    }.get(_steps(c), ChordQuality.OTHER)
+    return _QUALITIES[c.system.id].get(_steps(c), ChordQuality.OTHER)
 
 
 def invert(c: Chord, direction: str = "first") -> Chord:
@@ -354,55 +367,27 @@ def cadence_sequence(tonic: Chord) -> list[Chord]:
 
 # --- purity -----------------------------------------------------------------
 
-@functools.cache
-def _five_limit() -> SimpleNamespace:
-    """The 4:5:6 just tables: steps, pitch-class frequencies, named window.
-
-    Built on the first 4:5:6 purity call, so that no other command loads
-    `fractions`.
-    """
-    from fractions import Fraction
-
-    # Just interpretation of 12-EDO steps (5-limit); only steps of 3..5
-    # semitones occur in the classified triads and their inversions.
-    step = {
-        1: Fraction(16, 15),
-        2: Fraction(9, 8),
-        3: Fraction(6, 5),
-        4: Fraction(5, 4),
-        5: Fraction(4, 3),
-        6: Fraction(45, 32),
-        7: Fraction(3, 2),
-        8: Fraction(8, 5),
-        9: Fraction(5, 3),
-        10: Fraction(9, 5),
-        11: Fraction(15, 8),
-    }
-    # Canonical just frequencies of the 12-EDO pitch classes relative C = 1,
-    # keyed by pitch class at semitones 0..11 (so the plain B of the naming
-    # window, one semitone below C, comes out as 15/8 / 2 = 15/16).
-    canon_freq = {
-        0: Fraction(1),
-        1: Fraction(135, 128),
-        2: Fraction(9, 8),
-        3: Fraction(6, 5),
-        4: Fraction(5, 4),
-        5: Fraction(4, 3),
-        6: Fraction(45, 32),
-        7: Fraction(3, 2),
-        8: Fraction(25, 16),
-        9: Fraction(5, 3),
-        10: Fraction(9, 5),
-        11: Fraction(15, 8),
-    }
-    window_lo = Fraction(15, 16)
-    # Names of the canonical frequencies inside the naming window [15/16, 15/8).
-    names = {
-        freq / 2 if freq >= 2 * window_lo else freq: name
-        for freq, name in zip(canon_freq.values(), notation.NAMES_EDO12)
-    }
-    return SimpleNamespace(step=step, canon_freq=canon_freq, window_lo=window_lo,
-                           names=names, two=Fraction(2))
+# Monzos of the 5-limit just intervals of the 12-EDO steps 1..11: 16/15,
+# 9/8, 6/5, 5/4, 4/3, 45/32, 3/2, 8/5, 5/3, 9/5, 15/8.  Only steps of 3..5
+# semitones occur in the classified triads and their inversions.
+_JUST_STEPS = {
+    1: (4, -1, -1), 2: (-3, 2, 0), 3: (1, 1, -1), 4: (-2, 0, 1), 5: (2, -1, 0),
+    6: (-5, 2, 1), 7: (-1, 1, 0), 8: (3, 0, -1), 9: (0, -1, 1), 10: (0, 2, -1),
+    11: (-3, 1, 1),
+}
+# The just pitch classes at semitones 0..11 relative to C = 1: 1, 135/128,
+# 9/8, 6/5, 5/4, 4/3, 45/32, 3/2, 25/16, 5/3, 9/5, 15/8.
+_JUST_CLASSES = (
+    (0, 0, 0), (-7, 3, 1), (-3, 2, 0), (1, 1, -1), (-2, 0, 1), (2, -1, 0),
+    (-5, 2, 1), (-1, 1, 0), (-4, 0, 2), (0, -1, 1), (0, 2, -1), (-3, 1, 1),
+)
+# A just pitch is named after the class with its 3- and 5-exponents, one
+# octave mark per octave from that class's note in the naming window
+# [15/16, 15/8): the plain B, one semitone below C, is 15/16 there.
+_JUST_NAMES = {
+    (three, five): (name, two - (name == "B"))
+    for (two, three, five), name in zip(_JUST_CLASSES, notation.NAMES_EDO12)
+}
 
 
 class PurityReport(_Record):
@@ -425,23 +410,35 @@ class PurityReport(_Record):
         return (lcm // a, lcm // b, lcm // c)
 
 
+def _whole(monzo, low) -> int:
+    """The integer ``monzo / low`` for a ``low`` at or below it in every prime.
+
+    Its 2-and-3 part is checked against `MAX_POWER_BITS` before it is built;
+    the 5-exponents of the just tables stay small.
+    """
+    two, three, five = map(operator.sub, monzo, low)
+    return _ratio(two, three).numerator * 5 ** five
+
+
+def _fraction(monzo) -> Fraction:
+    """The exact value of a monzo, checked like `_whole`."""
+    from fractions import Fraction
+
+    two, three, five = monzo
+    note = _ratio(two, three)
+    return Fraction(note.numerator * 5 ** max(five, 0), note.denominator * 5 ** max(-five, 0))
+
+
 def purity(c: Chord) -> PurityReport:
     """Express the chord as a:b:c and report both purity distances."""
-    freqs = c.system.just_frequencies(c)
-    rel = [f / freqs[0] for f in freqs]
-    denom_lcm = math.lcm(*(r.denominator for r in rel))
-    ints = [int(r * denom_lcm) for r in rel]
-    g = math.gcd(*ints)
-    a, b, top = (i // g for i in ints)
-    d_overtone = math.lcm(a, b, top) // top
-    base = freqs[0] / a
-    overtone = freqs[2] * d_overtone
-    return PurityReport(
-        ratio=(a, b, top),
-        d_base=a,
-        d_overtone=d_overtone,
-        base_frequency=base,
-        overtone_frequency=overtone,
-        base_names=c.system.frequency_names(base),
-        overtone_names=c.system.frequency_names(overtone),
-    )
+    system = c.system
+    notes = system.just_monzos(c)
+    low = tuple(map(min, *notes))       # the base note
+    high = tuple(map(max, *notes))      # the first common overtone
+    a, b, top = (_whole(n, low) for n in notes)
+    lcm = _whole(high, low)
+    # Names before values: a 4:5:6 note too far up to spell fails as such.
+    base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
+    base = _fraction(low)
+    return PurityReport((a, b, top), a, lcm // top, base, base * lcm, base_names,
+                        overtone_names)

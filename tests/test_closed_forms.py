@@ -1,11 +1,14 @@
 """Closed forms against the step-at-a-time loops they replace.
 
 `_OctaveSystem.voice_near` reads the five close voicings off the sorted
-pitches, `_OctaveSystem.frequency_names` finds the octave count from bit
-lengths, and `ratios._strip` halves the exponent left to find at each
+pitches, `_OctaveSystem.monzo_names` reads the octave count off the
+2-exponent, and `ratios._strip` halves the exponent left to find at each
 division.  The reference copies below are the rotation and folding loops
 they replaced; results must agree exactly, and the cost must not grow
 with the number of octaves or tritaves.
+
+`harmony.purity` works on prime-exponent vectors; its reference is the
+big-`Fraction` computation it replaced, with its just-intonation tables.
 
 `tonnetz.reachable_note_classes` searches ``(root, major)`` keys and
 `_TritaveSystem.class_name` reads a class off ``u mod 19``; their
@@ -13,13 +16,15 @@ references are the search that built a `Triad` per move and the
 harmonic-to-scale-degree formula.
 """
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from tritave import harmony, notation, scales
-from tritave.harmony import TONNETZ_234, TONNETZ_456, ChordQuality, chord_456
+from tritave.harmony import (TONNETZ_234, TONNETZ_456, ChordQuality, PurityReport, chord_456,
+                             classify, invert)
 from tritave.ratios import TRITAVE, FreqRatio, _strip
 from tritave.tonnetz import ReachLevel, Triad, reachable_note_classes
 
@@ -46,20 +51,133 @@ def rotation_voice_near(c, tonic):
     return chord_456(best)
 
 
-def folding_frequency_names(freq):
-    just = harmony._five_limit()
-    k = 0
-    g = freq
-    while g >= 2 * just.window_lo:
-        g /= 2
-        k += 1
-    while g < just.window_lo:
-        g *= 2
-        k -= 1
-    letter = just.names.get(g)
+# --- the Fraction purity that harmony.purity replaced ------------------------
+
+# Just interpretation of 12-EDO steps (5-limit).
+JUST_STEP = {
+    1: Fraction(16, 15), 2: Fraction(9, 8), 3: Fraction(6, 5), 4: Fraction(5, 4),
+    5: Fraction(4, 3), 6: Fraction(45, 32), 7: Fraction(3, 2), 8: Fraction(8, 5),
+    9: Fraction(5, 3), 10: Fraction(9, 5), 11: Fraction(15, 8),
+}
+# Canonical just frequencies of the 12-EDO pitch classes relative C = 1,
+# keyed by pitch class at semitones 0..11.
+CANON_FREQ = {
+    0: Fraction(1), 1: Fraction(135, 128), 2: Fraction(9, 8), 3: Fraction(6, 5),
+    4: Fraction(5, 4), 5: Fraction(4, 3), 6: Fraction(45, 32), 7: Fraction(3, 2),
+    8: Fraction(25, 16), 9: Fraction(5, 3), 10: Fraction(9, 5), 11: Fraction(15, 8),
+}
+WINDOW_LO = Fraction(15, 16)
+# Names of the canonical frequencies inside the naming window [15/16, 15/8).
+WINDOW_NAMES = {
+    freq / 2 if freq >= 2 * WINDOW_LO else freq: name
+    for freq, name in zip(CANON_FREQ.values(), notation.NAMES_EDO12)
+}
+
+
+def fraction_just_frequencies(c):
+    if c.system is TONNETZ_234:
+        return [n.as_fraction() for n in c.notes]
+    s1, s2 = harmony._steps(c)
+    if s1 not in JUST_STEP or s2 not in JUST_STEP:
+        raise ValueError("no just interpretation for these step intervals")
+    pc = c.notes[0] % 12
+    f0 = CANON_FREQ[pc] * Fraction(2) ** ((c.notes[0] - pc) // 12)
+    return [f0, f0 * JUST_STEP[s1], f0 * JUST_STEP[s1] * JUST_STEP[s2]]
+
+
+def fraction_frequency_names(system, freq):
+    if system is TONNETZ_234:
+        ratio = FreqRatio.from_fraction(freq.numerator, freq.denominator)
+        names = []
+        for scale in (scales.PYTH3, scales.PYTH2):
+            try:
+                names.append(notation._name_in(ratio, scale))
+            except ValueError:
+                pass
+        return tuple(names)
+    # k = floor(log2(g)) is the bit-length difference or one less
+    g = freq / WINDOW_LO
+    k = g.numerator.bit_length() - g.denominator.bit_length()
+    k -= g < Fraction(2) ** k
+    letter = WINDOW_NAMES.get(freq / Fraction(2) ** k)
     if letter is None:
         return ()
     return (letter + notation._marks(k, "'", ","),)
+
+
+def fraction_purity(c):
+    freqs = fraction_just_frequencies(c)
+    rel = [f / freqs[0] for f in freqs]
+    denom_lcm = math.lcm(*(r.denominator for r in rel))
+    ints = [int(r * denom_lcm) for r in rel]
+    g = math.gcd(*ints)
+    a, b, top = (i // g for i in ints)
+    d_overtone = math.lcm(a, b, top) // top
+    base = freqs[0] / a
+    overtone = freqs[2] * d_overtone
+    return PurityReport((a, b, top), a, d_overtone, base, overtone,
+                        fraction_frequency_names(c.system, base),
+                        fraction_frequency_names(c.system, overtone))
+
+
+def typed(value):
+    """A value with the type of it and of each item of a tuple."""
+    if isinstance(value, tuple):
+        return tuple(typed(item) for item in value)
+    return type(value), value
+
+
+def classified_triads(system, roots):
+    """The four classified triads on each root, stacked from their two steps."""
+    up, down = system.up_diagonal, system.down_diagonal
+    for root in roots:
+        for s1, s2 in ((up, down), (down, up), (up, up), (down, down)):
+            middle = system.shift(root, s1)
+            yield harmony.Chord((root, middle, system.shift(middle, s2)), system)
+
+
+DIFFERENTIAL_ROOTS = {
+    "234": [FreqRatio(u, v) for u in range(-19, 20) for v in (-1, 0, 1)],
+    "456": range(-12, 12),
+}
+
+
+@pytest.mark.parametrize("system", [TONNETZ_234, TONNETZ_456], ids=lambda s: s.id)
+def test_purity_matches_the_fractions(system):
+    for triad in classified_triads(system, DIFFERENTIAL_ROOTS[system.id]):
+        assert classify(triad) is not ChordQuality.OTHER
+        for voicing in (triad, invert(triad, "first"), invert(triad, "second")):
+            for periods in (0, 10**3, -10**3):
+                notes = (system.shift(n, system.period, periods) for n in voicing.notes)
+                c = harmony.Chord(tuple(notes), system)
+                got, want = harmony.purity(c), fraction_purity(c)
+                for field in PurityReport._fields:
+                    assert typed(getattr(got, field)) == typed(getattr(want, field)), (c, field)
+
+
+def folding_frequency_names(freq):
+    k = 0
+    g = freq
+    while g >= 2 * WINDOW_LO:
+        g /= 2
+        k += 1
+    while g < WINDOW_LO:
+        g *= 2
+        k -= 1
+    letter = WINDOW_NAMES.get(g)
+    if letter is None:
+        return ()
+    return (letter + notation._marks(k, "'", ","),)
+
+
+def five_limit_monzo(freq):
+    """The (2, 3, 5) exponents of a fraction, or None if it has another prime factor."""
+    num, den, monzo = freq.numerator, freq.denominator, []
+    for p in (2, 3, 5):
+        num, up = _strip(num, p)
+        den, down = _strip(den, p)
+        monzo.append(up - down)
+    return tuple(monzo) if num == den == 1 else None
 
 
 ROOTS = range(-24, 36)
@@ -88,7 +206,7 @@ def test_voice_near_matches_the_rotations_for_any_chords(steps):
 
 
 FREQUENCIES = [
-    *harmony._five_limit().canon_freq.values(),
+    *CANON_FREQ.values(),
     Fraction(81, 80), Fraction(25, 24), Fraction(7, 4), Fraction(1, 3), Fraction(10, 1),
     Fraction(3**20, 5**9), Fraction(5**12, 2**3 * 3**11),
 ]
@@ -96,9 +214,12 @@ FREQUENCIES = [
 
 @pytest.mark.parametrize("freq", FREQUENCIES, ids=str)
 def test_frequency_names_match_the_folding(freq):
+    # a frequency that is not 5-limit has no monzo and no name
     for k in range(-60, 61):
         scaled = freq * Fraction(2) ** k
-        assert TONNETZ_456.frequency_names(scaled) == folding_frequency_names(scaled)
+        monzo = five_limit_monzo(scaled)
+        names = () if monzo is None else TONNETZ_456.monzo_names(monzo)
+        assert names == folding_frequency_names(scaled)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -126,6 +247,9 @@ def test_234_purity_far_up_is_cheap():
     # one division per factor in from_fraction took over a second at this height
     c = harmony.major_triad_234(notation.parse_note("A") * TRITAVE ** 40000)
     assert elapsed(lambda: harmony.purity(c)) < 0.3
+    # re-factoring the base and overtone took about 90 ms at this height
+    c = harmony.major_triad_234(notation.parse_note("A") * TRITAVE ** 10**5)
+    assert min(elapsed(lambda: harmony.purity(c)) for _ in range(3)) < 0.03
 
 
 def formula_class_name(system, note):

@@ -1,5 +1,7 @@
 """Library errors name the value that failed, on one line."""
 
+import time
+
 import pytest
 
 from tritave import harmony, notation, scales, temperament, tonnetz
@@ -69,4 +71,31 @@ CHORD = TRIAD.chord()
 def test_tonnetz_records_and_notes_of_the_wrong_type_are_named(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
+    assert str(excinfo.value) == message
+
+
+FAR = 12 * 10**9    # semitones: 10**9 octaves up
+
+
+@pytest.mark.parametrize("notes, message", [
+    ((FreqRatio(0, 0), FreqRatio(0, 1), FreqRatio(0, 2**40)),
+     "cannot build FreqRatio(0, 1099511627776): its numerator has about 1742684699132 bits, "
+     "more than 16777216"),
+    ((FreqRatio(-2**40, 0), FreqRatio(0, 0), FreqRatio(0, 1)),
+     "cannot build FreqRatio(1099511627776, 0): its numerator has about 1099511627777 bits, "
+     "more than 16777216"),
+    ((FreqRatio(0, 2**30), FreqRatio(-1, 2**30 + 1), FreqRatio(1, 2**30 + 1)),
+     "cannot build FreqRatio(-1, 1073741824): its numerator has about 1701840527 bits, "
+     "more than 16777216"),
+    ((FAR, FAR + 4, FAR + 7),
+     "cannot spell a shift of 999999998 periods: more than 1000000 marks"),
+], ids=["span-2**40-tritaves", "span-2**40-octaves", "small-span-2**30-tritaves-up",
+        "456-10**9-octaves-up"])
+def test_purity_of_a_chord_too_large_to_write_is_refused_at_once(notes, message):
+    system = harmony.TONNETZ_234 if isinstance(notes[0], FreqRatio) else harmony.TONNETZ_456
+    chord = harmony.Chord(notes, system)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as excinfo:
+        harmony.purity(chord)
+    assert time.perf_counter() - start < 1
     assert str(excinfo.value) == message
