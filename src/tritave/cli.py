@@ -4,16 +4,26 @@ Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 on usage or
 parse errors.  Chords are given as three separate note-name arguments
 (names may themselves contain commas, e.g. ``G,^``).
 
+The 12 subcommands are written once, as data, in `COMMANDS`, and two
+parsers read that table.  `_fast_args` reads plain argv by itself: an
+exact subcommand name, its positionals as one run, and options by their
+exact names, with values that do not start with ``-``, valid choices and
+ints that `int` reads.  Any other argv (``-h``, ``--opt=value``, an
+abbreviation, ``--``, a missing or extra positional, a bad value) goes to
+the `argparse` parser that `build_parser` generates from the table, so
+help text, usage errors and exit codes are argparse's own, and `argparse`
+(with `gettext`, `locale` and `shutil`) loads only for them.
+
 Each command imports the modules it runs when it runs, so a call loads
 only what its subcommand needs; `notation` and `scales` serve them all.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
+import types
 
 from . import notation, scales
 from .ratios import FreqRatio
@@ -193,80 +203,116 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The subcommands, in help order: name -> (help, handler, positionals,
+#: options).  A positional is (dest, nargs, choices, help) and an option
+#: (flags, dest, type, default, choices, help), whose type is None for a
+#: string, `int`, or `bool` for a flag that stores True.
+_CHORD_SYSTEM = (("--system",), "system", None, "234", ("234", "456"), None)
+COMMANDS = {
+    "scale": ("print a scale table or a Scala .scl file", _cmd_scale,
+              [("system", None, ("pyth3", "pyth2", "edt19", "edo12"), None)],
+              [(("--scl",), "scl", bool, False, None, "emit Scala .scl text"),
+               (("--format",), "format", None, "table", ("table", "csv", "json"), None),
+               (("--description",), "description", None, None, None, ".scl description line")]),
+    "table": ("emit a reference table (csv/json)", _cmd_table,
+              [("which", None, TABLE_IDS, None)],
+              [(("--format",), "format", None, "csv", ("csv", "json"), None)]),
+    "reduce": ("enharmonic + period reduction of a note", _cmd_reduce,
+               [("note", None, None, "note name or ratio like 531441/524288")],
+               [(("--system",), "system", None, "pyth3", ("pyth3", "pyth2"), None)]),
+    "name": ("name of a 3-smooth frequency ratio", _cmd_name,
+             [("ratio", None, None, "ratio like 3/2")], []),
+    "keyboard": ("key labels for a MIDI range", _cmd_keyboard, [],
+                 [(("--lo",), "lo", int, 21, None, None), (("--hi",), "hi", int, 108, None, None)]),
+    "convergents": ("continued fraction of log2/log3", _cmd_convergents, [],
+                    [(("-n", "--count"), "count", int, 8, None, None)]),
+    "plr": ("apply P/L/R moves to a triad", _cmd_plr,
+            [("notes", 3, None, "three note names"),
+             ("moves", None, None, "move string such as PLR")], [_CHORD_SYSTEM]),
+    "reach": ("note classes reachable by P/L/R moves", _cmd_reach, [],
+              [_CHORD_SYSTEM, (("--k",), "k", int, 8, None, "maximum number of moves"),
+               (("--start",), "start", None, None, None, "root of the starting major triad")]),
+    "sequence": ("basic or cadence sequence from a tonic", _cmd_sequence,
+                 [("notes", 3, None, "tonic chord as three note names")],
+                 [(("--cadence",), "cadence", bool, False, None, None), _CHORD_SYSTEM]),
+    "purity": ("base-note and overtone distances of a chord", _cmd_purity,
+               [("notes", 3, None, "chord as three note names")], [_CHORD_SYSTEM]),
+    "tonnetz-path": ("lattice path of a progression file", _cmd_tonnetz_path,
+                     [("file", None, None, "progression file, or - for stdin")],
+                     [(("--dot",), "dot", bool, False, None, "emit DOT instead of a summary")]),
+    "verify": ("recompute all reference tables", _cmd_verify, [], []),
+}
+
+
+def build_parser():
+    """The `argparse` parser of `COMMANDS`, for help text and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tritave",
         description="Tritave-based Pythagorean scales, 2:3:4 harmony and Tonnetz tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scale", help="print a scale table or a Scala .scl file")
-    p.add_argument("system", choices=("pyth3", "pyth2", "edt19", "edo12"))
-    p.add_argument("--scl", action="store_true", help="emit Scala .scl text")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--description", help=".scl description line")
-    p.set_defaults(func=_cmd_scale)
-
-    p = sub.add_parser("table", help="emit a reference table (csv/json)")
-    p.add_argument("which", choices=TABLE_IDS)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("reduce", help="enharmonic + period reduction of a note")
-    p.add_argument("note", help="note name or ratio like 531441/524288")
-    p.add_argument("--system", choices=("pyth3", "pyth2"), default="pyth3")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("name", help="name of a 3-smooth frequency ratio")
-    p.add_argument("ratio", help="ratio like 3/2")
-    p.set_defaults(func=_cmd_name)
-
-    p = sub.add_parser("keyboard", help="key labels for a MIDI range")
-    p.add_argument("--lo", type=int, default=21)
-    p.add_argument("--hi", type=int, default=108)
-    p.set_defaults(func=_cmd_keyboard)
-
-    p = sub.add_parser("convergents", help="continued fraction of log2/log3")
-    p.add_argument("-n", "--count", type=int, default=8)
-    p.set_defaults(func=_cmd_convergents)
-
-    p = sub.add_parser("plr", help="apply P/L/R moves to a triad")
-    p.add_argument("notes", nargs=3, help="three note names")
-    p.add_argument("moves", help="move string such as PLR")
-    p.add_argument("--system", choices=("234", "456"), default="234")
-    p.set_defaults(func=_cmd_plr)
-
-    p = sub.add_parser("reach", help="note classes reachable by P/L/R moves")
-    p.add_argument("--system", choices=("234", "456"), default="234")
-    p.add_argument("--k", type=int, default=8, help="maximum number of moves")
-    p.add_argument("--start", help="root of the starting major triad")
-    p.set_defaults(func=_cmd_reach)
-
-    p = sub.add_parser("sequence", help="basic or cadence sequence from a tonic")
-    p.add_argument("notes", nargs=3, help="tonic chord as three note names")
-    p.add_argument("--cadence", action="store_true")
-    p.add_argument("--system", choices=("234", "456"), default="234")
-    p.set_defaults(func=_cmd_sequence)
-
-    p = sub.add_parser("purity", help="base-note and overtone distances of a chord")
-    p.add_argument("notes", nargs=3, help="chord as three note names")
-    p.add_argument("--system", choices=("234", "456"), default="234")
-    p.set_defaults(func=_cmd_purity)
-
-    p = sub.add_parser("tonnetz-path", help="lattice path of a progression file")
-    p.add_argument("file", help="progression file, or - for stdin")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
-    p.set_defaults(func=_cmd_tonnetz_path)
-
-    p = sub.add_parser("verify", help="recompute all reference tables")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (summary, func, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest, nargs, choices, text in positionals:
+            p.add_argument(dest, nargs=nargs, choices=choices, help=text)
+        for flags, dest, kind, default, choices, text in options:
+            if kind is bool:
+                p.add_argument(*flags, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(*flags, dest=dest, type=kind, default=default, choices=choices,
+                               help=text)
+        p.set_defaults(func=func)
     return parser
 
 
+def _fast_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns, read off `COMMANDS`
+    without argparse; None for any argv that is not plainly valid."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, positionals, options = COMMANDS[argv[0]]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    args = {"command": argv[0], "func": func}
+    args.update((dest, default) for _, dest, _, default, _, _ in options)
+    run, ended = [], False          # the positionals, and whether an option followed them
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = by_flag.get(token)
+        if option is None:
+            if ended or (token.startswith("-") and token != "-"):
+                return None
+            run.append(token)
+            continue
+        ended = bool(run)
+        _, dest, kind, _, choices, _ = option
+        if kind is bool:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")       # a missing value defers like one starting with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = kind(value) if kind else value
+        except ValueError:
+            return None
+        if choices and value not in choices:
+            return None
+        args[dest] = value
+    if len(run) != sum(nargs or 1 for _, nargs, _, _ in positionals):
+        return None
+    for dest, nargs, choices, _ in positionals:
+        args[dest], run = (run[:nargs], run[nargs:]) if nargs else (run[0], run[1:])
+        if choices and args[dest] not in choices:
+            return None
+    return types.SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     # Output is held back until the command returns, so an error leaves
     # stdout empty whichever command raised it and wherever.
     out = io.StringIO()

@@ -63,6 +63,12 @@ _UNICODE_MARKS = {"#": "♯", "b": "♭", "'": "′", ",": "⌄",
 MAX_MARKS = 10**6
 
 
+def _quote(name: str) -> str:
+    """`repr` of a name for an error message; past 40 characters, its first
+    20, ``...`` and its length, so a message stays one short line."""
+    return repr(name) if len(name) <= 40 else f"{name[:20]!r}... ({len(name)} characters)"
+
+
 def _marks(shift: int, up: str, down: str) -> str:
     """Period marks for a shift: ``up`` once per period up, ``down`` per period down."""
     if abs(shift) > MAX_MARKS:
@@ -142,14 +148,14 @@ def _split_marks(text: str, bases) -> tuple[str, str]:
     for k in (3, 2, 1):
         if text[:k] in bases:
             return text[:k], text[k:]
-    raise ValueError(f"unknown note name {text!r}")
+    raise ValueError(f"unknown note name {_quote(text)}")
 
 
 def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
     """Signed count of the marks after a base name: +1 per ``up``, -1 per ``down``."""
     # str.count checks the run in one C pass; set() would hash every mark.
     if marks and (marks[0] not in (up, down) or marks.count(marks[0]) != len(marks)):
-        raise ValueError(f"bad {kind} marks in {text!r}: use only {up!r} or only {down!r}")
+        raise ValueError(f"bad {kind} marks in {_quote(text)}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
 
@@ -158,7 +164,7 @@ def parse_note(text: str) -> FreqRatio:
     base, marks = _split_marks(text, _TRITAVE_BASES)
     if marks and marks[0] in "'," and marks.count(marks[0]) == len(marks):
         raise ValueError(
-            f"{text!r} uses octave-system marks; in the tritave system write "
+            f"{_quote(text)} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
     return NoteName(base, _mark_shift(text, marks, "^", "v", "shift")).ratio()

@@ -119,6 +119,15 @@ def test_plr_bad_move_prints_nothing(capsys, argv, move):
     assert len(err.splitlines()) == 1 and repr(move) in err
 
 
+def test_a_bad_name_of_1e5_marks_is_quoted_short(capsys):
+    code, out, err = run(capsys, "plr", "A" + "^" * 10**5 + "v", "E", "A'", "P")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: bad shift marks in 'A^^^^^^^^^^^^^^^^^^^'... (100002 characters): "
+                   "use only '^' or only 'v'\n")
+    assert len(err.encode()) < 200
+
+
 def test_sequence_without_a_name_prints_nothing(capsys):
     # the dominant of this tonic reaches harmonic degree 10, which has no
     # tritave-system name

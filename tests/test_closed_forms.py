@@ -273,22 +273,34 @@ def triad_apply_plr(t, move):
     return Triad(system, root, flipped)
 
 
+_STEPS = {}
+
+
+def triad_step(triad):
+    """The P, L and R images of a triad and the classes of its notes.  Both are
+    pure, so each triad's are worked out once however many searches reach it."""
+    key = (triad.system.id, triad.root, triad.quality)
+    if key not in _STEPS:
+        _STEPS[key] = ([triad_apply_plr(triad, move) for move in "PLR"],
+                       {formula_class_name(triad.system, n) for n in triad.notes()})
+    return _STEPS[key]
+
+
 def triad_reachable_note_classes(start, max_moves):
     seen = {(start.root, start.quality)}
     frontier = [start]
-    classes = {formula_class_name(start.system, n) for n in start.notes()}
+    classes = set(triad_step(start)[1])
     levels = [ReachLevel(0, len(classes), frozenset(classes))]
     for k in range(1, max_moves + 1):
         nxt = []
         for triad in frontier:
-            for move in "PLR":
-                image = triad_apply_plr(triad, move)
+            for image in triad_step(triad)[0]:
                 key = (image.root, image.quality)
                 if key not in seen:
                     seen.add(key)
                     nxt.append(image)
         for triad in nxt:
-            classes.update(formula_class_name(triad.system, n) for n in triad.notes())
+            classes.update(triad_step(triad)[1])
         levels.append(ReachLevel(k, len(classes), frozenset(classes)))
         frontier = nxt
     return levels

@@ -19,8 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules that `import tritave` and the lookups `name` and `reduce` never load.
 UNUSED_BY_LOOKUPS = {
     "dataclasses", "inspect", "json", "csv", "importlib.resources", "fractions", "decimal",
-    "tritave.temperament", "tritave.harmony", "tritave.tonnetz", "tritave.exports",
-    "tritave.verify",
+    "argparse", "gettext", "locale", "shutil", "tritave.temperament", "tritave.harmony",
+    "tritave.tonnetz", "tritave.exports", "tritave.verify",
 }
 
 #: `from tritave import *` at the seed: the public API and the submodules.
@@ -71,10 +71,12 @@ def test_a_name_lookup_loads_only_what_it_runs():
 
 def test_a_plr_call_adds_only_harmony_and_tonnetz():
     added = loaded_after("plr", "A", "E", "A'", "P") - loaded_after("name", "3/2")
-    assert added == {"tritave.harmony", "tritave.tonnetz"}
+    # `enum` serves `harmony.ChordQuality`; a lookup loads no `enum`
+    assert added == {"tritave.harmony", "tritave.tonnetz", "enum"}
 
 
-#: What `import fractions` loads; only 4:5:6 purity needs it among the chord commands.
+#: What `import fractions` loads; among the chord commands only `purity` needs
+#: it, for the base and overtone frequencies of its report.
 FRACTIONS = {"fractions", "decimal", "numbers"}
 
 
@@ -89,8 +91,9 @@ def test_chord_commands_load_no_fractions(argv):
     assert loaded_after(*argv) & FRACTIONS == set()
 
 
-def test_456_purity_loads_fractions_for_its_just_tables():
+def test_purity_loads_fractions_for_its_report_frequencies():
     assert loaded_after("purity", "--system", "456", "C", "E", "G") >= FRACTIONS
+    assert loaded_after("purity", "A", "E", "A'") >= FRACTIONS
 
 
 def test_verify_and_scale_tables_load_no_file_format_modules():

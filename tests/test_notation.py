@@ -27,6 +27,7 @@ from tritave.notation import (
     parse_note,
     parse_pyth2_note,
     pyth2_name_of,
+    _quote,
 )
 
 
@@ -182,17 +183,18 @@ def test_names_beyond_the_mark_bound_fail_fast_naming_the_shift(scheme, shift):
 
 
 # The parsers as they read names before the prefix lookup and the str.count
-# mark check: a longest-first startswith scan, and set() over the marks.
+# mark check: a longest-first startswith scan, and set() over the marks.  The
+# messages quote names through the same rule, `_quote`.
 def _oracle_split(text, bases):
     for base in sorted(bases, key=len, reverse=True):
         if text.startswith(base):
             return base, text[len(base):]
-    raise ValueError(f"unknown note name {text!r}")
+    raise ValueError(f"unknown note name {_quote(text)}")
 
 
 def _oracle_shift(text, marks, up, down, kind):
     if marks and set(marks) not in ({up}, {down}):
-        raise ValueError(f"bad {kind} marks in {text!r}: use only {up!r} or only {down!r}")
+        raise ValueError(f"bad {kind} marks in {_quote(text)}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
 
@@ -200,7 +202,7 @@ def _oracle_parse_note(text):
     base, marks = _oracle_split(text, BASE_NAMES_PYTH3)
     if marks and set(marks) in ({"'"}, {","}):
         raise ValueError(
-            f"{text!r} uses octave-system marks; in the tritave system write "
+            f"{_quote(text)} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
     return NoteName(base, _oracle_shift(text, marks, "^", "v", "shift")).ratio()
