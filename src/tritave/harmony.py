@@ -25,6 +25,13 @@ of the three vectors and the common overtone the per-prime maximum; a:b:c
 are the notes over the base, and ``lcm(a,b,c)`` is the overtone over it.
 So nothing is factored, and the base and overtone frequencies are the only
 `Fraction`s built.
+
+A chord is checked once, where it enters: the public `Chord` constructor
+checks the system, the count, the note type and the order.  Chords the
+package derives from a checked one without changing note type or order
+are built by `_chord`, which checks nothing: a triad stacked on a checked
+root, a whole-step circle shift, and a domain reduction after its sort and
+its collapse check.  Any other chord goes through `Chord`.
 """
 
 from __future__ import annotations
@@ -135,13 +142,18 @@ class _TritaveSystem(TonnetzSystem):
         return [(n.u, n.v, 0) for n in c.notes]
 
     def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
-        note = _ratio(monzo[0], monzo[1])
+        """The note's name in each just scale whose harmonic range holds it;
+        a name of more than `notation.MAX_MARKS` period marks is left out."""
+        two, three, _ = monzo
+        note = _ratio(two, three)
         names = []
-        for system in (scales.PYTH3, scales.PYTH2):
-            try:
-                names.append(notation._name_in(note, system))
-            except ValueError:
-                pass
+        for system, h in ((scales.PYTH3, two), (scales.PYTH2, three)):
+            lo, hi = system.harmonic_range
+            if lo <= h <= hi:
+                try:
+                    names.append(notation._name_in(note, system))
+                except ValueError:      # too many marks to write
+                    pass
         return tuple(names)
 
 
@@ -269,6 +281,22 @@ class Chord(_Record):
         return "-".join(self.names())
 
 
+_set_notes, _set_system = Chord._setters
+
+
+def _chord(notes: tuple, system: TonnetzSystem) -> Chord:
+    """``Chord(notes, system)`` with no checks, the counterpart of `ratios._ratio`.
+
+    Only for three notes that the caller has proven to be of the system's
+    note type and strictly ascending, in a tuple, and for a system object
+    (not an id); each use says why its notes qualify.
+    """
+    chord = object.__new__(Chord)
+    _set_notes(chord, notes)
+    _set_system(chord, system)
+    return chord
+
+
 def chord_234(notes) -> Chord:
     return Chord(tuple(sorted(notes)), TONNETZ_234)
 
@@ -321,7 +349,11 @@ def shift_in_circle(c: Chord, steps: int) -> Chord:
     for 4:5:6 chords (circle of fifths).  No register reduction is applied.
     """
     system = c.system
-    return Chord(tuple(system.shift(n, system.horizontal, steps) for n in c.notes), system)
+    notes = tuple(system.shift(n, system.horizontal, steps) for n in c.notes)
+    if type(steps) is not int:      # the checked path, which rejects a non-int shift
+        return Chord(notes, system)
+    # Trusted: one whole shift of every note keeps their type and their order.
+    return _chord(notes, system)
 
 
 def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
@@ -332,15 +364,18 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
     Each note keeps its tritave class, so this is a stack of first/second
     inversions; it is idempotent for a fixed root.
     """
-    if c.system != TONNETZ_234:
+    # Identity first: `!=` on two systems compares seven fields.
+    if c.system is not TONNETZ_234 and c.system != TONNETZ_234:
         raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
     if root is None:
         root = c.notes[0]
-    # n * TRITAVE**k lies in [root, 3*root) for k = -floor(log3(n / root)).
-    reduced = [n / TRITAVE ** _floor_log(n.u - root.u, n.v - root.v, 0, 1) for n in c.notes]
-    if len(set(reduced)) != 3:
+    # n / TRITAVE**k lies in [root, 3*root) for k = floor(log3(n / root)).
+    low, mid, high = notes = tuple(sorted(
+        _ratio(n.u, n.v - _floor_log(n.u - root.u, n.v - root.v, 0, 1)) for n in c.notes))
+    if low == mid or mid == high:
         raise ValueError("domain reduction collapses two notes onto one")
-    return chord_234(reduced)
+    # Trusted: `_ratio` builds FreqRatio notes, and they are sorted and distinct.
+    return _chord(notes, TONNETZ_234)
 
 
 def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:

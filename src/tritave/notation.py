@@ -16,6 +16,11 @@ Octave-based names instead repeat ``"'"`` and ``","`` for whole octaves
 frequency is written ``C^`` here).  Everything is plain ASCII so files
 and CLI output are byte-stable; `NoteName.render` offers the pretty
 unicode marks for display.
+
+Names are read off a degree table per just scale, built at import: a
+note's harmonic degree gives its base name and the fundamental note of
+that name, and the period shift is the difference of the exponents from
+that note, since whole periods move only the exponent of the period's prime.
 """
 
 from __future__ import annotations
@@ -77,15 +82,16 @@ def _marks(shift: int, up: str, down: str) -> str:
 
 
 def _base_tables(names: list[str], system: scales.ScaleSystem):
-    """Base name -> fundamental-domain note and harmonic degree -> base name;
-    ``names`` are given in scale-degree order."""
+    """Base name -> fundamental-domain note and harmonic degree -> (base name,
+    note); ``names`` are given in scale-degree order."""
     lo = system.harmonic_range[0]
     ratio = {name: scales._just_note(lo + i, system) for i, name in enumerate(names)}
-    by_degree = {scales.harmonic_degree(note, system): name for name, note in ratio.items()}
+    by_degree = {scales.harmonic_degree(note, system): (name, note)
+                 for name, note in ratio.items()}
     return ratio, by_degree
 
 
-# Per just scale, by id: base name -> note and harmonic degree -> base name.
+# Per just scale, by id: base name -> note and harmonic degree -> (base name, note).
 _BASES = {
     system.id: _base_tables(names, system)
     for system, names in ((scales.PYTH3, BASE_NAMES_PYTH3), (scales.PYTH2, BASE_NAMES_PYTH2))
@@ -99,8 +105,14 @@ class NoteName(_Record):
     __slots__ = ("base", "tritave_shift")
 
     def __init__(self, base: str, tritave_shift: int = 0) -> None:
+        if not isinstance(base, str):
+            # The type and a cut repr; an int's repr past 4300 digits would raise.
+            bits = base.bit_length() if isinstance(base, int) else 0
+            shown = repr(base) if bits <= 64 else f"of {bits} bits"
+            raise ValueError(f"a base name must be a str, not {type(base).__name__} "
+                             f"{shown if len(shown) <= 40 else shown[:20] + '...'}")
         if base not in _TRITAVE_BASES:
-            raise ValueError(f"unknown base name {base!r}")
+            raise ValueError(f"unknown base name {_quote(base)}")
         self._set(base, tritave_shift)
 
     def ratio(self) -> FreqRatio:
@@ -117,12 +129,15 @@ class NoteName(_Record):
 
 
 def _spell(ratio: FreqRatio, system: scales.ScaleSystem, kind: str) -> tuple[str, int]:
-    """Base name and period shift of a note in a just scale."""
+    """Base name and period shift of a note in a just scale, off the degree table."""
     h = scales.harmonic_degree(ratio, system)
-    scales._check_harmonic(
-        h, system, f": not {kind}-system note, reduce to the fundamental set first"
-    )
-    return _BASES[system.id][1][h], scales.period_reduce(ratio, system)[1]
+    spelled = _BASES[system.id][1].get(h)
+    if spelled is None:     # the table holds every degree of the harmonic range
+        scales._check_harmonic(
+            h, system, f": not {kind}-system note, reduce to the fundamental set first"
+        )
+    name, note = spelled
+    return name, ratio.u - note.u + ratio.v - note.v
 
 
 def name_of(ratio: FreqRatio) -> NoteName:

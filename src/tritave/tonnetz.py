@@ -26,6 +26,7 @@ from .harmony import (
     Chord,
     ChordQuality,
     TonnetzSystem,
+    _chord,
     classify,
 )
 from .ratios import FreqRatio, _Record
@@ -79,7 +80,9 @@ class Triad(_Record):
         return self.system.lattice_points(self._stack())
 
     def chord(self) -> Chord:
-        return Chord(self._stack(), self.system)
+        # Trusted: the root's type is checked in `__init__`, and a third and
+        # then the circle step above it stack strictly ascending notes.
+        return _chord(self._stack(), self.system)
 
 
 def major_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:

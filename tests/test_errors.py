@@ -99,3 +99,15 @@ def test_purity_of_a_chord_too_large_to_write_is_refused_at_once(notes, message)
         harmony.purity(chord)
     assert time.perf_counter() - start < 1
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("base, message", [
+    ("x" * 10**5, "unknown base name 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"),
+    ([1] * 10**5, "a base name must be a str, not list [1, 1, 1, 1, 1, 1, 1..."),
+    (10**5000, "a base name must be a str, not int of 16610 bits"),
+    (None, "a base name must be a str, not NoneType None"),
+], ids=["str-1e5", "list-1e5", "int-5001-digits", "none"])
+def test_a_bad_note_name_base_is_quoted_short(base, message):
+    with pytest.raises(ValueError) as excinfo:
+        notation.NoteName(base)
+    assert str(excinfo.value) == message

@@ -1,11 +1,14 @@
-"""The pitch layers' fast paths against the checked constructor and big integers.
+"""The pitch and chord layers' fast paths against the checked paths they replaced.
 
 Arithmetic builds its results through `ratios._ratio`, which checks only
 the exponent range; `numerator`, `denominator` and `str` build ``2**a``
-and ``3**b`` directly; and `scales` reads just pitches off a table of
-fundamental notes built at import.  Each is compared here with the path
-it replaced: the public `FreqRatio` constructor, `Fraction` powers, and
-the step-at-a-time period reduction of ``6**h``.
+and ``3**b`` directly; `scales` reads just pitches off a table of
+fundamental notes built at import; `notation` reads a note's base name
+and period shift off a degree table; and the walk primitives build their
+chords through `harmony._chord`, which checks nothing.  Each is compared
+here with the path it replaced: the public `FreqRatio` and `Chord`
+constructors, `Fraction` powers, the step-at-a-time period reduction of
+``6**h``, and the shift of `scales.period_reduce`.
 """
 
 import re
@@ -14,8 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritave import harmony, scales
-from tritave.ratios import _INT64, MAX_STR_DIGITS, OCTAVE, TRITAVE, FreqRatio
+from tritave import harmony, notation, scales, tonnetz
+from tritave.ratios import _INT64, MAX_STR_DIGITS, OCTAVE, TRITAVE, FreqRatio, _floor_log
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -127,3 +130,199 @@ def test_period_reduce_near_the_range_end_needs_no_power_of_the_period(ratio):
     assert abs(shift) >= _INT64
     assert (rep.u + shift, rep.v) == (ratio.u, ratio.v)
     assert scales.in_fundamental_interval(rep, PYTH2)
+
+
+# --- spelling by the degree table --------------------------------------------
+
+SPELLINGS = {   # per just scale: base names, marks up and down, error hint
+    PYTH3.id: (notation.BASE_NAMES_PYTH3, "^", "v", "a tritave"),
+    PYTH2.id: (notation.BASE_NAMES_PYTH2, "'", ",", "an octave"),
+}
+
+
+def reference_spelling(ratio, system) -> str:
+    """A note's name with the shift taken from `scales.period_reduce`.
+
+    The base name is that of the note's scale degree in the window; the
+    shift is how many periods the note sits above its representative in
+    the fundamental interval.
+    """
+    names, up, down, kind = SPELLINGS[system.id]
+    h = scales.harmonic_degree(ratio, system)
+    scales._check_harmonic(
+        h, system, f": not {kind}-system note, reduce to the fundamental set first")
+    base = names[scales.harmonic_to_scale_degree(h, system) - system.harmonic_range[0]]
+    return base + notation._marks(scales.period_reduce(ratio, system)[1], up, down)
+
+
+def spelled(name, *args):
+    """The name as a string, or the message of the ValueError raised."""
+    try:
+        return str(name(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_spelled_as_the_reference(u, v):
+    ratio = FreqRatio(u, v)
+    for system, name in ((PYTH3, notation.name_of), (PYTH2, notation.pyth2_name_of)):
+        want = spelled(reference_spelling, ratio, system)
+        assert spelled(name, ratio) == want
+        assert spelled(notation._name_in, ratio, system) == want
+
+
+# Degrees one window either side of the harmonic ranges, and shifts up to
+# 10**5 periods either way, or exponents at the ends of the range.
+degrees = st.integers(-30, 30)
+periods = st.integers(-10**5 - 30, 10**5 + 30) | edge
+
+
+@EXACT
+@given(degrees, periods)
+def test_a_pyth3_spelling_is_that_of_period_reduce(u, v):
+    assert_spelled_as_the_reference(u, v)
+
+
+@EXACT
+@given(periods, degrees)
+def test_a_pyth2_spelling_is_that_of_period_reduce(u, v):
+    assert_spelled_as_the_reference(u, v)
+
+
+@pytest.mark.parametrize("system", (PYTH3, PYTH2), ids=lambda s: s.id)
+def test_the_range_endpoints_spell_as_the_reference(system):
+    lo, hi = system.harmonic_range
+    for h in (lo - 1, lo, hi, hi + 1):
+        for shift in (-10**5, -1, 0, 1, 10**5):
+            note = FreqRatio(h, h) * system.period ** shift
+            assert_spelled_as_the_reference(note.u, note.v)
+    with pytest.raises(ValueError, match=r"^harmonic degree 10 outside \[-9, 9\]: not a "):
+        notation.name_of(FreqRatio(10, 0))
+    with pytest.raises(ValueError, match=r"^harmonic degree -6 outside \[-5, 6\]: not an "):
+        notation.pyth2_name_of(FreqRatio(0, -6))
+
+
+# --- chords built without checks ----------------------------------------------
+
+
+def reference_reduce(c, root=None):
+    """`reduce_chord_to_domain` as a power and a quotient per note, checked."""
+    if c.system != harmony.TONNETZ_234:
+        raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
+    root = c.notes[0] if root is None else root
+    reduced = [n / TRITAVE ** _floor_log(n.u - root.u, n.v - root.v, 0, 1) for n in c.notes]
+    if len(set(reduced)) != 3:
+        raise ValueError("domain reduction collapses two notes onto one")
+    return harmony.chord_234(reduced)
+
+
+def reference_invert(c, direction):
+    a, b, top = c.notes
+    shift = c.system.shift
+    notes = ((b, top, shift(a, c.system.period)) if direction == "first"
+             else (shift(top, c.system.period, -1), a, b))
+    return harmony.Chord(tuple(sorted(notes)), c.system)
+
+
+def checked(chord):
+    """The chord as the public constructor builds it from its own fields."""
+    assert type(chord) is harmony.Chord and type(chord.notes) is tuple
+    again = harmony.Chord(chord.notes, chord.system)
+    assert again == chord and again.system is chord.system
+    return chord
+
+
+def chord_outcome(make, *args):
+    """The checked chord built, or the message of the ValueError raised."""
+    try:
+        return checked(make(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+roots_234 = st.builds(FreqRatio, st.integers(-40, 40), st.integers(-40, 40))
+triads = (st.builds(tonnetz.Triad, st.just(harmony.TONNETZ_234), roots_234,
+                    st.sampled_from([harmony.ChordQuality.MAJOR, harmony.ChordQuality.MINOR]))
+          | st.builds(tonnetz.Triad, st.just(harmony.TONNETZ_456), st.integers(-60, 60),
+                      st.sampled_from([harmony.ChordQuality.MAJOR, harmony.ChordQuality.MINOR])))
+circle_steps = st.integers(-40, 40) | edge
+
+
+@EXACT
+@given(triads, circle_steps, roots_234)
+def test_trusted_chords_are_those_the_checked_constructor_builds(triad, steps, root):
+    chord = checked(triad.chord())
+    assert chord.notes == tonnetz._stack(triad.system, triad.root,
+                                         triad.quality is harmony.ChordQuality.MAJOR)
+    shifted = chord_outcome(harmony.shift_in_circle, chord, steps)
+    system = chord.system
+    assert shifted == chord_outcome(lambda: harmony.Chord(
+        tuple(system.shift(n, system.horizontal, steps) for n in chord.notes), system))
+    for direction in ("first", "second"):
+        assert (chord_outcome(harmony.invert, chord, direction)
+                == chord_outcome(reference_invert, chord, direction))
+    if system is harmony.TONNETZ_234:
+        for r in (root, None):
+            assert (chord_outcome(harmony.reduce_chord_to_domain, chord, r)
+                    == chord_outcome(reference_reduce, chord, r))
+    if harmony.classify(chord) is harmony.ChordQuality.MAJOR:
+        for sequence in (harmony.basic_sequence, harmony.cadence_sequence):
+            for c in sequence(chord):
+                checked(c)
+
+
+def test_a_collapse_under_a_trusted_chord_is_refused_as_by_the_checked_one():
+    x = FreqRatio(0, 0)
+    spans_a_tritave = harmony.chord_234((x, x * OCTAVE, x * TRITAVE))
+    for make, args in ((harmony.reduce_chord_to_domain, (spans_a_tritave,)),
+                       (harmony.invert, (spans_a_tritave, "first")),
+                       (harmony.invert, (spans_a_tritave, "second")),
+                       (harmony.invert, (harmony.chord_456((0, 5, 12)), "first"))):
+        reference = reference_reduce if make is harmony.reduce_chord_to_domain else reference_invert
+        with pytest.raises(ValueError) as want:
+            reference(*args)
+        with pytest.raises(ValueError) as got:   # raised by the call itself, not by `checked`
+            make(*args)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("steps, message_234, message_456", [
+    (1.5, "exponent 1.5 is not an integer", "system 456 takes int notes, not 10.5"),
+    (Fraction(1, 2), "exponent Fraction(1, 2) is not an integer",
+     "system 456 takes int notes, not Fraction(7, 2)"),
+    (Fraction(2, 1), "exponent Fraction(2, 1) is not an integer",
+     "system 456 takes int notes, not Fraction(14, 1)"),
+], ids=["float", "half", "whole-fraction"])
+def test_a_shift_by_a_non_int_is_refused_as_at_the_checked_path(steps, message_234, message_456):
+    for chord, message in ((harmony.major_triad_234(FreqRatio(0, 0)), message_234),
+                           (harmony.chord_456((0, 4, 7)), message_456)):
+        with pytest.raises(ValueError) as excinfo:
+            harmony.shift_in_circle(chord, steps)
+        assert str(excinfo.value) == message
+
+
+A, B, C = FreqRatio(0, 0), FreqRatio(1, 0), FreqRatio(2, 0)
+
+
+@pytest.mark.parametrize("notes, system, message", [
+    ((0, 4, 7), "789", "unknown system '789'"),
+    ((0, 4, 7), None, "unknown system None"),
+    ((0, 4, 7), 456, "unknown system 456"),
+    ((0, 4), "456", "a chord needs exactly 3 notes, not 2: (0, 4)"),
+    ((0, 4, 7, 9), "456", "a chord needs exactly 3 notes, not 4: (0, 4, 7, 9)"),
+    ((), "456", "a chord needs exactly 3 notes, not 0: ()"),
+    ((0, 4, True), "456", "system 456 takes int notes, not True"),
+    ((0, 4, 7.0), "456", "system 456 takes int notes, not 7.0"),
+    ((0, A, 7), "456", "system 456 takes int notes, not FreqRatio(0, 0)"),
+    ((A, B, 2), "234", "system 234 takes FreqRatio notes, not 2"),
+    ((7, 4, 0), "456", "chord notes must be strictly ascending, not (7, 4, 0)"),
+    ((0, 4, 4), "456", "chord notes must be strictly ascending, not (0, 4, 4)"),
+    ((B, A, C), "234", "chord notes must be strictly ascending, "
+     "not (FreqRatio(1, 0), FreqRatio(0, 0), FreqRatio(2, 0))"),
+    ((A, A, C), "234", "chord notes must be strictly ascending, "
+     "not (FreqRatio(0, 0), FreqRatio(0, 0), FreqRatio(2, 0))"),
+])
+def test_the_public_chord_constructor_keeps_every_check(notes, system, message):
+    with pytest.raises(ValueError) as excinfo:
+        harmony.Chord(notes, system)
+    assert str(excinfo.value) == message
