@@ -26,7 +26,7 @@ import sys
 import types
 
 from . import notation, scales
-from .ratios import FreqRatio
+from .ratios import MAX_STR_DIGITS, FreqRatio
 
 #: `exports.TABLE_IDS`, written out so the parser does not load `exports`.
 TABLE_IDS = ("t1", "t2", "diff", "plr456", "plr234", "purity234", "purity456")
@@ -170,6 +170,15 @@ def _cmd_sequence(args) -> int:
 def _cmd_purity(args) -> int:
     from . import harmony
     report = harmony.purity(_chord_from_args(args))
+    # str() of an int past MAX_STR_DIGITS digits raises, naming no input.
+    base, overtone, limit = report.base_frequency, report.overtone_frequency, 10**MAX_STR_DIGITS
+    for label, numbers in (("harmonics", report.ratio), ("reciprocal", report.reciprocal),
+                           ("base frequency", (base.numerator, base.denominator)),
+                           ("overtone frequency", (overtone.numerator, overtone.denominator))):
+        if max(numbers) >= limit:
+            chord = " ".join(map(notation._quote, args.notes))
+            raise ValueError(f"cannot write the purity of {chord}: the {label} line has a "
+                             f"number of more than {MAX_STR_DIGITS} digits")
     a, b, c = report.ratio
     x, y, z = report.reciprocal
     print(f"harmonics   {a}:{b}:{c}  (reciprocal 1/{x}:1/{y}:1/{z})")

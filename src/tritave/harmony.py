@@ -24,7 +24,8 @@ adding its just interval's vector.  The base note is the per-prime minimum
 of the three vectors and the common overtone the per-prime maximum; a:b:c
 are the notes over the base, and ``lcm(a,b,c)`` is the overtone over it.
 So nothing is factored, and the base and overtone frequencies are the only
-`Fraction`s built.
+`Fraction`s built.  Their names, like every note and class name here, are
+spelled by `notation`.
 
 A chord is checked once, where it enters: the public `Chord` constructor
 checks the system, the count, the note type and the order.  Chords the
@@ -40,7 +41,7 @@ import enum
 import math
 import operator
 
-from . import notation, scales
+from . import notation
 from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _ratio, _Record
 
 __all__ = [
@@ -121,13 +122,13 @@ class _TritaveSystem(TonnetzSystem):
         return high / low
 
     def name(self, note: FreqRatio) -> str:
-        return str(notation.name_of(note))
+        return notation._name_in(note)
 
     def parse(self, text: str) -> FreqRatio:
         return notation.parse_note(text)
 
     def class_name(self, note: FreqRatio) -> str:
-        return self.class_names[_CLASS_INDEX[note.u % len(_CLASS_INDEX)]]
+        return notation._TRITAVE_CLASSES[note.u % len(notation._TRITAVE_CLASSES)]
 
     def lattice_points(self, notes: tuple) -> tuple:
         """Inversions are not invisible here, so the plane is not rolled up."""
@@ -142,26 +143,8 @@ class _TritaveSystem(TonnetzSystem):
         return [(n.u, n.v, 0) for n in c.notes]
 
     def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
-        """The note's name in each just scale whose harmonic range holds it;
-        a name of more than `notation.MAX_MARKS` period marks is left out."""
         two, three, _ = monzo
-        note = _ratio(two, three)
-        names = []
-        for system, h in ((scales.PYTH3, two), (scales.PYTH2, three)):
-            lo, hi = system.harmonic_range
-            if lo <= h <= hi:
-                try:
-                    names.append(notation._name_in(note, system))
-                except ValueError:      # too many marks to write
-                    pass
-        return tuple(names)
-
-
-# Tritaves keep the 2-exponent and a comma moves it by 19, so a 2:3:4 class
-# is fixed by u mod 19: the index in ``class_names`` of each residue.
-_CLASS_INDEX = tuple(
-    scales.harmonic_to_scale_degree(scales._window(u, scales.PYTH3), scales.PYTH3)
-    - scales.PYTH3.harmonic_range[0] for u in range(scales.PYTH3.notes_per_period))
+        return notation._just_names(_ratio(two, three))
 
 
 class _OctaveSystem(TonnetzSystem):
@@ -195,22 +178,20 @@ class _OctaveSystem(TonnetzSystem):
     def voice_near(self, c: Chord, tonic: Chord) -> Chord:
         """Close voicing (span under an octave) nearest the tonic.
 
-        ``base`` folds the notes into the octave from the tonic root.  Read
-        cyclically, with an octave added per lap, its notes k = j, j+1, j+2
-        are the close voicing j steps up (j < 0: down) from it.  Of the five
-        voicings j in -2..2 the one with the least total motion from the
-        tonic wins; ties go to the smaller step, then to the lower voicing.
+        The notes folded into the octave from the tonic root, with the
+        octave below and the two lowest of the octave above, list the close
+        voicings as their runs of three: the run j steps from the middle
+        octave's (j in -2..2) is the voicing j steps up (j < 0: down).  The
+        one with the least total motion from the tonic wins; ties go to the
+        smaller step, then to the lower voicing.
         """
-        r0 = tonic.notes[0]
-        base = sorted(r0 + (n - r0) % self.period for n in c.notes)
-
-        def voicing(j: int) -> list[int]:
-            return [base[k % 3] + self.period * (k // 3) for k in range(j, j + 3)]
-
-        def cost(j: int):
-            return (sum(abs(a - b) for a, b in zip(voicing(j), tonic.notes)), abs(j), j)
-
-        return chord_456(voicing(min(range(-2, 3), key=cost)))
+        p = self.period
+        t0, t1, t2 = tonic.notes
+        low, mid, high = sorted(t0 + (n - t0) % p for n in c.notes)
+        folded = (low - p, mid - p, high - p, low, mid, high, low + p, mid + p)
+        *_, notes = min((abs(a - t0) + abs(b - t1) + abs(d - t2), abs(j), j, (a, b, d))
+                        for j, a, b, d in zip(range(-2, 3), folded[1:], folded[2:], folded[3:]))
+        return chord_456(notes)
 
     def just_monzos(self, c: Chord) -> list[tuple[int, int, int]]:
         """The lowest note's just pitch class an octave count up, then the just steps."""
@@ -225,12 +206,13 @@ class _OctaveSystem(TonnetzSystem):
         return monzos
 
     def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
+        """The 12-EDO name of the pitch class with the same 3- and 5-exponents,
+        an octave up per 2-exponent over that class's."""
         two, three, five = monzo
-        named = _JUST_NAMES.get((three, five))
-        if named is None:
+        pc = _JUST_PCS.get((three, five))
+        if pc is None:
             return ()
-        letter, window_two = named
-        return (letter + notation._marks(two - window_two, "'", ","),)
+        return (notation.edo12_name(pc + self.period * (two - _JUST_CLASSES[pc][0])),)
 
 
 TONNETZ_234 = _TritaveSystem(
@@ -416,13 +398,8 @@ _JUST_CLASSES = (
     (0, 0, 0), (-7, 3, 1), (-3, 2, 0), (1, 1, -1), (-2, 0, 1), (2, -1, 0),
     (-5, 2, 1), (-1, 1, 0), (-4, 0, 2), (0, -1, 1), (0, 2, -1), (-3, 1, 1),
 )
-# A just pitch is named after the class with its 3- and 5-exponents, one
-# octave mark per octave from that class's note in the naming window
-# [15/16, 15/8): the plain B, one semitone below C, is 15/16 there.
-_JUST_NAMES = {
-    (three, five): (name, two - (name == "B"))
-    for (two, three, five), name in zip(_JUST_CLASSES, notation.NAMES_EDO12)
-}
+# The pitch class of each just class's 3- and 5-exponents.
+_JUST_PCS = {(three, five): pc for pc, (_, three, five) in enumerate(_JUST_CLASSES)}
 
 
 class PurityReport(_Record):
@@ -472,7 +449,7 @@ def purity(c: Chord) -> PurityReport:
     high = tuple(map(max, *notes))      # the first common overtone
     a, b, top = (_whole(n, low) for n in notes)
     lcm = _whole(high, low)
-    # Names before values: a 4:5:6 note too far up to spell fails as such.
+    # Names before values: a note too far up to spell fails as such.
     base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
     base = _fraction(low)
     return PurityReport((a, b, top), a, lcm // top, base, base * lcm, base_names,

@@ -17,10 +17,12 @@ frequency is written ``C^`` here).  Everything is plain ASCII so files
 and CLI output are byte-stable; `NoteName.render` offers the pretty
 unicode marks for display.
 
-Names are read off a degree table per just scale, built at import: a
-note's harmonic degree gives its base name and the fundamental note of
-that name, and the period shift is the difference of the exponents from
-that note, since whole periods move only the exponent of the period's prime.
+This module owns every spelling: note names, the 2:3:4 class names and the
+4:5:6 just names (as 12-EDO names).  Names are read off a degree table per
+just scale, built at import: a note's harmonic degree gives its base name
+and the fundamental note of that name, and the period shift is the
+difference of the exponents from that note, since whole periods move only
+the exponent of the period's prime.
 """
 
 from __future__ import annotations
@@ -91,12 +93,19 @@ def _base_tables(names: list[str], system: scales.ScaleSystem):
     return ratio, by_degree
 
 
-# Per just scale, by id: base name -> note and harmonic degree -> (base name, note).
+# Per just scale, by id: base name -> note, harmonic degree -> (base name,
+# note), the period marks up and down, and the kind of note for errors.
 _BASES = {
-    system.id: _base_tables(names, system)
-    for system, names in ((scales.PYTH3, BASE_NAMES_PYTH3), (scales.PYTH2, BASE_NAMES_PYTH2))
+    system.id: (*_base_tables(names, system), up, down, kind)
+    for system, names, up, down, kind in (
+        (scales.PYTH3, BASE_NAMES_PYTH3, "^", "v", "a tritave"),
+        (scales.PYTH2, BASE_NAMES_PYTH2, "'", ",", "an octave"))
 }
 _TRITAVE_BASES = _BASES[scales.PYTH3.id][0]
+# 2:3:4 note classes by u mod 19: tritaves keep the 2-exponent and a comma
+# moves it by 19, so the class is the base name of u's degree in the window.
+_TRITAVE_CLASSES = tuple(_BASES[scales.PYTH3.id][1][scales._window(u, scales.PYTH3)][0]
+                         for u in range(scales.PYTH3.notes_per_period))
 
 
 class NoteName(_Record):
@@ -128,16 +137,29 @@ class NoteName(_Record):
         return "".join(_UNICODE_MARKS.get(ch, ch) for ch in text)
 
 
-def _spell(ratio: FreqRatio, system: scales.ScaleSystem, kind: str) -> tuple[str, int]:
+def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int]:
     """Base name and period shift of a note in a just scale, off the degree table."""
     h = scales.harmonic_degree(ratio, system)
     spelled = _BASES[system.id][1].get(h)
     if spelled is None:     # the table holds every degree of the harmonic range
-        scales._check_harmonic(
-            h, system, f": not {kind}-system note, reduce to the fundamental set first"
-        )
+        scales._check_harmonic(h, system, f": not {_BASES[system.id][4]}-system note, "
+                                          "reduce to the fundamental set first")
     name, note = spelled
     return name, ratio.u - note.u + ratio.v - note.v
+
+
+def _name_in(ratio: FreqRatio, system: scales.ScaleSystem = scales.PYTH3) -> str:
+    """Spelling of a note in a just scale, the tritave one by default: its
+    base name and one period mark per period from that name's note."""
+    base, shift = _spell(ratio, system)
+    _, _, up, down, _ = _BASES[system.id]
+    return base + _marks(shift, up, down)
+
+
+def _just_names(ratio: FreqRatio) -> tuple[str, ...]:
+    """The note's name in each just scale whose degree table holds it."""
+    return tuple(_name_in(ratio, system) for system in (scales.PYTH3, scales.PYTH2)
+                 if scales.harmonic_degree(ratio, system) in _BASES[system.id][1])
 
 
 def name_of(ratio: FreqRatio) -> NoteName:
@@ -146,7 +168,7 @@ def name_of(ratio: FreqRatio) -> NoteName:
     The 2-adic harmonic degree must already lie in [-9, 9]; callers holding
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
-    return NoteName(*_spell(ratio, scales.PYTH3, "a tritave"))
+    return NoteName(*_spell(ratio, scales.PYTH3))
 
 
 def note_name_at_degree(degree: int) -> NoteName:
@@ -187,8 +209,7 @@ def parse_note(text: str) -> FreqRatio:
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
     """Octave-system spelling: base name plus repeated primes/commas."""
-    base, shift = _spell(ratio, scales.PYTH2, "an octave")
-    return base + _marks(shift, "'", ",")
+    return _name_in(ratio, scales.PYTH2)
 
 
 def parse_pyth2_note(text: str) -> FreqRatio:
@@ -197,18 +218,10 @@ def parse_pyth2_note(text: str) -> FreqRatio:
     return ratio[base] * OCTAVE ** _mark_shift(text, marks, "'", ",", "octave")
 
 
-def _name_in(ratio: FreqRatio, system: scales.ScaleSystem) -> str:
-    """Spelling of a note in a just scale, the tritave or the octave one."""
-    return str(name_of(ratio)) if system.period == TRITAVE else pyth2_name_of(ratio)
-
-
 def edo12_name(semitone: int) -> str:
-    """Name of a 12-EDO pitch (semitones relative to the central C)."""
-    pc = semitone % 12
-    octaves = (semitone - pc) // 12
-    if pc == 11:          # plain B is the semitone below plain C
-        octaves += 1
-    return NAMES_EDO12[pc] + _marks(octaves, "'", ",")
+    """Name of a 12-EDO pitch (semitones relative to the central C); the
+    plain B is the semitone below the plain C, so octaves turn over at B."""
+    return NAMES_EDO12[semitone % 12] + _marks((semitone + 1) // 12, "'", ",")
 
 
 def parse_edo12_note(text: str) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from tritave import cli, verify
+from tritave import cli, ratios, verify
 from tritave.verify import SectionResult, VerifyReport
 
 
@@ -202,12 +202,38 @@ def test_usage_error_exit_code():
 
 def test_purity_failing_after_its_first_line_prints_nothing(capsys):
     # 2*10**4 tritaves up the base frequency has more digits than Python
-    # converts to text, after the harmonics line is already formatted
+    # converts to text, though the harmonics line before it is short
     up = "^" * 20000
     code, out, err = run(capsys, "purity", "A" + up, "E" + up, "A'" + up)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("notes, message", [
+    # 10**4 tritaves up the base frequency's numerator has about 4772 digits
+    (("A" + "^" * 10**4, "E" + "^" * 10**4, "A'" + "^" * 10**4),
+     "'A^^^^^^^^^^^^^^^^^^^'... (10001 characters) 'E^^^^^^^^^^^^^^^^^^^'... "
+     "(10001 characters) \"A'^^^^^^^^^^^^^^^^^^\"... (10002 characters): the base frequency"),
+    # 4 * 3**9100 has 4343 digits
+    (("A", "E", "A'" + "^" * 9100),
+     "'A' 'E' \"A'^^^^^^^^^^^^^^^^^^\"... (9102 characters): the harmonics"),
+    (("A", "E", "A'" + "^" * 9012),
+     "'A' 'E' \"A'^^^^^^^^^^^^^^^^^^\"... (9014 characters): the harmonics"),
+], ids=["1e4-marks-each", "9100-marks-on-top", "one-mark-past-the-bound"])
+def test_purity_too_long_to_write_names_the_chord_and_the_line(capsys, notes, message):
+    code, out, err = run(capsys, "purity", *notes)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot write the purity of {message} line has a number of more "
+                   f"than {ratios.MAX_STR_DIGITS} digits\n")
+
+
+def test_purity_at_the_digit_bound_is_written(capsys):
+    # 4 * 3**9011 has exactly MAX_STR_DIGITS digits
+    code, out, err = run(capsys, "purity", "A", "E", "A'" + "^" * 9011)
+    assert code == 0 and err == ""
+    assert out.startswith(f"harmonics   2:3:{4 * 3**9011}  ")
 
 
 def test_tonnetz_path_failing_on_a_later_chord_prints_nothing(tmp_path, capsys):

@@ -1,17 +1,17 @@
 """Closed forms against the step-at-a-time loops they replace.
 
 `_OctaveSystem.voice_near` reads the five close voicings off the sorted
-pitches, `_OctaveSystem.monzo_names` reads the octave count off the
-2-exponent, and `ratios._strip` halves the exponent left to find at each
-division.  The reference copies below are the rotation and folding loops
-they replaced; results must agree exactly, and the cost must not grow
-with the number of octaves or tritaves.
+pitches, the 4:5:6 just names come from `notation.edo12_name` of a
+semitone worked out from the 2-exponent, and `ratios._strip` halves the
+exponent left to find at each division.  The reference copies below are
+the rotation and folding loops they replaced; results must agree exactly,
+and the cost must not grow with the number of octaves or tritaves.
 
 `harmony.purity` works on prime-exponent vectors; its reference is the
 big-`Fraction` computation it replaced, with its just-intonation tables.
 
-`tonnetz.reachable_note_classes` searches ``(root, major)`` keys and
-`_TritaveSystem.class_name` reads a class off ``u mod 19``; their
+`tonnetz.reachable_note_classes` searches ``(root, major)`` keys, and a
+2:3:4 class is `notation._TRITAVE_CLASSES` at ``u mod 19``; their
 references are the search that built a `Triad` per move and the
 harmonic-to-scale-degree formula.
 """

@@ -85,12 +85,14 @@ FAR = 12 * 10**9    # semitones: 10**9 octaves up
      "cannot build FreqRatio(1099511627776, 0): its numerator has about 1099511627777 bits, "
      "more than 16777216"),
     ((FreqRatio(0, 2**30), FreqRatio(-1, 2**30 + 1), FreqRatio(1, 2**30 + 1)),
-     "cannot build FreqRatio(-1, 1073741824): its numerator has about 1701840527 bits, "
-     "more than 16777216"),
+     "cannot spell a shift of 1073741823 periods: more than 1000000 marks"),
     ((FAR, FAR + 4, FAR + 7),
      "cannot spell a shift of 999999998 periods: more than 1000000 marks"),
+    # A-E-A' a million tritaves up: the overtone needs one mark too many
+    ((FreqRatio(-2, 1 + 10**6), FreqRatio(-3, 2 + 10**6), FreqRatio(-1, 1 + 10**6)),
+     "cannot spell a shift of 1000001 periods: more than 1000000 marks"),
 ], ids=["span-2**40-tritaves", "span-2**40-octaves", "small-span-2**30-tritaves-up",
-        "456-10**9-octaves-up"])
+        "456-10**9-octaves-up", "234-10**6-tritaves-up"])
 def test_purity_of_a_chord_too_large_to_write_is_refused_at_once(notes, message):
     system = harmony.TONNETZ_234 if isinstance(notes[0], FreqRatio) else harmony.TONNETZ_456
     chord = harmony.Chord(notes, system)
