@@ -194,8 +194,11 @@ def _cmd_tonnetz_path(args) -> int:
     if args.file == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:      # its str quotes the whole file name
+            raise ValueError(f"cannot read {notation._quote(args.file)}: {exc.strerror}") from None
     chords = exports.parse_progression(text)
     if args.dot:
         sys.stdout.write(exports.emit_tonnetz_path(chords))

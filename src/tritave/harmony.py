@@ -362,8 +362,10 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
 
 def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
     """Tonic, two circle shifts of it voiced near it, tonic."""
-    if classify(tonic) is not ChordQuality.MAJOR:
-        raise ValueError(f"{kind} sequence defined for major tonic")
+    quality = classify(tonic)
+    if quality is not ChordQuality.MAJOR:
+        raise ValueError(f"{kind} sequence needs a major tonic, not "
+                         f"{notation._quote(str(tonic))} ({quality})")
     moved = [tonic.system.voice_near(shift_in_circle(tonic, k), tonic) for k in steps]
     return [tonic, *moved, tonic]
 

@@ -20,6 +20,7 @@ the 19 classes of the finite lattice.
 
 from __future__ import annotations
 
+from . import notation
 from .harmony import (
     TONNETZ_234,
     TONNETZ_456,
@@ -98,7 +99,8 @@ def triad_from_chord(c: Chord) -> Triad:
         raise ValueError(f"triad_from_chord takes a Chord, not {type(c).__name__}")
     quality = classify(c)
     if quality not in (_MAJOR, _MINOR):
-        raise ValueError(f"P/L/R moves need a major or minor triad, got {quality}")
+        raise ValueError(f"P/L/R moves need a major or minor triad, not "
+                         f"{notation._quote(str(c))} ({quality})")
     return Triad(c.system, c.notes[0], quality)
 
 

@@ -173,9 +173,17 @@ def test_tonnetz_path(tmp_path, capsys):
 
 
 def test_tonnetz_path_missing_file(capsys):
-    code, _, err = run(capsys, "tonnetz-path", "/nonexistent/prog.txt")
+    code, out, err = run(capsys, "tonnetz-path", "/nonexistent/prog.txt")
     assert code == 2
-    assert "error" in err
+    assert (out, err) == ("", "error: cannot read '/nonexistent/prog.txt': "
+                              "No such file or directory\n")
+
+
+def test_tonnetz_path_unreadable_file_name_is_quoted_short(capsys):
+    code, out, err = run(capsys, "tonnetz-path", "x" * 10**4)
+    assert code == 2
+    assert (out, err) == ("", "error: cannot read 'xxxxxxxxxxxxxxxxxxxx'... (10000 characters): "
+                              "File name too long\n")
 
 
 def test_verify_success(capsys):

@@ -4,8 +4,12 @@ import time
 
 import pytest
 
-from tritave import harmony, notation, scales, temperament, tonnetz
+from tritave import exports, harmony, notation, scales, temperament, tonnetz
 from tritave.ratios import FreqRatio
+
+
+DIMINISHED = harmony.TONNETZ_234.parse_chord(["A", "D", "G"])
+C_MAJOR_456 = harmony.chord_456((0, 4, 7))
 
 
 @pytest.mark.parametrize("make, message", [
@@ -23,8 +27,27 @@ from tritave.ratios import FreqRatio
     (lambda: scales.pyth2_pyth3_differences(5, 3), "degree_lo 5 exceeds degree_hi 3"),
     (lambda: temperament.comma_for(0, 19), "p and q must be positive, not p=0, q=19"),
     (lambda: temperament.comma_for(12, -1), "p and q must be positive, not p=12, q=-1"),
+    (lambda: harmony.basic_sequence(DIMINISHED),
+     "basic sequence needs a major tonic, not 'A-D-G' (diminished)"),
+    (lambda: harmony.cadence_sequence(DIMINISHED),
+     "cadence sequence needs a major tonic, not 'A-D-G' (diminished)"),
+    (lambda: tonnetz.triad_from_chord(DIMINISHED),
+     "P/L/R moves need a major or minor triad, not 'A-D-G' (diminished)"),
+    (lambda: exports.emit_scl("pyth5"),
+     "unknown scale 'pyth5'; choose from ('pyth3', 'edt19', 'pyth2', 'edo12')"),
+    (lambda: exports.emit_tonnetz_path([C_MAJOR_456]),
+     "lattice paths are drawn for 2:3:4 progressions"),
+    (lambda: scales.deviation_table("x"), "unknown table pair 'x'"),
+    (lambda: harmony.reduce_chord_to_domain(C_MAJOR_456),
+     "domain reduction by tritaves applies to 2:3:4 chords"),
+    # past MAX_MARKS tritaves a note has no name, and its ratio is too long to write
+    (lambda: exports.emit_tonnetz_path([harmony.Chord(
+        (FreqRatio(-2, 10**6 + 2), FreqRatio(-3, 10**6 + 3), FreqRatio(-1, 10**6 + 2)))]),
+     "cannot write FreqRatio(-2, 1000002): its numerator has about 477123 digits, "
+     "more than 4300"),
 ], ids=["max_moves", "midi-range", "chord-size", "ascending-234", "ascending-456",
-        "degree-range", "comma-p", "comma-q"])
+        "degree-range", "comma-p", "comma-q", "basic-sequence", "cadence-sequence", "plr-triad",
+        "scl-scale", "path-456", "deviation-pair", "reduce-456", "path-10**6-tritaves-up"])
 def test_error_names_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()

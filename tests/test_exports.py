@@ -15,9 +15,9 @@ from tritave.exports import (
     parse_scl,
     sample_progression_text,
 )
-from tritave.harmony import ChordQuality, basic_sequence, chord_234, classify
+from tritave.harmony import Chord, ChordQuality, basic_sequence, chord_234, classify
 from tritave.notation import parse_note
-from tritave.ratios import cents
+from tritave.ratios import FreqRatio, cents
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3, note_at_scale_degree
 
 
@@ -207,6 +207,14 @@ def test_tonnetz_path_flags_unclassified_chords():
     odd = chord_234([parse_note(n) for n in ("A", "C", "G")])
     dot = emit_tonnetz_path([odd])
     assert 'label="1?"' in dot
+
+
+def test_tonnetz_path_labels_a_note_with_no_name_by_its_ratio():
+    # 2^-15 * 3^10 lies 15 fifths from D, outside the 19-note degree table
+    dot = emit_tonnetz_path([Chord((FreqRatio(0, 0), FreqRatio(-15, 10), FreqRatio(1, 0)))])
+    note_nodes = re.findall(r'^  "([^"]+)" \[shape=circle', dot, re.M)
+    assert note_nodes == ["59049/32768", "D", "G,^"]
+    assert 'chord1 -> "59049/32768" [style=dotted' in dot
 
 
 def test_tonnetz_path_rejects_empty():

@@ -51,6 +51,12 @@ def test_convergent_values():
     assert (convs[6].p, convs[6].q) == (53, 84)
 
 
+def test_convergent_value_is_its_exact_fraction():
+    from fractions import Fraction
+
+    assert [c.value for c in convergents(8)[4::2]] == [Fraction(12, 19), Fraction(53, 84)]
+
+
 def test_convergent_recurrence_and_coprimality():
     coeffs = cf_coefficients(10)
     convs = convergents(10)
