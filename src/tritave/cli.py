@@ -136,6 +136,7 @@ def _cmd_convergents(args) -> int:
 def _cmd_plr(args) -> int:
     from . import tonnetz
     triad = tonnetz.triad_from_chord(_chord_from_args(args))
+    tonnetz._check_moves(args.moves)
     print(f"start  {_note_names(triad.chord())}  ({triad.quality})")
     for move in args.moves:
         triad = tonnetz.apply_plr(triad, move)

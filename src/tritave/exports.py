@@ -283,7 +283,8 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
     One circle node per note (positioned at its lattice point), one filled
     triangle node per chord at the triangle's centroid, and a directed
     chain through the chord nodes in playing order.  Chords that are not
-    major/minor/augmented/diminished are kept but flagged with '?'.
+    major/minor/augmented/diminished are kept but flagged with '?'.  A note
+    with no name is labelled by its exponents, ``2^u*3^v``.
     """
     if not chords:
         raise ValueError("empty progression")
@@ -295,8 +296,8 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
             if note not in notes:
                 try:
                     notes[note] = str(notation.name_of(note))
-                except ValueError:
-                    notes[note] = str(note)
+                except ValueError:      # no name; the ratio may be too long to write
+                    notes[note] = _exponent_str(note)
 
     lines = [
         "digraph tonnetz_path {",

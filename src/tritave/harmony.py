@@ -83,7 +83,9 @@ class TonnetzSystem(_Record):
     and the down diagonal (minor step) split it.  Notes repeat after
     ``period``; ``home`` is the root of the default starting triad and
     ``class_names`` lists the note classes in display order.  The two
-    subclasses supply everything that depends on the note type.
+    subclasses supply everything that depends on the note type, among it
+    a note's integer class index and ``class_table``, the class names in
+    index order (modulo its length).
     """
 
     __slots__ = ("id", "horizontal", "up_diagonal", "down_diagonal", "period", "home",
@@ -104,8 +106,18 @@ class TonnetzSystem(_Record):
                              f"not {note!r}")
 
     def parse_chord(self, names) -> Chord:
-        """Chord of three note names given in any order."""
-        return Chord(tuple(sorted(self.parse(name) for name in names)), self)
+        """Chord of three distinct note names given in any order."""
+        typed = {}
+        for name in names:
+            note = self.parse(name)
+            if note in typed:
+                raise ValueError(f"chord notes must be distinct: {notation._quote(typed[note])} "
+                                 f"and {notation._quote(name)} are one note")
+            typed[note] = name
+        return Chord(tuple(sorted(typed)), self)
+
+    def class_name(self, note) -> str:
+        return self.class_table[self.class_index(note) % len(self.class_table)]
 
 
 class _TritaveSystem(TonnetzSystem):
@@ -118,8 +130,9 @@ class _TritaveSystem(TonnetzSystem):
         make = _ratio if isinstance(times, int) else FreqRatio
         return make(note.u + interval.u * times, note.v + interval.v * times)
 
-    def step(self, low: FreqRatio, high: FreqRatio) -> FreqRatio:
-        return high / low
+    def step(self, low: FreqRatio, high: FreqRatio) -> tuple[int, int]:
+        """The exponents of ``high / low``; no ratio is built."""
+        return high.u - low.u, high.v - low.v
 
     def name(self, note: FreqRatio) -> str:
         return notation._name_in(note)
@@ -127,8 +140,8 @@ class _TritaveSystem(TonnetzSystem):
     def parse(self, text: str) -> FreqRatio:
         return notation.parse_note(text)
 
-    def class_name(self, note: FreqRatio) -> str:
-        return notation._TRITAVE_CLASSES[note.u % len(notation._TRITAVE_CLASSES)]
+    class_index = operator.attrgetter("u")      # the class is u mod 19
+    class_table = notation._TRITAVE_CLASSES
 
     def lattice_points(self, notes: tuple) -> tuple:
         """Inversions are not invisible here, so the plane is not rolled up."""
@@ -164,8 +177,8 @@ class _OctaveSystem(TonnetzSystem):
     def parse(self, text: str) -> int:
         return notation.parse_edo12_note(text)
 
-    def class_name(self, note: int) -> str:
-        return self.class_names[note % self.period]
+    class_index = operator.index                # the class is the pitch class
+    class_table = property(operator.attrgetter("class_names"))
 
     def lattice_points(self, notes: tuple) -> tuple:
         """The lattice is rolled up onto the 12 pitch classes."""
@@ -222,16 +235,17 @@ TONNETZ_456 = _OctaveSystem("456", 7, 4, 3, 12, "C", tuple(notation.NAMES_EDO12)
 
 _SYSTEMS = {s.id: s for s in (TONNETZ_234, TONNETZ_456)}
 
-# `classify`'s table: per system id, the quality of each ordered pair of steps.
-_QUALITIES = {
-    s.id: {
-        (s.up_diagonal, s.down_diagonal): ChordQuality.MAJOR,
-        (s.down_diagonal, s.up_diagonal): ChordQuality.MINOR,
-        (s.up_diagonal, s.up_diagonal): ChordQuality.AUGMENTED,
-        (s.down_diagonal, s.down_diagonal): ChordQuality.DIMINISHED,
-    }
-    for s in (TONNETZ_234, TONNETZ_456)
-}
+
+def _qualities(s: TonnetzSystem) -> dict:
+    """`classify`'s table for one system: the quality of each ordered pair of
+    steps as `step` gives them.  Each diagonal is the horizontal step over
+    the other one."""
+    up, down = s.step(s.down_diagonal, s.horizontal), s.step(s.up_diagonal, s.horizontal)
+    return {(up, down): ChordQuality.MAJOR, (down, up): ChordQuality.MINOR,
+            (up, up): ChordQuality.AUGMENTED, (down, down): ChordQuality.DIMINISHED}
+
+
+_QUALITIES = {s.id: _qualities(s) for s in (TONNETZ_234, TONNETZ_456)}
 
 
 class Chord(_Record):

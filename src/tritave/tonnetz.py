@@ -15,7 +15,10 @@ major and minor while changing exactly one note:
 2:3:4 moves act on exact ratios in the infinite lattice (inversions are
 not invisible here, so the plane cannot be rolled up), while note
 counting identifies tritave- and comma-equivalent notes, i.e. works with
-the 19 classes of the finite lattice.
+the 19 classes of the finite lattice.  So the reach search runs on that
+finite lattice, and on the 12 pitch classes in 4:5:6: a triad there is
+its root's class index and its quality, and a move adds a fixed step to
+the index.  `Triad` and `apply_plr` keep the real roots.
 """
 
 from __future__ import annotations
@@ -55,12 +58,6 @@ __all__ = [
 _MAJOR, _MINOR = ChordQuality.MAJOR, ChordQuality.MINOR
 
 
-def _stack(system: TonnetzSystem, root, major: bool) -> tuple:
-    """Notes of the major or minor triad on ``root``, root first."""
-    third = system.up_diagonal if major else system.down_diagonal
-    return (root, system.shift(root, third), system.shift(root, system.horizontal))
-
-
 class Triad(_Record):
     """A major or minor triangle: system, root and quality."""
 
@@ -74,7 +71,10 @@ class Triad(_Record):
         self._set(system, root, quality)
 
     def _stack(self) -> tuple:
-        return _stack(self.system, self.root, self.quality is _MAJOR)
+        """The triad's notes, root first."""
+        system, root = self.system, self.root
+        third = system.up_diagonal if self.quality is _MAJOR else system.down_diagonal
+        return (root, system.shift(root, third), system.shift(root, system.horizontal))
 
     def notes(self) -> tuple:
         """Vertices of the triangle as lattice points, root first."""
@@ -130,9 +130,18 @@ def apply_plr(t: Triad, move: str) -> Triad:
                  _MINOR if major else _MAJOR)
 
 
+def _check_moves(moves: str) -> None:
+    """Refuse a move string with a letter other than P, L or R, naming its place."""
+    for place, move in enumerate(moves, start=1):
+        if move.upper() not in ("P", "L", "R"):
+            raise ValueError(f"move {place} of {notation._quote(moves)} must be P, L or R, "
+                             f"not {notation._quote(move)}")
+
+
 def apply_plr_sequence(t: Triad, moves: str) -> Triad:
     if not isinstance(moves, str):
         raise ValueError(f"moves must be a string of P, L and R, not {moves!r}")
+    _check_moves(moves)
     for move in moves:
         t = apply_plr(t, move)
     return t
@@ -163,6 +172,12 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     reachable with at most ``k`` moves.  In the 2:3:4 system this grows by
     two classes per move until all 19 are reached after eight moves; the
     4:5:6 system covers its 12 classes in three.
+
+    The search runs on the finite lattice, over at most 38 (or 24) keys of
+    root class index and quality.  Each move adds a fixed step to the index,
+    so it commutes with the projection from the infinite lattice, and every
+    path of the finite one lifts to a path from the start: each level holds
+    exactly the classes the infinite search reaches.
     """
     if not isinstance(start, Triad):
         raise ValueError(f"start must be a Triad, not {type(start).__name__} {start}")
@@ -170,23 +185,23 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
         raise ValueError(f"max_moves must be an int, not {max_moves!r}")
     if not 0 <= max_moves <= 12:
         raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
-    # Triads are searched as (root, major) keys; none is built as a Triad.
     system = start.system
-    class_name = system.class_name
-    key = (start.root, start.quality is _MAJOR)
-    seen = {key}
-    frontier = [key]
-    classes = set(map(class_name, _stack(system, *key)))
-    levels = [ReachLevel(0, len(classes), frozenset(classes))]
-    for k in range(1, max_moves + 1):
+    table, index = system.class_table, system.class_index
+    n = len(table)
+    up, down, across = map(index, (system.up_diagonal, system.down_diagonal, system.horizontal))
+    # Indexed by `major` (minor first): a triad's notes over its root, and the P, R and L steps.
+    stacks, moves = ((0, down, across), (0, up, across)), ((0, down, -up), (0, -down, up))
+    key = (index(start.root) % n, start.quality is _MAJOR)
+    seen, frontier, classes, levels = {key}, [key], set(), []
+    for k in range(max_moves + 1):
         nxt = []
         for root, major in frontier:
-            for move in "PLR":
-                key = (_plr_root(system, root, major, move), not major)
+            classes.update(table[(root + step) % n] for step in stacks[major])
+            for step in moves[major]:
+                key = ((root + step) % n, not major)
                 if key not in seen:
                     seen.add(key)
                     nxt.append(key)
-                    classes.update(map(class_name, _stack(system, *key)))
         levels.append(ReachLevel(k, len(classes), frozenset(classes)))
         frontier = nxt
     return levels

@@ -10,10 +10,11 @@ and the cost must not grow with the number of octaves or tritaves.
 `harmony.purity` works on prime-exponent vectors; its reference is the
 big-`Fraction` computation it replaced, with its just-intonation tables.
 
-`tonnetz.reachable_note_classes` searches ``(root, major)`` keys, and a
-2:3:4 class is `notation._TRITAVE_CLASSES` at ``u mod 19``; their
-references are the search that built a `Triad` per move and the
-harmonic-to-scale-degree formula.
+`tonnetz.reachable_note_classes` searches the finite lattice, over keys of
+root class index (``u mod 19`` in 2:3:4, the pitch class in 4:5:6) and
+quality, and a 2:3:4 class is `notation._TRITAVE_CLASSES` at ``u mod 19``;
+their references are the search that built a `Triad` per move on the
+infinite lattice and the harmonic-to-scale-degree formula.
 """
 
 import math
@@ -323,6 +324,36 @@ def test_reach_search_matches_the_triads_456(quality):
         start = Triad(TONNETZ_456, root, quality)
         for k in range(13):
             assert reachable_note_classes(start, k) == triad_reachable_note_classes(start, k)
+
+
+# Roots far out on the infinite lattice, where an index off by a period or a
+# sign would show: 2:3:4 exponents near +-2**63 (twelve moves and a stack
+# move them by at most 26, which the reference's exponents must stay within),
+# 4:5:6 roots near +-10**6.
+FAR_ROOTS = {
+    "234": [FreqRatio(u, v) for u in (2**63 - 27, 2**63 - 38, -2**63 + 26, -2**63 + 31)
+            for v in (2**63 - 27, -2**63 + 26, 1)],
+    "456": [10**6, 10**6 + 7, -10**6, -10**6 - 5],
+}
+
+
+@pytest.mark.parametrize("quality", [ChordQuality.MAJOR, ChordQuality.MINOR], ids=str)
+@pytest.mark.parametrize("system", [TONNETZ_234, TONNETZ_456], ids=lambda s: s.id)
+def test_reach_search_matches_the_triads_at_far_roots(system, quality):
+    for root in FAR_ROOTS[system.id]:
+        start = Triad(system, root, quality)
+        want = triad_reachable_note_classes(start, 12)
+        for k in range(13):
+            assert reachable_note_classes(start, k) == want[:k + 1], (root, k)
+
+
+@pytest.mark.parametrize("quality", [ChordQuality.MAJOR, ChordQuality.MINOR], ids=str)
+def test_reach_search_at_the_exponent_bounds_is_that_of_its_class(quality):
+    # the reference fails here, its moves building exponents outside [-2**63, 2**63)
+    for u, v in ((2**63 - 1, 2**63 - 1), (-2**63, -2**63)):
+        edge = Triad(TONNETZ_234, FreqRatio(u, v), quality)
+        near = Triad(TONNETZ_234, FreqRatio(u % 19, 0), quality)
+        assert reachable_note_classes(edge, 12) == reachable_note_classes(near, 12)
 
 
 def test_class_table_matches_the_degree_formula():

@@ -4,12 +4,14 @@ import time
 
 import pytest
 
-from tritave import exports, harmony, notation, scales, temperament, tonnetz
+from tritave import cli, exports, harmony, notation, scales, temperament, tonnetz
 from tritave.ratios import FreqRatio
 
 
 DIMINISHED = harmony.TONNETZ_234.parse_chord(["A", "D", "G"])
 C_MAJOR_456 = harmony.chord_456((0, 4, 7))
+LONG_C = "C" + "'" * 50     # 50 octaves up, quoted as its first 20 characters
+QUOTED_LONG_C = '"C' + "'" * 19 + '"... (51 characters)'
 
 
 @pytest.mark.parametrize("make, message", [
@@ -19,7 +21,7 @@ C_MAJOR_456 = harmony.chord_456((0, 4, 7))
      "midi range must satisfy 0 <= lo <= hi <= 127, not lo=100, hi=50"),
     (lambda: harmony.Chord((FreqRatio(0, 0), FreqRatio(1, 0))),
      "a chord needs exactly 3 notes, not 2: (FreqRatio(0, 0), FreqRatio(1, 0))"),
-    (lambda: harmony.TONNETZ_234.parse_chord(["A", "A", "E"]),
+    (lambda: harmony.Chord((FreqRatio(-2, 1), FreqRatio(-2, 1), FreqRatio(-3, 2))),
      "chord notes must be strictly ascending, "
      "not (FreqRatio(-2, 1), FreqRatio(-2, 1), FreqRatio(-3, 2))"),
     (lambda: harmony.Chord((7, 4, 0), harmony.TONNETZ_456),
@@ -40,14 +42,14 @@ C_MAJOR_456 = harmony.chord_456((0, 4, 7))
     (lambda: scales.deviation_table("x"), "unknown table pair 'x'"),
     (lambda: harmony.reduce_chord_to_domain(C_MAJOR_456),
      "domain reduction by tritaves applies to 2:3:4 chords"),
-    # past MAX_MARKS tritaves a note has no name, and its ratio is too long to write
-    (lambda: exports.emit_tonnetz_path([harmony.Chord(
-        (FreqRatio(-2, 10**6 + 2), FreqRatio(-3, 10**6 + 3), FreqRatio(-1, 10**6 + 2)))]),
-     "cannot write FreqRatio(-2, 1000002): its numerator has about 477123 digits, "
-     "more than 4300"),
+    (lambda: harmony.TONNETZ_234.parse_chord(["A", "E", "A"]),
+     "chord notes must be distinct: 'A' and 'A' are one note"),
+    (lambda: harmony.TONNETZ_456.parse_chord([LONG_C, "G", LONG_C]),
+     f"chord notes must be distinct: {QUOTED_LONG_C} and {QUOTED_LONG_C} are one note"),
 ], ids=["max_moves", "midi-range", "chord-size", "ascending-234", "ascending-456",
         "degree-range", "comma-p", "comma-q", "basic-sequence", "cadence-sequence", "plr-triad",
-        "scl-scale", "path-456", "deviation-pair", "reduce-456", "path-10**6-tritaves-up"])
+        "scl-scale", "path-456", "deviation-pair", "reduce-456", "repeated-name",
+        "repeated-name-456-long"])
 def test_error_names_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
@@ -66,11 +68,13 @@ TRIAD = tonnetz.major_triad(FreqRatio(0, 0))
     (lambda: tonnetz.apply_plr(TRIAD, 5), "move must be P, L or R, not 5"),
     (lambda: tonnetz.apply_plr_sequence(TRIAD, 5),
      "moves must be a string of P, L and R, not 5"),
+    (lambda: tonnetz.apply_plr_sequence(TRIAD, "PLRLX"),
+     "move 5 of 'PLRLX' must be P, L or R, not 'X'"),
     (lambda: tonnetz.note_class("A", tonnetz.TONNETZ_234),
      "system 234 takes FreqRatio notes, not 'A'"),
     (lambda: tonnetz.note_class(1.5, tonnetz.TONNETZ_456), "system 456 takes int notes, not 1.5"),
 ], ids=["max_moves-float", "max_moves-str", "max_moves-bool", "start-chord", "move-int",
-        "moves-int", "note-class-str", "note-class-float"])
+        "moves-int", "moves-place", "note-class-str", "note-class-float"])
 def test_tonnetz_errors_name_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
@@ -136,3 +140,21 @@ def test_a_bad_note_name_base_is_quoted_short(base, message):
     with pytest.raises(ValueError) as excinfo:
         notation.NoteName(base)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["purity", "A", "A", "E"], "chord notes must be distinct: 'A' and 'A' are one note"),
+    (["sequence", "C", "G", "C", "--system", "456"],
+     "chord notes must be distinct: 'C' and 'C' are one note"),
+    (["plr", "A", "E", "A'", "PXQ"], "move 2 of 'PXQ' must be P, L or R, not 'X'"),
+    (["plr", "C", "E", "G", "prz", "--system", "456"],
+     "move 3 of 'prz' must be P, L or R, not 'z'"),
+    (["plr", "A", "E", "A'", "P" * 50 + "?"],
+     "move 51 of 'PPPPPPPPPPPPPPPPPPPP'... (51 characters) must be P, L or R, not '?'"),
+], ids=["purity-repeated-name", "sequence-repeated-name-456", "plr-move-2", "plr-move-3-456",
+        "plr-move-51"])
+def test_cli_errors_name_the_input_as_typed(capsys, argv, message):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"

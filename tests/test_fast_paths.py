@@ -252,8 +252,7 @@ circle_steps = st.integers(-40, 40) | edge
 @given(triads, circle_steps, roots_234)
 def test_trusted_chords_are_those_the_checked_constructor_builds(triad, steps, root):
     chord = checked(triad.chord())
-    assert chord.notes == tonnetz._stack(triad.system, triad.root,
-                                         triad.quality is harmony.ChordQuality.MAJOR)
+    assert chord.notes == triad._stack()
     shifted = chord_outcome(harmony.shift_in_circle, chord, steps)
     system = chord.system
     assert shifted == chord_outcome(lambda: harmony.Chord(
