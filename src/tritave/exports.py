@@ -284,7 +284,8 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
     triangle node per chord at the triangle's centroid, and a directed
     chain through the chord nodes in playing order.  Chords that are not
     major/minor/augmented/diminished are kept but flagged with '?'.  A note
-    with no name is labelled by its exponents, ``2^u*3^v``.
+    with no name is labelled by its ratio, or by its exponents, ``2^u*3^v``,
+    when the ratio is too long to write.
     """
     if not chords:
         raise ValueError("empty progression")
@@ -296,8 +297,11 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
             if note not in notes:
                 try:
                     notes[note] = str(notation.name_of(note))
-                except ValueError:      # no name; the ratio may be too long to write
-                    notes[note] = _exponent_str(note)
+                except ValueError:      # no name
+                    try:
+                        notes[note] = str(note)
+                    except ValueError:  # the ratio is too long to write
+                        notes[note] = _exponent_str(note)
 
     lines = [
         "digraph tonnetz_path {",

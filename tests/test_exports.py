@@ -209,16 +209,21 @@ def test_tonnetz_path_flags_unclassified_chords():
     assert 'label="1?"' in dot
 
 
-def test_tonnetz_path_labels_a_note_with_no_name_by_its_exponents():
+def test_tonnetz_path_labels_a_note_with_no_name_by_its_ratio():
     # 2^-15 * 3^10 lies 15 fifths from D, outside the 19-note degree table
     dot = emit_tonnetz_path([Chord((FreqRatio(0, 0), FreqRatio(-15, 10), FreqRatio(1, 0)))])
     note_nodes = re.findall(r'^  "([^"]+)" \[shape=circle', dot, re.M)
-    assert note_nodes == ["2^-15*3^10", "D", "G,^"]
-    assert 'chord1 -> "2^-15*3^10" [style=dotted' in dot
+    assert note_nodes == ["59049/32768", "D", "G,^"]
+    assert 'chord1 -> "59049/32768" [style=dotted' in dot
+
+
+def test_tonnetz_path_labels_a_note_too_far_to_write_by_its_exponents():
     # past MAX_MARKS tritaves a note has no name, and its ratio is too long to write
     far = Chord((FreqRatio(-2, 10**6 + 2), FreqRatio(-3, 10**6 + 3), FreqRatio(-1, 10**6 + 2)))
-    note_nodes = re.findall(r'^  "([^"]+)" \[shape=circle', emit_tonnetz_path([far]), re.M)
+    dot = emit_tonnetz_path([far])
+    note_nodes = re.findall(r'^  "([^"]+)" \[shape=circle', dot, re.M)
     assert note_nodes == ["2^-3*3^1000003", "2^-2*3^1000002", "2^-1*3^1000002"]
+    assert 'chord1 -> "2^-2*3^1000002" [style=dotted' in dot
 
 
 def test_tonnetz_path_rejects_empty():
