@@ -27,22 +27,35 @@ So nothing is factored, and the base and overtone frequencies are the only
 `Fraction`s built.  Their names, like every note and class name here, are
 spelled by `notation`.
 
+All of that but the lowest note's vector depends only on the chord's two
+steps, so `purity` has two parts.  The shape part, kept for the last 16
+shapes, holds a:b:c, the overtone distance, ``lcm(a,b,c)``, and the base
+note and the overtone as vectors over the lowest note.  The position part,
+run on every call, adds the lowest note's vector to those two, names them,
+and builds the base frequency and the overtone, the base times the lcm.
+Sequences move the same way: every major tonic of a system has one shape,
+so its subdominant, dominant and second dominant are worked out once, on
+the origin, and moved to each tonic's root.
+
 A chord is checked once, where it enters: the public `Chord` constructor
 checks the system, the count, the note type and the order.  Chords the
 package derives from a checked one without changing note type or order
 are built by `_chord`, which checks nothing: a triad stacked on a checked
-root, a whole-step circle shift, and a domain reduction after its sort and
-its collapse check.  Any other chord goes through `Chord`.
+root, a whole-step circle shift, a domain reduction after its sort and its
+collapse check, and a sequence chord moved to a checked tonic's root.  Any
+other chord goes through `Chord`, and every public function taking a chord
+refuses anything else by its type.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 
 from . import notation
-from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, TRITAVE, _floor_log, _ratio, _Record
+from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _ratio, _Record
 
 __all__ = [
     "ChordQuality",
@@ -84,8 +97,8 @@ class TonnetzSystem(_Record):
     ``period``; ``home`` is the root of the default starting triad and
     ``class_names`` lists the note classes in display order.  The two
     subclasses supply everything that depends on the note type, among it
-    a note's integer class index and ``class_table``, the class names in
-    index order (modulo its length).
+    the ``origin`` note, a note's integer class index and ``class_table``,
+    the class names in index order (modulo its length).
     """
 
     __slots__ = ("id", "horizontal", "up_diagonal", "down_diagonal", "period", "home",
@@ -140,6 +153,7 @@ class _TritaveSystem(TonnetzSystem):
     def parse(self, text: str) -> FreqRatio:
         return notation.parse_note(text)
 
+    origin = ONE
     class_index = operator.attrgetter("u")      # the class is u mod 19
     class_table = notation._TRITAVE_CLASSES
 
@@ -152,8 +166,11 @@ class _TritaveSystem(TonnetzSystem):
     def voice_near(self, c: Chord, tonic: Chord) -> Chord:
         return reduce_chord_to_domain(c, root=tonic.notes[0])
 
-    def just_monzos(self, c: Chord) -> list[tuple[int, int, int]]:
-        return [(n.u, n.v, 0) for n in c.notes]
+    def monzo(self, note: FreqRatio) -> tuple[int, int, int]:
+        return note.u, note.v, 0
+
+    def step_monzo(self, step: tuple[int, int]) -> tuple[int, int, int]:
+        return (*step, 0)
 
     def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
         two, three, _ = monzo
@@ -177,6 +194,7 @@ class _OctaveSystem(TonnetzSystem):
     def parse(self, text: str) -> int:
         return notation.parse_edo12_note(text)
 
+    origin = 0
     class_index = operator.index                # the class is the pitch class
     class_table = property(operator.attrgetter("class_names"))
 
@@ -206,17 +224,16 @@ class _OctaveSystem(TonnetzSystem):
                         for j, a, b, d in zip(range(-2, 3), folded[1:], folded[2:], folded[3:]))
         return chord_456(notes)
 
-    def just_monzos(self, c: Chord) -> list[tuple[int, int, int]]:
-        """The lowest note's just pitch class an octave count up, then the just steps."""
-        low = c.notes[0]
-        pc = low % self.period
+    def monzo(self, note: int) -> tuple[int, int, int]:
+        """The note's just pitch class, an octave count up."""
+        pc = note % self.period
         two, three, five = _JUST_CLASSES[pc]
-        monzos = [(two + (low - pc) // self.period, three, five)]
-        for step in _steps(c):
-            if step not in _JUST_STEPS:
-                raise ValueError("no just interpretation for these step intervals")
-            monzos.append(tuple(map(operator.add, monzos[-1], _JUST_STEPS[step])))
-        return monzos
+        return two + (note - pc) // self.period, three, five
+
+    def step_monzo(self, step: int) -> tuple[int, int, int]:
+        if step not in _JUST_STEPS:
+            raise ValueError("no just interpretation for these step intervals")
+        return _JUST_STEPS[step]
 
     def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
         """The 12-EDO name of the pitch class with the same 3- and 5-exponents,
@@ -309,6 +326,11 @@ def minor_triad_234(root: FreqRatio) -> Chord:
     return chord_234((root, root * FOURTH, root * OCTAVE))
 
 
+def _check_chord(c, caller: str) -> None:
+    if not isinstance(c, Chord):
+        raise ValueError(f"{caller} takes a Chord, not {type(c).__name__}")
+
+
 def _steps(c: Chord):
     a, b, top = c.notes
     return c.system.step(a, b), c.system.step(b, top)
@@ -319,6 +341,7 @@ def classify(c: Chord) -> ChordQuality:
 
     Major stacks the up diagonal then the down one, minor the reverse.
     """
+    _check_chord(c, "classify")
     return _QUALITIES[c.system.id].get(_steps(c), ChordQuality.OTHER)
 
 
@@ -327,6 +350,7 @@ def invert(c: Chord, direction: str = "first") -> Chord:
 
     Three first inversions of a 2:3:4 chord land a whole tritave higher.
     """
+    _check_chord(c, "invert")
     a, b, top = c.notes
     system = c.system
     if direction == "first":
@@ -344,10 +368,16 @@ def shift_in_circle(c: Chord, steps: int) -> Chord:
     The step is an octave for 2:3:4 chords (circle of octaves) and a fifth
     for 4:5:6 chords (circle of fifths).  No register reduction is applied.
     """
+    _check_chord(c, "shift_in_circle")
     system = c.system
-    notes = tuple(system.shift(n, system.horizontal, steps) for n in c.notes)
     if type(steps) is not int:      # the checked path, which rejects a non-int shift
-        return Chord(notes, system)
+        try:
+            return Chord(tuple(system.shift(n, system.horizontal, steps) for n in c.notes),
+                         system)
+        except TypeError:           # not a number at all
+            raise ValueError(f"shift_in_circle takes int steps, not "
+                             f"{type(steps).__name__}") from None
+    notes = tuple(system.shift(n, system.horizontal, steps) for n in c.notes)
     # Trusted: one whole shift of every note keeps their type and their order.
     return _chord(notes, system)
 
@@ -360,11 +390,15 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
     Each note keeps its tritave class, so this is a stack of first/second
     inversions; it is idempotent for a fixed root.
     """
+    _check_chord(c, "reduce_chord_to_domain")
     # Identity first: `!=` on two systems compares seven fields.
     if c.system is not TONNETZ_234 and c.system != TONNETZ_234:
         raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
     if root is None:
         root = c.notes[0]
+    elif not isinstance(root, FreqRatio):
+        raise ValueError(f"reduce_chord_to_domain takes a FreqRatio root, not "
+                         f"{type(root).__name__}")
     # n / TRITAVE**k lies in [root, 3*root) for k = floor(log3(n / root)).
     low, mid, high = notes = tuple(sorted(
         _ratio(n.u, n.v - _floor_log(n.u - root.u, n.v - root.v, 0, 1)) for n in c.notes))
@@ -374,13 +408,32 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
     return _chord(notes, TONNETZ_234)
 
 
+@functools.lru_cache(maxsize=4)    # two systems, two kinds of sequence
+def _moved_from_origin(system_id: str, steps: tuple[int, int]) -> tuple:
+    """The notes of the circle shifts by ``steps`` of the major tonic on the
+    origin, each voiced near it."""
+    system = _SYSTEMS[system_id]
+    middle = system.shift(system.origin, system.up_diagonal)
+    # Trusted: the two diagonals are steps up, and `shift` keeps the note type.
+    tonic = _chord((system.origin, middle, system.shift(middle, system.down_diagonal)), system)
+    return tuple(system.voice_near(shift_in_circle(tonic, k), tonic).notes for k in steps)
+
+
 def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
-    """Tonic, two circle shifts of it voiced near it, tonic."""
+    """Tonic, two circle shifts of it voiced near it, tonic.
+
+    The shift and the voicing move with the tonic, so the two chords are
+    those of the major tonic on the origin, moved to the tonic's root.
+    """
+    _check_chord(tonic, f"{kind}_sequence")
     quality = classify(tonic)
     if quality is not ChordQuality.MAJOR:
         raise ValueError(f"{kind} sequence needs a major tonic, not "
                          f"{notation._quote(str(tonic))} ({quality})")
-    moved = [tonic.system.voice_near(shift_in_circle(tonic, k), tonic) for k in steps]
+    system, root = tonic.system, tonic.notes[0]
+    # Trusted: one note added to every note keeps their type and order.
+    moved = (_chord(tuple(system.shift(root, n) for n in notes), system)
+             for notes in _moved_from_origin(system.id, steps))
     return [tonic, *moved, tonic]
 
 
@@ -457,16 +510,34 @@ def _fraction(monzo) -> Fraction:
     return Fraction(note.numerator * 5 ** max(five, 0), note.denominator * 5 ** max(-five, 0))
 
 
-def purity(c: Chord) -> PurityReport:
-    """Express the chord as a:b:c and report both purity distances."""
-    system = c.system
-    notes = system.just_monzos(c)
+@functools.lru_cache(maxsize=16)
+def _purity_shape(system_id: str, steps: tuple) -> tuple:
+    """The part of `purity` that every transposition of a chord shares.
+
+    a:b:c, the overtone distance, ``lcm(a,b,c)``, and the base note and the
+    first common overtone as monzos over the lowest note's, for the chord
+    with these steps.  The memo is bounded: at most 16 shapes, and `_whole`
+    keeps each integer under `MAX_POWER_BITS`.  Errors are not kept.
+    """
+    system = _SYSTEMS[system_id]
+    first, second = map(system.step_monzo, steps)
+    notes = ((0, 0, 0), first, tuple(map(operator.add, first, second)))
     low = tuple(map(min, *notes))       # the base note
     high = tuple(map(max, *notes))      # the first common overtone
     a, b, top = (_whole(n, low) for n in notes)
     lcm = _whole(high, low)
+    return (a, b, top), lcm // top, lcm, low, high
+
+
+def purity(c: Chord) -> PurityReport:
+    """Express the chord as a:b:c and report both purity distances."""
+    _check_chord(c, "purity")
+    system = c.system
+    ratio, d_overtone, lcm, base, overtone = _purity_shape(system.id, _steps(c))
+    lowest = system.monzo(c.notes[0])
+    low, high = (tuple(map(operator.add, lowest, m)) for m in (base, overtone))
     # Names before values: a note too far up to spell fails as such.
     base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
     base = _fraction(low)
-    return PurityReport((a, b, top), a, lcm // top, base, base * lcm, base_names,
+    return PurityReport(ratio, ratio[0], d_overtone, base, base * lcm, base_names,
                         overtone_names)

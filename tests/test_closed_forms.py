@@ -7,8 +7,12 @@ exponent left to find at each division.  The reference copies below are
 the rotation and folding loops they replaced; results must agree exactly,
 and the cost must not grow with the number of octaves or tritaves.
 
-`harmony.purity` works on prime-exponent vectors; its reference is the
+`harmony.purity` works on prime-exponent vectors, with the part that
+depends only on the chord's steps kept per shape; its reference is the
 big-`Fraction` computation it replaced, with its just-intonation tables.
+`basic_sequence` and `cadence_sequence` move the chords of the tonic on the
+origin to the tonic's root; their reference is the circle shift and the
+voicing of each tonic.
 
 `tonnetz.reachable_note_classes` searches the finite lattice, over keys of
 root class index (``u mod 19`` in 2:3:4, the pitch class in 4:5:6) and
@@ -17,6 +21,7 @@ their references are the search that built a `Triad` per move on the
 infinite lattice and the harmonic-to-scale-degree formula.
 """
 
+import collections
 import math
 import time
 from fractions import Fraction
@@ -26,7 +31,7 @@ import pytest
 from tritave import harmony, notation, scales
 from tritave.harmony import (TONNETZ_234, TONNETZ_456, ChordQuality, PurityReport, chord_456,
                              classify, invert)
-from tritave.ratios import TRITAVE, FreqRatio, _strip
+from tritave.ratios import ONE, TRITAVE, FreqRatio, _strip
 from tritave.tonnetz import ReachLevel, Triad, reachable_note_classes
 
 
@@ -143,17 +148,124 @@ DIFFERENTIAL_ROOTS = {
 }
 
 
+# Steps of the other shapes: in 2:3:4 every 2^u*3^v above 1 with |u| <= 3
+# and -1 <= v <= 2, so that two of them span up to 72^2, far beyond a tritave;
+# in 4:5:6 1 to 14 semitones, where 12 to 14 have no just interval.
+OTHER_STEPS = {
+    "234": [r for r in (FreqRatio(u, v) for u in range(-3, 4) for v in range(-1, 3)) if r > ONE],
+    "456": range(1, 15),
+}
+# The other shapes repeat on every root, so a few roots of each system do.
+OTHER_ROOTS = {"234": DIFFERENTIAL_ROOTS["234"][::26], "456": DIFFERENTIAL_ROOTS["456"][::8]}
+
+
+def other_chords(system, roots):
+    """The chords of every pair of `OTHER_STEPS` on each root."""
+    steps = OTHER_STEPS[system.id]
+    for root in roots:
+        for s1 in steps:
+            middle = system.shift(root, s1)
+            for s2 in steps:
+                yield harmony.Chord((root, middle, system.shift(middle, s2)), system)
+
+
+def assert_same_purity(c):
+    """`purity` agrees with the oracle on every field, or raises its error."""
+    try:
+        want = fraction_purity(c)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            harmony.purity(c)
+        assert str(excinfo.value) == str(exc), c
+        return
+    got = harmony.purity(c)
+    for field in PurityReport._fields:
+        assert typed(getattr(got, field)) == typed(getattr(want, field)), (c, field)
+
+
 @pytest.mark.parametrize("system", [TONNETZ_234, TONNETZ_456], ids=lambda s: s.id)
 def test_purity_matches_the_fractions(system):
+    voicings = []
     for triad in classified_triads(system, DIFFERENTIAL_ROOTS[system.id]):
         assert classify(triad) is not ChordQuality.OTHER
-        for voicing in (triad, invert(triad, "first"), invert(triad, "second")):
-            for periods in (0, 10**3, -10**3):
-                notes = (system.shift(n, system.period, periods) for n in voicing.notes)
-                c = harmony.Chord(tuple(notes), system)
-                got, want = harmony.purity(c), fraction_purity(c)
-                for field in PurityReport._fields:
-                    assert typed(getattr(got, field)) == typed(getattr(want, field)), (c, field)
+        voicings += (triad, invert(triad, "first"), invert(triad, "second"))
+    voicings += other_chords(system, OTHER_ROOTS[system.id])
+    for voicing in voicings:
+        for periods in (0, 10**3, -10**3):
+            notes = (system.shift(n, system.period, periods) for n in voicing.notes)
+            assert_same_purity(harmony.Chord(tuple(notes), system))
+
+
+def test_purity_refuses_the_steps_with_no_just_interval():
+    # the oracle's refusal, so that the comparison above sees both outcomes
+    for s1, s2 in ((4, 12), (13, 3), (14, 14)):
+        with pytest.raises(ValueError, match="^no just interpretation for these step intervals$"):
+            harmony.purity(chord_456((0, s1, s1 + s2)))
+
+
+def test_the_purity_memo_is_bounded():
+    assert harmony._purity_shape.cache_info().maxsize == 16
+
+
+def shifted_sequence(tonic, steps):
+    """The sequence as each tonic's own circle shifts, voiced near it."""
+    moved = (tonic.system.voice_near(harmony.shift_in_circle(tonic, k), tonic) for k in steps)
+    return [tonic, *moved, tonic]
+
+
+def sequence_outcome(make):
+    """The chords a call returns, or the text of its error."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+SEQUENCES = [(harmony.basic_sequence, (-1, 1)), (harmony.cadence_sequence, (1, 2))]
+BOUND = 2**63
+# 2:3:4 roots with an exponent within 30 of the ends of [-2**63, 2**63)
+EDGES = [e for d in range(31) for e in (BOUND - 1 - d, -BOUND + d)]
+BOUND_ROOTS = {
+    "234": [FreqRatio(*uv) for e in EDGES for uv in ((e, 0), (0, e), (e, e), (e, -e - 1))],
+    "456": EDGES,
+}
+
+
+def major_tonics(system, roots):
+    """The major triads on these roots that can be built."""
+    up, down = system.up_diagonal, system.down_diagonal
+    for root in roots:
+        try:
+            middle = system.shift(root, up)
+            yield harmony.Chord((root, middle, system.shift(middle, down)), system)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("system", [TONNETZ_234, TONNETZ_456], ids=lambda s: s.id)
+def test_sequences_match_the_shifted_chords(system):
+    tonics = []
+    for periods in (0, 10**3, -10**3):
+        roots = (system.shift(r, system.period, periods) for r in DIFFERENTIAL_ROOTS[system.id])
+        tonics += major_tonics(system, roots)
+    for tonic in tonics:
+        for make, steps in SEQUENCES:
+            assert make(tonic) == shifted_sequence(tonic, steps), tonic
+
+
+@pytest.mark.parametrize("system", [TONNETZ_234, TONNETZ_456], ids=lambda s: s.id)
+def test_sequences_at_the_exponent_bounds_match_the_shifted_chords(system):
+    # Near the ends a shifted note may leave [-2**63, 2**63); the moved
+    # chords then fail with the same error, since a circle shift in 2:3:4
+    # moves the 2-exponents that the voicing keeps.
+    outcomes = collections.Counter()
+    for tonic in major_tonics(system, BOUND_ROOTS[system.id]):
+        for make, steps in SEQUENCES:
+            got = sequence_outcome(lambda: make(tonic))
+            assert got == sequence_outcome(lambda: shifted_sequence(tonic, steps)), tonic
+            outcomes[type(got)] += 1
+    assert outcomes[list] > 0
+    assert (outcomes[str] > 0) == (system is TONNETZ_234)
 
 
 def folding_frequency_names(freq):

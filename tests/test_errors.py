@@ -101,6 +101,31 @@ def test_tonnetz_records_and_notes_of_the_wrong_type_are_named(make, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: harmony.purity("A-E-A'"), "purity takes a Chord, not str"),
+    (lambda: harmony.classify("A-E-A'"), "classify takes a Chord, not str"),
+    (lambda: harmony.basic_sequence("A-E-A'"), "basic_sequence takes a Chord, not str"),
+    (lambda: harmony.cadence_sequence(TRIAD), "cadence_sequence takes a Chord, not Triad"),
+    (lambda: harmony.shift_in_circle("A-E-A'", 1), "shift_in_circle takes a Chord, not str"),
+    (lambda: harmony.invert(None), "invert takes a Chord, not NoneType"),
+    (lambda: harmony.reduce_chord_to_domain(CHORD.notes),
+     "reduce_chord_to_domain takes a Chord, not tuple"),
+    (lambda: harmony.reduce_chord_to_domain(CHORD, 5),
+     "reduce_chord_to_domain takes a FreqRatio root, not int"),
+    (lambda: harmony.shift_in_circle(CHORD, "a"), "shift_in_circle takes int steps, not str"),
+    (lambda: harmony.shift_in_circle(C_MAJOR_456, "a"), "shift_in_circle takes int steps, not str"),
+    (lambda: harmony.shift_in_circle(CHORD, None), "shift_in_circle takes int steps, not NoneType"),
+    (lambda: harmony.shift_in_circle(C_MAJOR_456, [1]),
+     "shift_in_circle takes int steps, not list"),
+], ids=["purity-str", "classify-str", "basic-str", "cadence-triad", "shift-str", "invert-none",
+        "reduce-tuple", "reduce-root-int", "shift-steps-str-234", "shift-steps-str-456",
+        "shift-steps-none", "shift-steps-list-456"])
+def test_chord_functions_name_an_argument_of_the_wrong_type(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 FAR = 12 * 10**9    # semitones: 10**9 octaves up
 
 
