@@ -28,11 +28,13 @@ So nothing is factored, and the base and overtone frequencies are the only
 spelled by `notation`.
 
 All of that but the lowest note's vector depends only on the chord's two
-steps, so `purity` has two parts.  The shape part, kept for the last 16
-shapes, holds a:b:c, the overtone distance, ``lcm(a,b,c)``, and the base
-note and the overtone as vectors over the lowest note.  The position part,
-run on every call, adds the lowest note's vector to those two, names them,
-and builds the base frequency and the overtone, the base times the lcm.
+steps, so `purity` reads the rest off two memos of the last 16 shapes.
+The first holds the base note and the overtone as vectors over the lowest
+note, once the integers built from them have passed their size check; a
+call adds the lowest note's vector to those two and names them.  Only
+then does the second build or hand back a:b:c, the overtone distance and
+``lcm(a,b,c)``, so a chord refused by name leaves no big integer behind.
+Last come the base frequency and the overtone, the base times the lcm.
 Sequences move the same way: every major tonic of a system has one shape,
 so its subdominant, dominant and second dominant are worked out once, on
 the origin, and moved to each tonic's root.
@@ -511,33 +513,48 @@ def _fraction(monzo) -> Fraction:
 
 
 @functools.lru_cache(maxsize=16)
-def _purity_shape(system_id: str, steps: tuple) -> tuple:
-    """The part of `purity` that every transposition of a chord shares.
+def _shape(system_id: str, steps: tuple) -> tuple:
+    """The notes, the base note and the first common overtone of the chord
+    with these steps, as monzos over its lowest note.
 
-    a:b:c, the overtone distance, ``lcm(a,b,c)``, and the base note and the
-    first common overtone as monzos over the lowest note's, for the chord
-    with these steps.  The memo is bounded: at most 16 shapes, and `_whole`
-    keeps each integer under `MAX_POWER_BITS`.  Errors are not kept.
+    Each integer `_purity_shape` builds from them has passed its size
+    check, and nothing big is built here.  Errors are not kept.
     """
-    system = _SYSTEMS[system_id]
-    first, second = map(system.step_monzo, steps)
+    first, second = map(_SYSTEMS[system_id].step_monzo, steps)
     notes = ((0, 0, 0), first, tuple(map(operator.add, first, second)))
-    low = tuple(map(min, *notes))       # the base note
-    high = tuple(map(max, *notes))      # the first common overtone
+    low, high = tuple(map(min, *notes)), tuple(map(max, *notes))
+    for monzo in (*notes, high):    # `_whole`'s size check, in its order
+        two, three, _ = map(operator.sub, monzo, low)
+        _ratio(two, three)._check_power("numerator", two, three)
+    return notes, low, high
+
+
+@functools.lru_cache(maxsize=16)
+def _purity_shape(system_id: str, steps: tuple) -> tuple:
+    """The integers of `purity` that every transposition of a chord shares.
+
+    a:b:c, the overtone distance and ``lcm(a,b,c)`` for the chord with these
+    steps.  `purity` calls this only once the chord's names are spelled, so
+    the memo keeps no shape of a refused chord; it is bounded at 16 shapes,
+    each under `MAX_POWER_BITS`.
+    """
+    notes, low, high = _shape(system_id, steps)
     a, b, top = (_whole(n, low) for n in notes)
     lcm = _whole(high, low)
-    return (a, b, top), lcm // top, lcm, low, high
+    return (a, b, top), lcm // top, lcm
 
 
 def purity(c: Chord) -> PurityReport:
     """Express the chord as a:b:c and report both purity distances."""
     _check_chord(c, "purity")
-    system = c.system
-    ratio, d_overtone, lcm, base, overtone = _purity_shape(system.id, _steps(c))
+    system, steps = c.system, _steps(c)
+    _, base, overtone = _shape(system.id, steps)
     lowest = system.monzo(c.notes[0])
     low, high = (tuple(map(operator.add, lowest, m)) for m in (base, overtone))
-    # Names before values: a note too far up to spell fails as such.
+    # Names before values: a note too far up to spell fails as such, and
+    # before any big integer is built or kept.
     base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
+    ratio, d_overtone, lcm = _purity_shape(system.id, steps)
     base = _fraction(low)
     return PurityReport(ratio, ratio[0], d_overtone, base, base * lcm, base_names,
                         overtone_names)

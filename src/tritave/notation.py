@@ -28,7 +28,7 @@ the exponent of the period's prime.
 from __future__ import annotations
 
 from . import scales
-from .ratios import TRITAVE, OCTAVE, FreqRatio, _Record
+from .ratios import TRITAVE, FreqRatio, _ratio, _Record
 
 __all__ = [
     "NoteName",
@@ -190,8 +190,8 @@ def _split_marks(text: str, bases) -> tuple[str, str]:
 
 def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
     """Signed count of the marks after a base name: +1 per ``up``, -1 per ``down``."""
-    # str.count checks the run in one C pass; set() would hash every mark.
-    if marks and (marks[0] not in (up, down) or marks.count(marks[0]) != len(marks)):
+    # A run is its first mark repeated: one C fill and one compare check it.
+    if marks and (marks[0] not in (up, down) or marks != marks[0] * len(marks)):
         raise ValueError(f"bad {kind} marks in {_quote(text)}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
@@ -199,12 +199,13 @@ def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
 def parse_note(text: str) -> FreqRatio:
     """Parse a tritave-system name (inverse of :func:`name_of`)."""
     base, marks = _split_marks(text, _TRITAVE_BASES)
-    if marks and marks[0] in "'," and marks.count(marks[0]) == len(marks):
+    if marks and marks[0] in "'," and marks == marks[0] * len(marks):
         raise ValueError(
             f"{_quote(text)} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
-    return NoteName(base, _mark_shift(text, marks, "^", "v", "shift")).ratio()
+    note = _TRITAVE_BASES[base]
+    return _ratio(note.u, note.v + _mark_shift(text, marks, "^", "v", "shift"))
 
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
@@ -215,7 +216,8 @@ def pyth2_name_of(ratio: FreqRatio) -> str:
 def parse_pyth2_note(text: str) -> FreqRatio:
     ratio = _BASES[scales.PYTH2.id][0]
     base, marks = _split_marks(text, ratio)
-    return ratio[base] * OCTAVE ** _mark_shift(text, marks, "'", ",", "octave")
+    note = ratio[base]
+    return _ratio(note.u + _mark_shift(text, marks, "'", ",", "octave"), note.v)
 
 
 def edo12_name(semitone: int) -> str:

@@ -141,11 +141,15 @@ def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
     about 2**48) the search widens in doubling steps and bisects; it starts
     at 0 for a base too close to 1 for its float log to clear the bound.
     """
+    base = pu + pv * LOG2_3
+    lo = math.floor((u + v * LOG2_3) / base) if base > (abs(pu) + abs(pv)) * _FLOAT_ERROR else 0
+    if (_log_sign(u - lo * pu, v - lo * pv) >= 0
+            and _log_sign(u - (lo + 1) * pu, v - (lo + 1) * pv) < 0):
+        return lo
+
     def fits(n: int) -> bool:
         return _log_sign(u - n * pu, v - n * pv) >= 0
 
-    base = pu + pv * LOG2_3
-    lo = math.floor((u + v * LOG2_3) / base) if base > (abs(pu) + abs(pv)) * _FLOAT_ERROR else 0
     hi, step = lo + 1, 1
     while not fits(lo):
         lo, hi, step = lo - step, lo, 2 * step
@@ -268,13 +272,17 @@ class FreqRatio(_Record):
 
     def _power(self, part: str, a: int, b: int) -> int:
         """``2**a * 3**b`` for a, b >= 0, one part of the reduced fraction
-        (2 and 3 are coprime); its bits are checked against `MAX_POWER_BITS`
-        from the exponents before it is built."""
+        (2 and 3 are coprime), built once `_check_power` lets it."""
+        self._check_power(part, a, b)
+        return 3 ** b << a
+
+    def _check_power(self, part: str, a: int, b: int) -> None:
+        """Refuse a part ``2**a * 3**b`` of more than `MAX_POWER_BITS` bits,
+        counted from the exponents."""
         bits = int(a + b * LOG2_3) + 1
         if bits > MAX_POWER_BITS:
             raise ValueError(f"cannot build {self!r}: its {part} has about {bits} bits, "
                              f"more than {MAX_POWER_BITS}")
-        return 3 ** b << a
 
     @property
     def numerator(self) -> int:

@@ -57,6 +57,9 @@ class ScaleSystem(_Record):
                  degree_multiplier_inv: int, just: bool) -> None:
         lo, hi = harmonic_range
         n, b, b_inv = notes_per_period, degree_multiplier, degree_multiplier_inv
+        # The domain and fundamental-note tables are built for these two only.
+        if period not in (OCTAVE, TRITAVE):
+            raise ValueError(f"scale {id}: period {period!r} is not OCTAVE or TRITAVE")
         if hi - lo + 1 != n:
             raise ValueError(f"scale {id}: harmonic range {lo, hi} does not hold {n} notes")
         if b * b_inv % n != 1:
@@ -97,7 +100,7 @@ def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
 def harmonic_degree(ratio: FreqRatio, system: ScaleSystem) -> int:
     """The exponent that locates a note in the system's harmonic circle:
     that of the prime other than the period, so whole periods keep it."""
-    return ratio.u if system.period == TRITAVE else ratio.v
+    return ratio.v if system.period.u else ratio.u
 
 
 def reduce_to_fundamental(
@@ -114,7 +117,7 @@ def reduce_to_fundamental(
     # One comma moves the harmonic degree by a whole window: u - 19 in the
     # tritave scales, v + 12 in the octave scales.
     m = (_window(h, system) - h) // harmonic_degree(COMMA, system)
-    return ratio * COMMA ** m, m
+    return _ratio(ratio.u + m * COMMA.u, ratio.v + m * COMMA.v), m
 
 
 def in_fundamental_interval(ratio: FreqRatio, system: ScaleSystem) -> bool:

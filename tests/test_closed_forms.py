@@ -207,6 +207,19 @@ def test_the_purity_memo_is_bounded():
     assert harmony._purity_shape.cache_info().maxsize == 16
 
 
+def test_purity_refuses_a_name_before_it_builds_the_integers():
+    # 2:3:4 as 1:2:3**(2*10**6): the lcm would have about 3.2e6 bits, and
+    # the overtone is one mark past the bound.
+    chord = harmony.Chord((FreqRatio(0, 0), FreqRatio(1, 0), FreqRatio(0, 2 * 10**6)))
+    kept = harmony._purity_shape.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as excinfo:
+        harmony.purity(chord)
+    assert time.perf_counter() - start < 0.1
+    assert str(excinfo.value) == "cannot spell a shift of 2000001 periods: more than 1000000 marks"
+    assert harmony._purity_shape.cache_info().currsize == kept
+
+
 def shifted_sequence(tonic, steps):
     """The sequence as each tonic's own circle shifts, voiced near it."""
     moved = (tonic.system.voice_near(harmony.shift_in_circle(tonic, k), tonic) for k in steps)

@@ -15,10 +15,10 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tritave import harmony, notation, scales, tonnetz
-from tritave.ratios import _INT64, MAX_STR_DIGITS, OCTAVE, TRITAVE, FreqRatio, _floor_log
+from tritave.ratios import _INT64, COMMA, MAX_STR_DIGITS, OCTAVE, TRITAVE, FreqRatio, _floor_log
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -120,6 +120,40 @@ def test_the_fast_paths_keep_the_checked_errors():
     for make, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             make()
+
+
+def reference_reduction(ratio, system):
+    """The comma power that moves the harmonic degree into the range, read
+    off the range, and ``ratio * COMMA ** m``."""
+    lo = system.harmonic_range[0]
+    # u - 19*m (tritave scales) or v + 12*m (octave scales) in [lo, lo + n)
+    m = (ratio.u - lo) // 19 if system.period == TRITAVE else -((ratio.v - lo) // 12)
+    return ratio * COMMA ** m, m
+
+
+def reduction(reduce, ratio, system):
+    """``(u, v, m)`` of a reduction, or the message of the ValueError raised."""
+    try:
+        reduced, m = reduce(ratio, system)
+    except ValueError as exc:
+        return str(exc)
+    return reduced.u, reduced.v, m
+
+
+large = st.integers(-(2**62), 2**62)
+
+
+@EXACT
+@given(st.builds(FreqRatio, large | moderate, large | moderate), st.sampled_from([PYTH2, PYTH3]))
+@example(FreqRatio(2**62, 2**62), PYTH2)
+@example(FreqRatio(-(2**62), -(2**62)), PYTH2)
+def test_reduce_to_fundamental_builds_what_the_comma_power_builds(ratio, system):
+    # In the octave scales u moves by 19/12 of v, so large exponents of one
+    # sign leave [-2**63, 2**63) and must raise the checked constructor's error.
+    got = reduction(scales.reduce_to_fundamental, ratio, system)
+    assert got == reduction(reference_reduction, ratio, system)
+    if isinstance(got, str):
+        assert re.fullmatch(r"exponent -?\d+ is outside \[-2\*\*63, 2\*\*63\)", got)
 
 
 @pytest.mark.parametrize("ratio", [FreqRatio(-2**63, -2**40), FreqRatio(2**63 - 1, 2**40)])

@@ -145,6 +145,13 @@ def test_ordering_matches_the_oracle(a, pair):
     st.sampled_from(CF_BASES),
 ))
 @example((0, 1), DEPTH_17_BASE)
+# The float proposal is wrong, so the widening and the bisection run: 13
+# tritaves over a tritave rounds down to 12; 6**(k-1)*3 with k near 2**51
+# over 6 rounds up by one; and 3**v/2 with v near 2**60.5 over a tritave
+# rounds up by 53.
+@example((0, 13), (0, 1))
+@example((2145811534074223, 2145811534074224), (1, 1))
+@example((-1, 1658567017948744396), (0, 1))
 def test_floor_log_matches_the_oracle(pair, base):
     # The largest n with base**n <= 2**u * 3**v: base**n fits and base**(n+1) does not.
     (u, v), (pu, pv) = pair, base

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritave.ratios import COMMA, OCTAVE, FreqRatio, TRITAVE, cents
+from tritave.ratios import COMMA, FIFTH, OCTAVE, FreqRatio, TRITAVE, cents
 from tritave.scales import (
     EDO12,
     EDT19,
@@ -209,6 +209,17 @@ def test_scale_system_invariants_raise_value_error():
         ScaleSystem("x", OCTAVE, 12, (-5, 5), 7, 7, True)
     with pytest.raises(ValueError, match="not inverse"):
         ScaleSystem("x", OCTAVE, 12, (-5, 6), 7, 5, True)
+
+
+@pytest.mark.parametrize("period, shown", [
+    (FIFTH, "FreqRatio(-1, 1)"), ("x", "'x'"), (2, "2"), (None, "None"),
+], ids=["fifth", "str", "int", "none"])
+def test_a_scale_system_refuses_a_period_other_than_the_octave_or_the_tritave(period, shown):
+    # Every table that reduces or spells a note is keyed by these two periods.
+    with pytest.raises(ValueError) as excinfo:
+        ScaleSystem("x", period, 12, (-5, 6), 7, 7, True)
+    assert str(excinfo.value) == f"scale x: period {shown} is not OCTAVE or TRITAVE"
+    assert ScaleSystem("x", FreqRatio(1, 0), 12, (-5, 6), 7, 7, True).period == OCTAVE
 
 
 def test_note_at_scale_degree_rejects_unknown_intonation():
