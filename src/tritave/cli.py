@@ -68,6 +68,11 @@ def _note_names(chord) -> str:
 
 def _cmd_scale(args) -> int:
     from . import exports
+    # An option the output would ignore is refused, not dropped.
+    if args.scl and args.format != "table":
+        raise ValueError(f"--format {args.format} does not apply to --scl output")
+    if not args.scl and args.description is not None:
+        raise ValueError("--description applies only to --scl output")
     if args.scl:
         sys.stdout.write(exports.emit_scl(args.system, args.description))
         return 0
@@ -85,6 +90,9 @@ def _cmd_scale(args) -> int:
                 f"  {row.deviation_cents:+6.2f}c{mark}"
             )
         return 0
+    if args.format != "table":
+        raise ValueError(f"--format {args.format} applies to the just scales pyth3 and pyth2, "
+                         f"not {args.system}")
     for degree in range(0, system.notes_per_period + 1):
         print(f"{degree:>4}  {scales.note_at_scale_degree(degree, system):10.3f}c")
     return 0

@@ -11,6 +11,10 @@ Two harmonic systems, one `TonnetzSystem` object each, share one chord type:
   4+3 semitones, minor 3+4; inversions move by octaves, the circle shift
   by fifths.
 
+In both, the first step of a major chord is the system's up diagonal, of
+a minor chord its down diagonal, and the two steps make the horizontal
+one; `TonnetzSystem.triad` builds every major and minor chord from them.
+
 Purity distances: write a chord as coprime integers a:b:c.  The common
 base note (all chord notes are among its overtones) sits ``a`` steps below
 the lowest note, and the first common overtone ``lcm(a,b,c)/c`` steps
@@ -43,10 +47,11 @@ A chord is checked once, where it enters: the public `Chord` constructor
 checks the system, the count, the note type and the order.  Chords the
 package derives from a checked one without changing note type or order
 are built by `_chord`, which checks nothing: a triad stacked on a checked
-root, a whole-step circle shift, a domain reduction after its sort and its
-collapse check, and a sequence chord moved to a checked tonic's root.  Any
-other chord goes through `Chord`, and every public function taking a chord
-refuses anything else by its type.
+root, a domain reduction after its sort and its collapse check, and a
+sequence chord moved to a checked tonic's root.  Any other chord goes
+through `Chord`; `chord_234` and `chord_456` take notes in any order and
+check each before the sort compares it.  Every public function taking a
+chord refuses anything else by its type.
 """
 
 from __future__ import annotations
@@ -133,6 +138,13 @@ class TonnetzSystem(_Record):
 
     def class_name(self, note) -> str:
         return self.class_table[self.class_index(note) % len(self.class_table)]
+
+    def triad(self, root, major: bool) -> tuple:
+        """The notes of the major (up) or minor (down) triangle on a root, root
+        first: the root, a diagonal above it and the horizontal step above it.
+        They ascend strictly and keep the root's type."""
+        return (root, self.shift(root, self.up_diagonal if major else self.down_diagonal),
+                self.shift(root, self.horizontal))
 
 
 class _TritaveSystem(TonnetzSystem):
@@ -312,20 +324,30 @@ def _chord(notes: tuple, system: TonnetzSystem) -> Chord:
     return chord
 
 
+def _sorted_chord(notes, system: TonnetzSystem) -> Chord:
+    """The chord of three notes in any order, each checked before the sort; none is converted."""
+    notes = tuple(notes)
+    for note in notes:
+        system.check_note(note)
+    return Chord(tuple(sorted(notes)), system)
+
+
 def chord_234(notes) -> Chord:
-    return Chord(tuple(sorted(notes)), TONNETZ_234)
+    return _sorted_chord(notes, TONNETZ_234)
 
 
 def chord_456(notes) -> Chord:
-    return Chord(tuple(sorted(int(n) for n in notes)), TONNETZ_456)
+    return _sorted_chord(notes, TONNETZ_456)
 
 
 def major_triad_234(root: FreqRatio) -> Chord:
-    return chord_234((root, root * FIFTH, root * OCTAVE))
+    TONNETZ_234.check_note(root)
+    return _chord(TONNETZ_234.triad(root, True), TONNETZ_234)    # Trusted: a checked root
 
 
 def minor_triad_234(root: FreqRatio) -> Chord:
-    return chord_234((root, root * FOURTH, root * OCTAVE))
+    TONNETZ_234.check_note(root)
+    return _chord(TONNETZ_234.triad(root, False), TONNETZ_234)   # Trusted: a checked root
 
 
 def _check_chord(c, caller: str) -> None:
@@ -372,16 +394,10 @@ def shift_in_circle(c: Chord, steps: int) -> Chord:
     """
     _check_chord(c, "shift_in_circle")
     system = c.system
-    if type(steps) is not int:      # the checked path, which rejects a non-int shift
-        try:
-            return Chord(tuple(system.shift(n, system.horizontal, steps) for n in c.notes),
-                         system)
-        except TypeError:           # not a number at all
-            raise ValueError(f"shift_in_circle takes int steps, not "
-                             f"{type(steps).__name__}") from None
-    notes = tuple(system.shift(n, system.horizontal, steps) for n in c.notes)
-    # Trusted: one whole shift of every note keeps their type and their order.
-    return _chord(notes, system)
+    try:        # a number of steps that is not an int fails in `FreqRatio` or `Chord`
+        return Chord(tuple(system.shift(n, system.horizontal, steps) for n in c.notes), system)
+    except TypeError:           # not a number at all
+        raise ValueError(f"shift_in_circle takes int steps, not {type(steps).__name__}") from None
 
 
 def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
@@ -415,9 +431,7 @@ def _moved_from_origin(system_id: str, steps: tuple[int, int]) -> tuple:
     """The notes of the circle shifts by ``steps`` of the major tonic on the
     origin, each voiced near it."""
     system = _SYSTEMS[system_id]
-    middle = system.shift(system.origin, system.up_diagonal)
-    # Trusted: the two diagonals are steps up, and `shift` keeps the note type.
-    tonic = _chord((system.origin, middle, system.shift(middle, system.down_diagonal)), system)
+    tonic = _chord(system.triad(system.origin, True), system)    # Trusted: `triad`'s notes
     return tuple(system.voice_near(shift_in_circle(tonic, k), tonic).notes for k in steps)
 
 

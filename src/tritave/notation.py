@@ -28,7 +28,7 @@ the exponent of the period's prime.
 from __future__ import annotations
 
 from . import scales
-from .ratios import TRITAVE, FreqRatio, _ratio, _Record
+from .ratios import FreqRatio, _ratio, _Record
 
 __all__ = [
     "NoteName",
@@ -76,6 +76,13 @@ def _quote(name: str) -> str:
     return repr(name) if len(name) <= 40 else f"{name[:20]!r}... ({len(name)} characters)"
 
 
+def _shown(value) -> str:
+    """The type and a cut repr of a bad argument; an int's repr past 4300 digits would raise."""
+    bits = value.bit_length() if isinstance(value, int) else 0
+    shown = repr(value) if bits <= 64 else f"of {bits} bits"
+    return f"{type(value).__name__} {shown if len(shown) <= 40 else shown[:20] + '...'}"
+
+
 def _marks(shift: int, up: str, down: str) -> str:
     """Period marks for a shift: ``up`` once per period up, ``down`` per period down."""
     if abs(shift) > MAX_MARKS:
@@ -115,17 +122,16 @@ class NoteName(_Record):
 
     def __init__(self, base: str, tritave_shift: int = 0) -> None:
         if not isinstance(base, str):
-            # The type and a cut repr; an int's repr past 4300 digits would raise.
-            bits = base.bit_length() if isinstance(base, int) else 0
-            shown = repr(base) if bits <= 64 else f"of {bits} bits"
-            raise ValueError(f"a base name must be a str, not {type(base).__name__} "
-                             f"{shown if len(shown) <= 40 else shown[:20] + '...'}")
+            raise ValueError(f"a base name must be a str, not {_shown(base)}")
         if base not in _TRITAVE_BASES:
             raise ValueError(f"unknown base name {_quote(base)}")
+        if type(tritave_shift) is not int:      # no bool either
+            raise ValueError(f"a tritave shift must be an int, not {_shown(tritave_shift)}")
         self._set(base, tritave_shift)
 
     def ratio(self) -> FreqRatio:
-        return _TRITAVE_BASES[self.base] * TRITAVE ** self.tritave_shift
+        note = _TRITAVE_BASES[self.base]
+        return _ratio(note.u, note.v + self.tritave_shift)
 
     def __str__(self) -> str:
         return self.base + _marks(self.tritave_shift, "^", "v")

@@ -12,13 +12,19 @@ major and minor while changing exactly one note:
 * R keeps the shared fifth (2:3:4) or relative-third edge (4:5:6),
 * L keeps the shared fourth (2:3:4) or leading-tone edge (4:5:6).
 
+Each is written once.  `TonnetzSystem.triad` stacks a triangle on its
+root, and `_PLR` gives each move's diagonal and how many times a major
+triad's root moves along it; a minor one's moves back as far.  `Triad`,
+`apply_plr` and the reach search all read those two.
+
 2:3:4 moves act on exact ratios in the infinite lattice (inversions are
 not invisible here, so the plane cannot be rolled up), while note
 counting identifies tritave- and comma-equivalent notes, i.e. works with
 the 19 classes of the finite lattice.  So the reach search runs on that
 finite lattice, and on the 12 pitch classes in 4:5:6: a triad there is
 its root's class index and its quality, and a move adds a fixed step to
-the index.  `Triad` and `apply_plr` keep the real roots.
+the index: the class index of the same triad and of the same diagonals.
+`Triad` and `apply_plr` keep the real roots.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ __all__ = [
 # Python 3.11, and a P/L/R move reads four.
 _MAJOR, _MINOR = ChordQuality.MAJOR, ChordQuality.MINOR
 
+# Each move's diagonal and how many times a major triad's root moves along
+# it; a minor triad's root moves back as far, so each move is its own inverse.
+_PLR = {"P": ("up_diagonal", 0), "L": ("up_diagonal", 1), "R": ("down_diagonal", -1)}
+
 
 class Triad(_Record):
     """A major or minor triangle: system, root and quality."""
@@ -70,20 +80,13 @@ class Triad(_Record):
         system.check_note(root)
         self._set(system, root, quality)
 
-    def _stack(self) -> tuple:
-        """The triad's notes, root first."""
-        system, root = self.system, self.root
-        third = system.up_diagonal if self.quality is _MAJOR else system.down_diagonal
-        return (root, system.shift(root, third), system.shift(root, system.horizontal))
-
     def notes(self) -> tuple:
         """Vertices of the triangle as lattice points, root first."""
-        return self.system.lattice_points(self._stack())
+        return self.system.lattice_points(self.system.triad(self.root, self.quality is _MAJOR))
 
     def chord(self) -> Chord:
-        # Trusted: the root's type is checked in `__init__`, and a third and
-        # then the circle step above it stack strictly ascending notes.
-        return _chord(self._stack(), self.system)
+        # Trusted: the root's type is checked in `__init__`, and `triad` keeps it.
+        return _chord(self.system.triad(self.root, self.quality is _MAJOR), self.system)
 
 
 def major_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
@@ -104,20 +107,6 @@ def triad_from_chord(c: Chord) -> Triad:
     return Triad(c.system, c.notes[0], quality)
 
 
-def _plr_root(system: TonnetzSystem, root, major: bool, move: str):
-    """Root of the P, L or R image of a triad; the image has the other quality.
-
-    R moves the root by -down for major triads and +down for minor ones, L by
-    +up and -up, so each move is its own inverse.  A 4:5:6 root keeps its
-    octave block, so roots 0-11 stay pitch classes.
-    """
-    if move == "P":
-        return root
-    if move == "R":
-        return system.move_root(root, system.down_diagonal, -1 if major else 1)
-    return system.move_root(root, system.up_diagonal, 1 if major else -1)
-
-
 def apply_plr(t: Triad, move: str) -> Triad:
     """One parallel / relative / leading-tone exchange; an involution."""
     if not isinstance(t, Triad):
@@ -125,15 +114,16 @@ def apply_plr(t: Triad, move: str) -> Triad:
     move = move.upper() if isinstance(move, str) else move
     if move not in ("P", "L", "R"):
         raise ValueError(f"move must be P, L or R, not {move!r}")
-    major = t.quality is _MAJOR
-    return Triad(t.system, _plr_root(t.system, t.root, major, move),
-                 _MINOR if major else _MAJOR)
+    major, system = t.quality is _MAJOR, t.system
+    diagonal, times = _PLR[move]
+    root = system.move_root(t.root, getattr(system, diagonal), times if major else -times)
+    return Triad(system, root, _MINOR if major else _MAJOR)
 
 
 def _check_moves(moves: str) -> None:
     """Refuse a move string with a letter other than P, L or R, naming its place."""
     for place, move in enumerate(moves, start=1):
-        if move.upper() not in ("P", "L", "R"):
+        if move.upper() not in _PLR:
             raise ValueError(f"move {place} of {notation._quote(moves)} must be P, L or R, "
                              f"not {notation._quote(move)}")
 
@@ -188,9 +178,10 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     system = start.system
     table, index = system.class_table, system.class_index
     n = len(table)
-    up, down, across = map(index, (system.up_diagonal, system.down_diagonal, system.horizontal))
-    # Indexed by `major` (minor first): a triad's notes over its root, and the P, R and L steps.
-    stacks, moves = ((0, down, across), (0, up, across)), ((0, down, -up), (0, -down, up))
+    # Indexed by `major` (minor first): a triad's notes over its root, and its P, L and R steps.
+    stacks = [tuple(map(index, system.triad(system.origin, major))) for major in (False, True)]
+    moves = [[sign * times * index(getattr(system, diagonal)) for diagonal, times in _PLR.values()]
+             for sign in (-1, 1)]
     key = (index(start.root) % n, start.quality is _MAJOR)
     seen, frontier, classes, levels = {key}, [key], set(), []
     for k in range(max_moves + 1):

@@ -297,3 +297,25 @@ def test_scale_scl_description_that_cannot_read_back_is_rejected(capsys, descrip
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and repr(description) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scale", "edo12", "--format", "json"],
+     "--format json applies to the just scales pyth3 and pyth2, not edo12"),
+    (["scale", "edt19", "--format", "csv"],
+     "--format csv applies to the just scales pyth3 and pyth2, not edt19"),
+    (["scale", "pyth3", "--scl", "--format", "csv"], "--format csv does not apply to --scl output"),
+    (["scale", "pyth3", "--description", "x"], "--description applies only to --scl output"),
+    (["scale", "edo12", "--description", ""], "--description applies only to --scl output"),
+], ids=["json-edo12", "csv-edt19", "csv-scl", "description-table", "empty-description-edo12"])
+def test_scale_refuses_an_option_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["scale", "pyth3", "--scl", "--format", "table"],
+                                  ["scale", "edo12", "--format", "table"]])
+def test_scale_takes_the_default_format_when_written_out(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv[:-2])

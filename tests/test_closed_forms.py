@@ -27,12 +27,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tritave import harmony, notation, scales
 from tritave.harmony import (TONNETZ_234, TONNETZ_456, ChordQuality, PurityReport, chord_456,
                              classify, invert)
 from tritave.ratios import ONE, TRITAVE, FreqRatio, _strip
-from tritave.tonnetz import ReachLevel, Triad, reachable_note_classes
+from tritave.tonnetz import ReachLevel, Triad, apply_plr, reachable_note_classes
 
 
 def rotation_voice_near(c, tonic):
@@ -397,6 +398,33 @@ def triad_apply_plr(t, move):
     else:  # L
         root = system.move_root(t.root, system.up_diagonal, 1 if major else -1)
     return Triad(system, root, flipped)
+
+
+def plr_outcome(move_triad, triad, move):
+    """The image triad, or the message of the ValueError raised."""
+    try:
+        return move_triad(triad, move)
+    except ValueError as exc:
+        return str(exc)
+
+
+exponents = st.integers(-2**63, 2**63 - 1)
+roots = (st.tuples(st.just(TONNETZ_234), st.builds(FreqRatio, exponents, exponents))
+         | st.tuples(st.just(TONNETZ_456), st.integers(-10**9, 10**9)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(roots, st.sampled_from([ChordQuality.MAJOR, ChordQuality.MINOR]))
+@example((TONNETZ_234, FreqRatio(10**6 + 1, -10**6 - 3)), ChordQuality.MINOR)
+@example((TONNETZ_234, FreqRatio(-10**7, 10**7)), ChordQuality.MAJOR)
+@example((TONNETZ_234, FreqRatio(2**63 - 1, 2**63 - 1)), ChordQuality.MAJOR)
+@example((TONNETZ_456, -13), ChordQuality.MINOR)
+@example((TONNETZ_456, 12 * 10**6 + 11), ChordQuality.MAJOR)
+def test_apply_plr_matches_the_triads(system_root, quality):
+    system, root = system_root
+    triad = Triad(system, root, quality)
+    for move in "PLR":
+        assert plr_outcome(apply_plr, triad, move) == plr_outcome(triad_apply_plr, triad, move)
 
 
 _STEPS = {}

@@ -167,6 +167,34 @@ def test_a_bad_note_name_base_is_quoted_short(base, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("shift, message", [
+    (1.5, "a tritave shift must be an int, not float 1.5"),
+    ("2", "a tritave shift must be an int, not str '2'"),
+    (True, "a tritave shift must be an int, not bool True"),
+    ("^" * 10**5, "a tritave shift must be an int, not str '^^^^^^^^^^^^^^^^^^^..."),
+    (None, "a tritave shift must be an int, not NoneType None"),
+], ids=["float", "str", "bool", "str-1e5", "none"])
+def test_a_note_name_shift_that_is_not_an_int_is_refused(shift, message):
+    with pytest.raises(ValueError) as excinfo:
+        notation.NoteName("C", shift)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: harmony.chord_456((0, 4.9, 7)), "system 456 takes int notes, not 4.9"),
+    (lambda: harmony.chord_456((0, True, 7)), "system 456 takes int notes, not True"),
+    (lambda: harmony.chord_456(["C", "E", "G"]), "system 456 takes int notes, not 'C'"),
+    (lambda: harmony.chord_234([FreqRatio(0, 0), 1, FreqRatio(1, 0)]),
+     "system 234 takes FreqRatio notes, not 1"),
+    (lambda: harmony.major_triad_234(3), "system 234 takes FreqRatio notes, not 3"),
+    (lambda: harmony.minor_triad_234(None), "system 234 takes FreqRatio notes, not None"),
+], ids=["456-float", "456-bool", "456-str", "234-int", "major-234-int", "minor-234-none"])
+def test_chord_builders_check_each_note_before_the_sort(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("argv, message", [
     (["purity", "A", "A", "E"], "chord notes must be distinct: 'A' and 'A' are one note"),
     (["sequence", "C", "G", "C", "--system", "456"],

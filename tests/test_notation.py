@@ -70,6 +70,13 @@ def test_parse_print_round_trip_exhaustive():
             assert parse_note(str(name)) == ratio
 
 
+def test_a_note_name_ratio_is_its_base_note_times_a_tritave_power():
+    # `_oracle_parse_note` reads `NoteName.ratio`, so this pins it on its own
+    for base in BASE_NAMES_PYTH3:
+        for shift in (-10**6, -3, 0, 2, 10**6, 2**62):
+            assert NoteName(base, shift).ratio() == parse_note(base) * TRITAVE ** shift
+
+
 def test_unicode_rendering_is_display_only():
     name = name_of(parse_note("F#,^"))
     assert name.render() == "F#,^"
