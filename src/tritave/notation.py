@@ -179,6 +179,7 @@ def name_of(ratio: FreqRatio) -> NoteName:
 
 def note_name_at_degree(degree: int) -> NoteName:
     """Name of the tritave-system note at an absolute scale degree."""
+    scales._check_int(degree, "degree")
     t, s = scales._split_degree(degree, scales.PYTH3)
     return NoteName(BASE_NAMES_PYTH3[s - scales.PYTH3.harmonic_range[0]], t)
 
@@ -251,6 +252,8 @@ _BLACK_PCS = {1, 3, 6, 8, 10}
 
 def keyboard_labels(midi_lo: int = 21, midi_hi: int = 108) -> list[KeyLabel]:
     """Tritave-system labels for a run of piano keys (D4 = MIDI 62 = degree 0)."""
+    scales._check_int(midi_lo, "midi_lo")
+    scales._check_int(midi_hi, "midi_hi")
     if not 0 <= midi_lo <= midi_hi <= 127:
         raise ValueError("midi range must satisfy 0 <= lo <= hi <= 127, "
                          f"not lo={midi_lo!r}, hi={midi_hi!r}")

@@ -15,8 +15,7 @@ a harmonic degree modulo the comma is what makes the scales finite.
 
 from __future__ import annotations
 
-from .ratios import (COMMA, FreqRatio, OCTAVE, ONE, TRITAVE, _floor_log, _log_sign, _ratio,
-                     _Record, cents)
+from .ratios import COMMA, FreqRatio, OCTAVE, TRITAVE, _floor_log, _ratio, _Record, cents
 
 __all__ = [
     "ScaleSystem",
@@ -57,7 +56,7 @@ class ScaleSystem(_Record):
                  degree_multiplier_inv: int, just: bool) -> None:
         lo, hi = harmonic_range
         n, b, b_inv = notes_per_period, degree_multiplier, degree_multiplier_inv
-        # The domain and fundamental-note tables are built for these two only.
+        # The fundamental domains are centred for these two only.
         if period not in (OCTAVE, TRITAVE):
             raise ValueError(f"scale {id}: period {period!r} is not OCTAVE or TRITAVE")
         if hi - lo + 1 != n:
@@ -74,15 +73,15 @@ EDT19 = ScaleSystem("edt19", TRITAVE, 19, (-9, 9), 12, 8, False)
 
 _SYSTEMS = {s.id: s for s in (PYTH2, PYTH3, EDO12, EDT19)}
 
-# Fundamental domain of each period P: the squared bounds (c**2/P, c**2*P]
-# of the half-open interval (c/sqrt(P), c*sqrt(P)] around a centre c.
-# Squaring removes the irrational endpoints, so membership is the exact
-# sign test on exponents.  The tritave scales centre on 1, the octave
-# scales on the comma.
-_DOMAINS = {
-    period: (centre ** 2 / period, centre ** 2 * period)
-    for period, centre in ((TRITAVE, ONE), (OCTAVE, COMMA))
-}
+# Fundamental domain of each period P: (c/sqrt(P), c*sqrt(P)] around a centre
+# c, 1 for the tritave scales and the comma for the octave ones.  Squared, its
+# bounds are rational, the lower one P**2 under the upper c**2*P.  The
+# exponents of c**2*P by the period's 2-exponent (TRITAVE 0, OCTAVE 1).
+_UPPER_SQ = ((0, 1), (2 * COMMA.u + 1, 2 * COMMA.v))
+
+# On the keyboard the note 2**u * 3**v sits 12*u + 19*v keys up in both
+# just scales (a comma sits 0 keys up), so 6**h sits 31*h keys up.
+_KEYS_PER_SIX = 31
 
 
 def _window(value: int, system: ScaleSystem) -> int:
@@ -91,7 +90,18 @@ def _window(value: int, system: ScaleSystem) -> int:
     return (value - lo) % system.notes_per_period + lo
 
 
+def _check_int(value, name: str) -> None:
+    if type(value) is not int:      # no bool either
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def _check_ratio(ratio) -> None:
+    if not isinstance(ratio, FreqRatio):
+        raise ValueError(f"a note must be a FreqRatio, not {type(ratio).__name__}")
+
+
 def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
+    _check_int(h, "harmonic degree")
     lo, hi = system.harmonic_range
     if not lo <= h <= hi:
         raise ValueError(f"harmonic degree {h} outside [{lo}, {hi}]{hint}")
@@ -113,6 +123,7 @@ def reduce_to_fundamental(
     The quotient/remainder split of the raw harmonic degree makes ``m``
     unique, so reducing twice is a no-op.
     """
+    _check_ratio(ratio)
     h = harmonic_degree(ratio, system)
     # One comma moves the harmonic degree by a whole window: u - 19 in the
     # tritave scales, v + 12 in the octave scales.
@@ -121,10 +132,8 @@ def reduce_to_fundamental(
 
 
 def in_fundamental_interval(ratio: FreqRatio, system: ScaleSystem) -> bool:
-    lower_sq, upper_sq = _DOMAINS[system.period]
-    u, v = 2 * ratio.u, 2 * ratio.v
-    return (_log_sign(u - lower_sq.u, v - lower_sq.v) > 0
-            and _log_sign(upper_sq.u - u, upper_sq.v - v) >= 0)
+    """Whether the note is its own class representative: no period moves it."""
+    return period_reduce(ratio, system)[1] == 0
 
 
 def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int]:
@@ -137,15 +146,16 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     ``ceil(log(ratio**2 / upper) / log(period**2))``; ``rep**2`` is then
     above the lower bound, which sits one ``period**2`` further down.
     """
+    _check_ratio(ratio)
     period = system.period
-    upper_sq = _DOMAINS[period][1]
-    shift = -_floor_log(upper_sq.u - 2 * ratio.u, upper_sq.v - 2 * ratio.v,
-                        2 * period.u, 2 * period.v)
+    upper_u, upper_v = _UPPER_SQ[period.u]
+    shift = -_floor_log(upper_u - 2 * ratio.u, upper_v - 2 * ratio.v, 2 * period.u, 2 * period.v)
     return _ratio(ratio.u - shift * period.u, ratio.v - shift * period.v), shift
 
 
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
     """Scale degree -> harmonic degree (multiplication by b**-1)."""
+    _check_int(degree, "degree")
     return _window(system.degree_multiplier_inv * degree, system)
 
 
@@ -157,8 +167,16 @@ def harmonic_to_scale_degree(h: int, system: ScaleSystem) -> int:
 
 def fundamental_note(h: int, system: ScaleSystem) -> FreqRatio:
     """The unique note of harmonic degree ``h`` in the fundamental interval."""
-    return _FUNDAMENTAL[system.period][harmonic_to_scale_degree(h, system)
-                                      - system.harmonic_range[0]]
+    return _sixes(h, harmonic_to_scale_degree(h, system), system)
+
+
+def _sixes(h: int, degree: int, system: ScaleSystem) -> FreqRatio:
+    """The note at an absolute scale degree of harmonic degree ``h``: ``6**h``
+    moved by the whole periods between its key and the degree's."""
+    # Exact: 31 is b modulo the notes per period, so 31*h and the degree agree there.
+    t = (degree - _KEYS_PER_SIX * h) // system.notes_per_period
+    period = system.period
+    return _ratio(h + t * period.u, h + t * period.v)
 
 
 def _split_degree(degree: int, system: ScaleSystem) -> tuple[int, int]:
@@ -177,6 +195,7 @@ def note_at_scale_degree(
     ``intonation`` may be ``"just"`` or ``"equal"`` and defaults to the
     system's own flavour.
     """
+    _check_int(degree, "degree")
     if intonation not in (None, "just", "equal"):
         raise ValueError(f"intonation must be 'just' or 'equal', not {intonation!r}")
     just = system.just if intonation is None else intonation == "just"
@@ -186,24 +205,9 @@ def note_at_scale_degree(
 
 
 def _just_note(degree: int, system: ScaleSystem) -> FreqRatio:
-    """Just pitch at an absolute scale degree: the fundamental-interval note
-    shifted by whole periods."""
-    t, s = _split_degree(degree, system)
-    note = _FUNDAMENTAL[system.period][s - system.harmonic_range[0]]
-    period = system.period
-    return _ratio(note.u + t * period.u, note.v + t * period.v)
-
-
-def _fundamental_notes(system: ScaleSystem) -> tuple[FreqRatio, ...]:
-    """The fundamental interval's notes in scale-degree order."""
-    lo, hi = system.harmonic_range
-    harmonics = (scale_to_harmonic(s, system) for s in range(lo, hi + 1))
-    # 6**h = 2**h * 3**h has harmonic degree h in every system.
-    return tuple(period_reduce(FreqRatio(h, h), system)[0] for h in harmonics)
-
-
-# By period: the equal scales share their periods and ranges with the just ones.
-_FUNDAMENTAL = {system.period: _fundamental_notes(system) for system in (PYTH2, PYTH3)}
+    """Just pitch at an absolute scale degree: the one note on that key whose
+    harmonic degree is in the range."""
+    return _sixes(_window(system.degree_multiplier_inv * degree, system), degree, system)
 
 
 class ScaleRow(_Record):
@@ -243,7 +247,7 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
 
     from . import notation
 
-    if pair not in _TABLE_PAIRS:
+    if not isinstance(pair, str) or pair not in _TABLE_PAIRS:
         raise ValueError(f"unknown table pair {pair!r}")
     system, degrees, boundary, boundary_names = _TABLE_PAIRS[pair]
 
@@ -274,21 +278,22 @@ def pyth2_pyth3_differences(
 ):
     """Scale degrees where the two just scales disagree.
 
-    For each degree in the range both just pitches are computed; where they
-    differ, the quotient pyth3/pyth2 is always a power of the comma (one
-    comma up or down on a standard keyboard).  Returns a list of
-    ``(degree, pyth3_name, pyth2_name, quotient)``.
+    Both just notes of a key sit on it, so the PYTH2 note is the PYTH3
+    note reduced to PYTH2's harmonic range by commas; the two differ where
+    that takes a comma, and the quotient pyth3/pyth2 is that power of the
+    comma (one comma up or down on a standard keyboard).  Returns a list
+    of ``(degree, pyth3_name, pyth2_name, quotient)``.
     """
     from . import notation
 
+    _check_int(degree_lo, "degree_lo")
+    _check_int(degree_hi, "degree_hi")
     if degree_lo > degree_hi:
         raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
     out = []
     for n in range(degree_lo, degree_hi + 1):
         p3 = _just_note(n, PYTH3)
-        p2 = _just_note(n, PYTH2)
-        if p3 != p2:
-            out.append(
-                (n, notation.name_of(p3), notation.pyth2_name_of(p2), p3 / p2)
-            )
+        p2, m = reduce_to_fundamental(p3, PYTH2)
+        if m:
+            out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), p3 / p2))
     return out

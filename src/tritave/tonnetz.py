@@ -148,6 +148,20 @@ def note_class(note, system: TonnetzSystem) -> str:
     return system.class_name(note)
 
 
+def _class_steps(system: TonnetzSystem) -> tuple:
+    """Indexed by `major` (minor first): the class steps of a triad's notes
+    over its root, and those of its P, L and R moves."""
+    index = system.class_index
+    stacks = tuple(tuple(map(index, system.triad(system.origin, major))) for major in (False, True))
+    moves = tuple(tuple(sign * times * index(getattr(system, diagonal))
+                        for diagonal, times in _PLR.values()) for sign in (-1, 1))
+    return stacks, moves
+
+
+# By system id, as `harmony._QUALITIES`: the steps depend on the system only.
+_CLASS_STEPS = {s.id: _class_steps(s) for s in (TONNETZ_234, TONNETZ_456)}
+
+
 class ReachLevel(_Record):
     __slots__ = ("moves", "count", "classes")
 
@@ -176,13 +190,10 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     if not 0 <= max_moves <= 12:
         raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
     system = start.system
-    table, index = system.class_table, system.class_index
+    table = system.class_table
     n = len(table)
-    # Indexed by `major` (minor first): a triad's notes over its root, and its P, L and R steps.
-    stacks = [tuple(map(index, system.triad(system.origin, major))) for major in (False, True)]
-    moves = [[sign * times * index(getattr(system, diagonal)) for diagonal, times in _PLR.values()]
-             for sign in (-1, 1)]
-    key = (index(start.root) % n, start.quality is _MAJOR)
+    stacks, moves = _CLASS_STEPS[system.id]
+    key = (system.class_index(start.root) % n, start.quality is _MAJOR)
     seen, frontier, classes, levels = {key}, [key], set(), []
     for k in range(max_moves + 1):
         nxt = []

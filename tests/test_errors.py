@@ -56,6 +56,43 @@ def test_error_names_the_failing_value(make, message):
     assert str(excinfo.value) == message
 
 
+# Each degree argument, with the name its refusal gives it.
+DEGREE_ARGUMENTS = {
+    "note_at_scale_degree": ("degree", lambda x: scales.note_at_scale_degree(x, scales.PYTH3)),
+    "fundamental_note": ("harmonic degree", lambda x: scales.fundamental_note(x, scales.PYTH3)),
+    "scale_to_harmonic": ("degree", lambda x: scales.scale_to_harmonic(x, scales.PYTH3)),
+    "harmonic_to_scale_degree": ("harmonic degree",
+                                 lambda x: scales.harmonic_to_scale_degree(x, scales.PYTH3)),
+    "differences-lo": ("degree_lo", lambda x: scales.pyth2_pyth3_differences(x, 5)),
+    "differences-hi": ("degree_hi", lambda x: scales.pyth2_pyth3_differences(0, x)),
+    "note_name_at_degree": ("degree", notation.note_name_at_degree),
+    "keyboard-lo": ("midi_lo", lambda x: notation.keyboard_labels(x, 60)),
+    "keyboard-hi": ("midi_hi", lambda x: notation.keyboard_labels(21, x)),
+    "key_color": ("harmonic degree", notation.key_color_by_harmonic_degree),
+}
+
+
+@pytest.mark.parametrize("make, message", [
+    *((lambda call=call, value=value: call(value), f"{name} must be an int, not {value!r}")
+      for name, call in DEGREE_ARGUMENTS.values() for value in ("a", 1.5, True)),
+    (lambda: scales.deviation_table([]), "unknown table pair []"),
+], ids=[*(f"{function}-{kind}" for function in DEGREE_ARGUMENTS
+          for kind in ("str", "float", "bool")), "deviation-pair-list"])
+def test_a_degree_that_is_not_an_int_is_named(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("reduce", [scales.reduce_to_fundamental, scales.period_reduce,
+                                    scales.in_fundamental_interval], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", ["x", (0, 1), None, 1.5], ids=lambda v: type(v).__name__)
+def test_a_reduction_refuses_a_non_ratio_by_its_type(reduce, value):
+    with pytest.raises(ValueError) as excinfo:
+        reduce(value, scales.PYTH3)
+    assert str(excinfo.value) == f"a note must be a FreqRatio, not {type(value).__name__}"
+
+
 TRIAD = tonnetz.major_triad(FreqRatio(0, 0))
 
 

@@ -2,15 +2,19 @@
 
 Arithmetic builds its results through `ratios._ratio`, which checks only
 the exponent range; `numerator`, `denominator` and `str` build ``2**a``
-and ``3**b`` directly; `scales` reads just pitches off a table of
-fundamental notes built at import; `notation` reads a note's base name
+and ``3**b`` directly; `scales` reads just pitches off the keyboard's
+degree map, tests domain membership by the period shift and finds where
+the two just scales differ by the comma power that reduces one to the
+other; `notation` reads a note's base name
 and period shift off a degree table; and the walk primitives build their
 chords through `harmony._chord`, which checks nothing.  Each is compared
 here with the path it replaced: the public `FreqRatio` and `Chord`
 constructors, `Fraction` powers, the step-at-a-time period reduction of
-``6**h``, and the shift of `scales.period_reduce`.
+``6**h``, the two-sided test on the squared domain bounds, and the shift of
+`scales.period_reduce`.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -66,8 +70,8 @@ def test_parts_and_text_are_those_of_the_fraction(u, v):
             str(ratio)
 
 
-def reference_fundamental_note(h, system):
-    """``6**h`` moved one period at a time into the fundamental interval.
+def reference_domain(system):
+    """The squared bounds ``(c**2/P, c**2*P)`` of the fundamental interval.
 
     The interval is ``(c/sqrt(P), c*sqrt(P)]`` around the centre c, 1 for
     the tritave scales and the comma for the octave ones; squared, its
@@ -75,16 +79,23 @@ def reference_fundamental_note(h, system):
     """
     period = Fraction(system.period.numerator, system.period.denominator)
     centre = Fraction(531441, 524288) if system.period == OCTAVE else Fraction(1)
+    return centre ** 2 / period, centre ** 2 * period
+
+
+def reference_fundamental_note(h, system):
+    """``6**h`` moved one period at a time into the fundamental interval."""
+    period = Fraction(system.period.numerator, system.period.denominator)
+    lower, upper = reference_domain(system)
     note = Fraction(6) ** h
-    while note ** 2 > centre ** 2 * period:
+    while note ** 2 > upper:
         note /= period
-    while note ** 2 <= centre ** 2 / period:
+    while note ** 2 <= lower:
         note *= period
     return FreqRatio.from_fraction(note.numerator, note.denominator)
 
 
 def reference_note_at_scale_degree(degree, system):
-    """The formula the table replaced: reduce, then shift by whole periods."""
+    """The formula the degree map replaced: reduce, then shift by whole periods."""
     t, s = scales._split_degree(degree, system)
     note = reference_fundamental_note(scales.scale_to_harmonic(s, system), system)
     return note * system.period ** t
@@ -107,6 +118,63 @@ def test_just_pitches_are_those_of_the_reference_formula(system):
         want = reference_note_at_scale_degree(degree, system)
         assert scales.note_at_scale_degree(degree, system, "just") == want
         assert scales._just_note(degree, system) == want
+
+
+def next_to_a_bound(system, v, side, step):
+    """The system and a ratio of 3-exponent ``v`` whose square sits a step
+    or two of the 2-exponent from a squared domain bound (side 0 the lower,
+    1 the upper)."""
+    bound = reference_domain(system)[side]
+    return system, FreqRatio(math.floor((math.log2(bound) - 2 * v * math.log2(3)) / 2) + step, v)
+
+
+wide = st.integers(-10**4, 10**4)
+domain_cases = (st.tuples(st.sampled_from(SYSTEMS), st.builds(FreqRatio, wide, wide))
+                | st.builds(next_to_a_bound, st.sampled_from(SYSTEMS), st.integers(-6000, 6000),
+                            st.integers(0, 1), st.integers(-1, 2)))
+
+
+@EXACT
+@given(domain_cases)
+# The squares nearest the bounds, within 2 cents: in and out at each bound.
+@example((PYTH3, FreqRatio(42, -26)))
+@example((PYTH3, FreqRatio(-42, 27)))
+@example((PYTH3, FreqRatio(-42, 26)))
+@example((PYTH3, FreqRatio(42, -27)))
+@example((PYTH3, FreqRatio(527, -332)))
+@example((PYTH3, FreqRatio(-527, 333)))
+@example((PYTH2, FreqRatio(224, -141)))
+@example((PYTH2, FreqRatio(-261, 165)))
+@example((PYTH2, FreqRatio(223, -141)))
+@example((PYTH2, FreqRatio(-262, 165)))
+def test_domain_membership_is_the_two_sided_test_on_the_squared_bounds(case):
+    system, ratio = case
+    lower, upper = reference_domain(system)
+    want = lower < ratio.as_fraction() ** 2 <= upper
+    assert scales.in_fundamental_interval(ratio, system) == want
+
+
+def reference_differences(degree_lo, degree_hi):
+    """Every key's two just notes, built by the reference formula and compared."""
+    out = []
+    for n in range(degree_lo, degree_hi + 1):
+        p3 = reference_note_at_scale_degree(n, PYTH3)
+        p2 = reference_note_at_scale_degree(n, PYTH2)
+        if p3 != p2:
+            out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), p3 / p2))
+    return out
+
+
+# Ranges off the piano window: wide, single keys, ranges where no key differs.
+@pytest.mark.parametrize("degree_lo, degree_hi", [
+    (-300, 300), (-6, -6), (10, 10), (300, 300), (-299, -299), (0, 0), (0, 5), (-5, -1),
+    (-1000, -960), (950, 1000),
+])
+def test_the_differences_are_those_of_the_reference_notes(degree_lo, degree_hi):
+    want = reference_differences(degree_lo, degree_hi)
+    assert scales.pyth2_pyth3_differences(degree_lo, degree_hi) == want
+    # A power of the comma, the only 3-smooth ratios 0 keys up: 12u + 19v = 0.
+    assert all(12 * q.u + 19 * q.v == 0 and q.v for *_, q in want)
 
 
 def test_the_fast_paths_keep_the_checked_errors():
