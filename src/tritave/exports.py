@@ -48,11 +48,11 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     """
     if scale not in SCL_SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {SCL_SCALES}")
-    if description is not None and (
-        description.startswith("!") or description.splitlines() not in ([], [description])
-    ):
-        raise ValueError(f".scl description {description!r} must not start with '!' "
-                         "or span lines")
+    if description is not None:
+        _check_text(description, ".scl description")
+        if description.startswith("!") or description.splitlines() not in ([], [description]):
+            raise ValueError(f".scl description {description!r} must not start with '!' "
+                             "or span lines")
     system = scales._SYSTEMS[scale]
     n = system.notes_per_period
     lines = [_SCL_DESCRIPTIONS[scale] if description is None else description, str(n)]
@@ -63,6 +63,11 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
         else:
             lines.append(f"{scales.note_at_scale_degree(degree, system):.5f}")
     return "\n".join(lines) + "\n"
+
+
+def _check_text(text, what: str) -> None:
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be a str, not {type(text).__name__}")
 
 
 def _scl_cents(token: str) -> float:
@@ -79,6 +84,7 @@ def _scl_cents(token: str) -> float:
 
 def parse_scl(text: str) -> tuple[str, list[float]]:
     """Minimal .scl reader: returns (description, pitches in cents)."""
+    _check_text(text, ".scl text")
     lines = [ln for ln in text.splitlines() if not ln.startswith("!")]
     if len(lines) < 2:
         raise ValueError("truncated .scl: need a description and a note count")
@@ -192,6 +198,7 @@ def _table_rows(
     degree_hi: int = scales.PIANO_DEGREE_HI,
 ):
     """Header and rows of one reference table (``which`` as for `emit_table`)."""
+    _check_text(which, "a table id")
     tables = {
         "diff": lambda: _diff_rows(degree_lo, degree_hi),
         "plr456": lambda: _plr_rows(harmony.TONNETZ_456, 3),
@@ -251,6 +258,7 @@ def parse_progression(text: str) -> list[harmony.Chord]:
 
     A comment starts at a word beginning with '#'; sharps in names stay.
     """
+    _check_text(text, "progression text")
     chords = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = list(itertools.takewhile(lambda tok: not tok.startswith("#"), raw.split()))
@@ -291,6 +299,7 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
         raise ValueError("empty progression")
     notes: dict[FreqRatio, str] = {}
     for chord in chords:
+        harmony._check_chord(chord, "emit_tonnetz_path")
         if chord.system != harmony.TONNETZ_234:
             raise ValueError("lattice paths are drawn for 2:3:4 progressions")
         for note in chord.notes:

@@ -292,6 +292,8 @@ class Chord(_Record):
             if not isinstance(system, str) or system not in _SYSTEMS:
                 raise ValueError(f"unknown system {system!r}")
             system = _SYSTEMS[system]
+        if not isinstance(notes, tuple):
+            raise ValueError(f"chord notes must be a tuple, not {type(notes).__name__}")
         if len(notes) != 3:
             raise ValueError(f"a chord needs exactly 3 notes, not {len(notes)}: {notes!r}")
         for note in notes:
@@ -326,7 +328,10 @@ def _chord(notes: tuple, system: TonnetzSystem) -> Chord:
 
 def _sorted_chord(notes, system: TonnetzSystem) -> Chord:
     """The chord of three notes in any order, each checked before the sort; none is converted."""
-    notes = tuple(notes)
+    try:
+        notes = tuple(notes)
+    except TypeError:
+        raise ValueError(f"chord notes must be iterable, not {type(notes).__name__}") from None
     for note in notes:
         system.check_note(note)
     return Chord(tuple(sorted(notes)), system)

@@ -18,17 +18,17 @@ and CLI output are byte-stable; `NoteName.render` offers the pretty
 unicode marks for display.
 
 This module owns every spelling: note names, the 2:3:4 class names and the
-4:5:6 just names (as 12-EDO names).  Names are read off a degree table per
-just scale, built at import: a note's harmonic degree gives its base name
-and the fundamental note of that name, and the period shift is the
-difference of the exponents from that note, since whole periods move only
-the exponent of the period's prime.
+4:5:6 just names (as 12-EDO names).  Names are read off the piano keyboard:
+the note ``2**u * 3**v`` sits ``12*u + 19*v`` keys up in both just scales,
+and a scale's base names fill one window of keys, so a key splits into the
+period shift (whole windows above it) and the base name (its place in it);
+of the notes a comma apart on a key, the one in the harmonic range is named.
 """
 
 from __future__ import annotations
 
 from . import scales
-from .ratios import FreqRatio, _ratio, _Record
+from .ratios import FreqRatio, _check_int, _ratio, _Record
 
 __all__ = [
     "NoteName",
@@ -90,28 +90,29 @@ def _marks(shift: int, up: str, down: str) -> str:
     return up * shift if shift >= 0 else down * -shift
 
 
-def _base_tables(names: list[str], system: scales.ScaleSystem):
-    """Base name -> fundamental-domain note and harmonic degree -> (base name,
-    note); ``names`` are given in scale-degree order."""
-    lo = system.harmonic_range[0]
-    ratio = {name: scales._just_note(lo + i, system) for i, name in enumerate(names)}
-    by_degree = {scales.harmonic_degree(note, system): (name, note)
-                 for name, note in ratio.items()}
-    return ratio, by_degree
-
-
-# Per just scale, by id: base name -> note, harmonic degree -> (base name,
-# note), the period marks up and down, and the kind of note for errors.
+# Per just scale, by id: the window's lowest key, keys per period and base
+# names in key order, base name -> note, the period marks and the error kind.
 _BASES = {
-    system.id: (*_base_tables(names, system), up, down, kind)
+    system.id: (system.harmonic_range[0], system.notes_per_period, names,
+                {name: scales._just_note(key, system)
+                 for key, name in enumerate(names, system.harmonic_range[0])},
+                up, down, kind)
     for system, names, up, down, kind in (
         (scales.PYTH3, BASE_NAMES_PYTH3, "^", "v", "a tritave"),
         (scales.PYTH2, BASE_NAMES_PYTH2, "'", ",", "an octave"))
 }
-_TRITAVE_BASES = _BASES[scales.PYTH3.id][0]
+
+
+def _base_at(key: int, system: scales.ScaleSystem) -> tuple[str, int]:
+    """Base name and period shift of a just scale's note on a key."""
+    lo, n, names, _, _, _, _ = _BASES[system.id]
+    return names[(key - lo) % n], (key - lo) // n
+
+
+_TRITAVE_BASES = _BASES[scales.PYTH3.id][3]
 # 2:3:4 note classes by u mod 19: tritaves keep the 2-exponent and a comma
-# moves it by 19, so the class is the base name of u's degree in the window.
-_TRITAVE_CLASSES = tuple(_BASES[scales.PYTH3.id][1][scales._window(u, scales.PYTH3)][0]
+# moves it by 19, so the class of u is the base name on key 12*u.
+_TRITAVE_CLASSES = tuple(_base_at(12 * u, scales.PYTH3)[0]
                          for u in range(scales.PYTH3.notes_per_period))
 
 
@@ -144,28 +145,27 @@ class NoteName(_Record):
 
 
 def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int]:
-    """Base name and period shift of a note in a just scale, off the degree table."""
-    h = scales.harmonic_degree(ratio, system)
-    spelled = _BASES[system.id][1].get(h)
-    if spelled is None:     # the table holds every degree of the harmonic range
-        scales._check_harmonic(h, system, f": not {_BASES[system.id][4]}-system note, "
+    """Base name and period shift of a note in a just scale, off its key ``12*u + 19*v``."""
+    h = scales._harmonic_degree(ratio, system)
+    if not system.harmonic_range[0] <= h <= system.harmonic_range[1]:     # raises
+        scales._check_harmonic(h, system, f": not {_BASES[system.id][6]}-system note, "
                                           "reduce to the fundamental set first")
-    name, note = spelled
-    return name, ratio.u - note.u + ratio.v - note.v
+    return _base_at(12 * ratio.u + 19 * ratio.v, system)
 
 
 def _name_in(ratio: FreqRatio, system: scales.ScaleSystem = scales.PYTH3) -> str:
     """Spelling of a note in a just scale, the tritave one by default: its
     base name and one period mark per period from that name's note."""
     base, shift = _spell(ratio, system)
-    _, _, up, down, _ = _BASES[system.id]
+    _, _, _, _, up, down, _ = _BASES[system.id]
     return base + _marks(shift, up, down)
 
 
 def _just_names(ratio: FreqRatio) -> tuple[str, ...]:
-    """The note's name in each just scale whose degree table holds it."""
+    """The note's name in each just scale whose harmonic range holds its degree."""
     return tuple(_name_in(ratio, system) for system in (scales.PYTH3, scales.PYTH2)
-                 if scales.harmonic_degree(ratio, system) in _BASES[system.id][1])
+                 if system.harmonic_range[0] <= scales._harmonic_degree(ratio, system)
+                 <= system.harmonic_range[1])
 
 
 def name_of(ratio: FreqRatio) -> NoteName:
@@ -174,14 +174,14 @@ def name_of(ratio: FreqRatio) -> NoteName:
     The 2-adic harmonic degree must already lie in [-9, 9]; callers holding
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
+    scales._check_ratio(ratio)
     return NoteName(*_spell(ratio, scales.PYTH3))
 
 
 def note_name_at_degree(degree: int) -> NoteName:
-    """Name of the tritave-system note at an absolute scale degree."""
-    scales._check_int(degree, "degree")
-    t, s = scales._split_degree(degree, scales.PYTH3)
-    return NoteName(BASE_NAMES_PYTH3[s - scales.PYTH3.harmonic_range[0]], t)
+    """Name of the tritave-system note at an absolute scale degree, on that key."""
+    _check_int(degree, "degree")
+    return NoteName(*_base_at(degree, scales.PYTH3))
 
 
 def _split_marks(text: str, bases) -> tuple[str, str]:
@@ -217,11 +217,12 @@ def parse_note(text: str) -> FreqRatio:
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
     """Octave-system spelling: base name plus repeated primes/commas."""
+    scales._check_ratio(ratio)
     return _name_in(ratio, scales.PYTH2)
 
 
 def parse_pyth2_note(text: str) -> FreqRatio:
-    ratio = _BASES[scales.PYTH2.id][0]
+    ratio = _BASES[scales.PYTH2.id][3]
     base, marks = _split_marks(text, ratio)
     note = ratio[base]
     return _ratio(note.u + _mark_shift(text, marks, "'", ",", "octave"), note.v)
@@ -230,6 +231,7 @@ def parse_pyth2_note(text: str) -> FreqRatio:
 def edo12_name(semitone: int) -> str:
     """Name of a 12-EDO pitch (semitones relative to the central C); the
     plain B is the semitone below the plain C, so octaves turn over at B."""
+    _check_int(semitone, "semitone")
     return NAMES_EDO12[semitone % 12] + _marks((semitone + 1) // 12, "'", ",")
 
 
@@ -252,8 +254,8 @@ _BLACK_PCS = {1, 3, 6, 8, 10}
 
 def keyboard_labels(midi_lo: int = 21, midi_hi: int = 108) -> list[KeyLabel]:
     """Tritave-system labels for a run of piano keys (D4 = MIDI 62 = degree 0)."""
-    scales._check_int(midi_lo, "midi_lo")
-    scales._check_int(midi_hi, "midi_hi")
+    _check_int(midi_lo, "midi_lo")
+    _check_int(midi_hi, "midi_hi")
     if not 0 <= midi_lo <= midi_hi <= 127:
         raise ValueError("midi range must satisfy 0 <= lo <= hi <= 127, "
                          f"not lo={midi_lo!r}, hi={midi_hi!r}")

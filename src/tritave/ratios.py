@@ -65,6 +65,11 @@ class NotThreeSmoothError(ValueError):
     """A fraction had a prime factor other than 2 or 3."""
 
 
+def _check_int(value, name: str) -> None:
+    if type(value) is not int:      # no bool either
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def _strip(n: int, p: int) -> tuple[int, int]:
     """``(m, k)`` with ``n = m * p**k`` and p not dividing m; O(log k) divisions."""
     if n % p:
@@ -224,7 +229,7 @@ class FreqRatio(_Record):
 
     def __init__(self, u: int, v: int) -> None:
         for e in (u, v):
-            if not isinstance(e, int):
+            if type(e) is not int:      # no bool either
                 raise ValueError(f"exponent {e!r} is not an integer")
         if not (-_INT64 <= u < _INT64 and -_INT64 <= v < _INT64):
             e = v if -_INT64 <= u < _INT64 else u
@@ -242,6 +247,8 @@ class FreqRatio(_Record):
         Raises :class:`NotThreeSmoothError` if the reduced fraction has any
         other prime factor.
         """
+        _check_int(numerator, "numerator")
+        _check_int(denominator, "denominator")
         if numerator < 1 or denominator < 1:
             raise ValueError("numerator and denominator must be positive integers, "
                              f"not {numerator}/{denominator}")

@@ -15,7 +15,8 @@ a harmonic degree modulo the comma is what makes the scales finite.
 
 from __future__ import annotations
 
-from .ratios import COMMA, FreqRatio, OCTAVE, TRITAVE, _floor_log, _ratio, _Record, cents
+from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _floor_log, _ratio, _Record,
+                     cents)
 
 __all__ = [
     "ScaleSystem",
@@ -41,6 +42,10 @@ __all__ = [
 #: Default 88-key window in scale degrees (A0..C8 with D4 = degree 0).
 PIANO_DEGREE_LO = -41
 PIANO_DEGREE_HI = 46
+
+#: Widest degree either way that `pyth2_pyth3_differences` lists: each name
+#: it lists carries one mark per period from the centre.
+MAX_DEGREE = 10**4
 
 
 class ScaleSystem(_Record):
@@ -90,18 +95,19 @@ def _window(value: int, system: ScaleSystem) -> int:
     return (value - lo) % system.notes_per_period + lo
 
 
-def _check_int(value, name: str) -> None:
-    if type(value) is not int:      # no bool either
-        raise ValueError(f"{name} must be an int, not {value!r}")
-
-
 def _check_ratio(ratio) -> None:
     if not isinstance(ratio, FreqRatio):
         raise ValueError(f"a note must be a FreqRatio, not {type(ratio).__name__}")
 
 
+def _check_system(system) -> None:
+    if not isinstance(system, ScaleSystem):
+        raise ValueError(f"a scale system must be a ScaleSystem, not {type(system).__name__}")
+
+
 def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
     _check_int(h, "harmonic degree")
+    _check_system(system)
     lo, hi = system.harmonic_range
     if not lo <= h <= hi:
         raise ValueError(f"harmonic degree {h} outside [{lo}, {hi}]{hint}")
@@ -110,6 +116,12 @@ def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
 def harmonic_degree(ratio: FreqRatio, system: ScaleSystem) -> int:
     """The exponent that locates a note in the system's harmonic circle:
     that of the prime other than the period, so whole periods keep it."""
+    _check_ratio(ratio)
+    _check_system(system)
+    return _harmonic_degree(ratio, system)
+
+
+def _harmonic_degree(ratio: FreqRatio, system: ScaleSystem) -> int:
     return ratio.v if system.period.u else ratio.u
 
 
@@ -124,10 +136,11 @@ def reduce_to_fundamental(
     unique, so reducing twice is a no-op.
     """
     _check_ratio(ratio)
-    h = harmonic_degree(ratio, system)
+    _check_system(system)
+    h = _harmonic_degree(ratio, system)
     # One comma moves the harmonic degree by a whole window: u - 19 in the
     # tritave scales, v + 12 in the octave scales.
-    m = (_window(h, system) - h) // harmonic_degree(COMMA, system)
+    m = (_window(h, system) - h) // _harmonic_degree(COMMA, system)
     return _ratio(ratio.u + m * COMMA.u, ratio.v + m * COMMA.v), m
 
 
@@ -147,6 +160,7 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     above the lower bound, which sits one ``period**2`` further down.
     """
     _check_ratio(ratio)
+    _check_system(system)
     period = system.period
     upper_u, upper_v = _UPPER_SQ[period.u]
     shift = -_floor_log(upper_u - 2 * ratio.u, upper_v - 2 * ratio.v, 2 * period.u, 2 * period.v)
@@ -156,6 +170,7 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
     """Scale degree -> harmonic degree (multiplication by b**-1)."""
     _check_int(degree, "degree")
+    _check_system(system)
     return _window(system.degree_multiplier_inv * degree, system)
 
 
@@ -179,12 +194,6 @@ def _sixes(h: int, degree: int, system: ScaleSystem) -> FreqRatio:
     return _ratio(h + t * period.u, h + t * period.v)
 
 
-def _split_degree(degree: int, system: ScaleSystem) -> tuple[int, int]:
-    """Absolute scale degree -> (period shift, degree inside the window)."""
-    s = _window(degree, system)
-    return (degree - s) // system.notes_per_period, s
-
-
 def note_at_scale_degree(
     degree: int, system: ScaleSystem, intonation: str | None = None
 ):
@@ -196,6 +205,7 @@ def note_at_scale_degree(
     system's own flavour.
     """
     _check_int(degree, "degree")
+    _check_system(system)
     if intonation not in (None, "just", "equal"):
         raise ValueError(f"intonation must be 'just' or 'equal', not {intonation!r}")
     just = system.just if intonation is None else intonation == "just"
@@ -263,7 +273,7 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
                 scale_degree=n,
                 note=name,
                 just_ratio=just,
-                harmonic_degree=harmonic_degree(just, system),
+                harmonic_degree=_harmonic_degree(just, system),
                 equal_exponent=equal_exp,
                 equal_value=float(system.period.numerator) ** float(equal_exp),
                 deviation_cents=just.cents() - equal_cents,
@@ -282,12 +292,16 @@ def pyth2_pyth3_differences(
     note reduced to PYTH2's harmonic range by commas; the two differ where
     that takes a comma, and the quotient pyth3/pyth2 is that power of the
     comma (one comma up or down on a standard keyboard).  Returns a list
-    of ``(degree, pyth3_name, pyth2_name, quotient)``.
+    of ``(degree, pyth3_name, pyth2_name, quotient)``.  Neither end of the
+    range may lie beyond `MAX_DEGREE` either way.
     """
     from . import notation
 
-    _check_int(degree_lo, "degree_lo")
-    _check_int(degree_hi, "degree_hi")
+    for name, degree in (("degree_lo", degree_lo), ("degree_hi", degree_hi)):
+        _check_int(degree, name)
+        if abs(degree) > MAX_DEGREE:
+            raise ValueError(f"{name} must be in [-{MAX_DEGREE}, {MAX_DEGREE}], "
+                             f"not {notation._shown(degree)}")
     if degree_lo > degree_hi:
         raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
     out = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratios import Cents, FreqRatio, _floor_log, _Record
+from .ratios import Cents, FreqRatio, _check_int, _floor_log, _Record
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
@@ -31,7 +31,8 @@ def cf_coefficients(count: int) -> list[int]:
 
     The expansion begins 1, 1, 1, 2, 2, 3, 1, 5, ...
     """
-    if not isinstance(count, int) or not 1 <= count <= MAX_TERMS:
+    _check_int(count, "count")
+    if not 1 <= count <= MAX_TERMS:
         raise ValueError(f"count must be an integer in [1, {MAX_TERMS}], not {count!r}")
     # Start from 3 over 2: log(3)/log(2), the reciprocal, has the same
     # quotients without the leading 0.
@@ -80,6 +81,8 @@ def comma_for(p: int, q: int) -> tuple[FreqRatio, Cents]:
 
     For (12, 19) this is the Pythagorean comma, about 23.46 cents.
     """
+    _check_int(p, "p")
+    _check_int(q, "q")
     if p < 1 or q < 1:
         raise ValueError(f"p and q must be positive, not p={p!r}, q={q!r}")
     ratio = FreqRatio(-q, p)

@@ -68,6 +68,12 @@ _MAJOR, _MINOR = ChordQuality.MAJOR, ChordQuality.MINOR
 _PLR = {"P": ("up_diagonal", 0), "L": ("up_diagonal", 1), "R": ("down_diagonal", -1)}
 
 
+def _check_system(system) -> None:
+    """Refuse a system by its type; an id string is not looked up."""
+    if not isinstance(system, TonnetzSystem):
+        raise ValueError(f"a lattice system must be a TonnetzSystem, not {type(system).__name__}")
+
+
 class Triad(_Record):
     """A major or minor triangle: system, root and quality."""
 
@@ -75,6 +81,7 @@ class Triad(_Record):
 
     def __init__(self, system: TonnetzSystem, root: FreqRatio | int,
                  quality: ChordQuality) -> None:
+        _check_system(system)
         if quality not in (_MAJOR, _MINOR):
             raise ValueError("a lattice triad is major or minor")
         system.check_note(root)
@@ -144,6 +151,7 @@ def note_class(note, system: TonnetzSystem) -> str:
     2-adic harmonic degree modulo 19; the label is the fundamental-domain
     name of that class.
     """
+    _check_system(system)
     system.check_note(note)
     return system.class_name(note)
 

@@ -93,6 +93,92 @@ def test_a_reduction_refuses_a_non_ratio_by_its_type(reduce, value):
     assert str(excinfo.value) == f"a note must be a FreqRatio, not {type(value).__name__}"
 
 
+# Each public `scales` function that takes a system, with a system of the wrong type.
+SYSTEM_ARGUMENTS = {
+    "harmonic_degree": lambda x: scales.harmonic_degree(FreqRatio(0, 0), x),
+    "reduce_to_fundamental": lambda x: scales.reduce_to_fundamental(FreqRatio(0, 0), x),
+    "period_reduce": lambda x: scales.period_reduce(FreqRatio(0, 0), x),
+    "in_fundamental_interval": lambda x: scales.in_fundamental_interval(FreqRatio(0, 0), x),
+    "scale_to_harmonic": lambda x: scales.scale_to_harmonic(1, x),
+    "harmonic_to_scale_degree": lambda x: scales.harmonic_to_scale_degree(1, x),
+    "fundamental_note": lambda x: scales.fundamental_note(1, x),
+    "note_at_scale_degree": lambda x: scales.note_at_scale_degree(1, x),
+}
+
+
+@pytest.mark.parametrize("make, message", [
+    *((lambda call=call, value=value: call(value),
+       f"a scale system must be a ScaleSystem, not {type(value).__name__}")
+      for call in SYSTEM_ARGUMENTS.values() for value in ("pyth3", None)),
+    (lambda: scales.harmonic_degree("C", scales.PYTH3), "a note must be a FreqRatio, not str"),
+    (lambda: notation.name_of("C"), "a note must be a FreqRatio, not str"),
+    (lambda: notation.pyth2_name_of(3), "a note must be a FreqRatio, not int"),
+], ids=[*(f"{function}-{kind}" for function in SYSTEM_ARGUMENTS for kind in ("str", "none")),
+        "harmonic_degree-note", "name_of-str", "pyth2_name_of-int"])
+def test_a_system_or_note_of_the_wrong_type_is_named(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: scales.pyth2_pyth3_differences(-10**4 - 1, 0),
+     "degree_lo must be in [-10000, 10000], not int -10001"),
+    (lambda: scales.pyth2_pyth3_differences(0, 10**7),
+     "degree_hi must be in [-10000, 10000], not int 10000000"),
+    (lambda: scales.pyth2_pyth3_differences(0, 10**5000),
+     "degree_hi must be in [-10000, 10000], not int of 16610 bits"),
+    (lambda: exports.emit_table("diff", degree_lo=-10**5),
+     "degree_lo must be in [-10000, 10000], not int -100000"),
+], ids=["lo-below", "hi-1e7", "hi-5001-digits", "emit-table"])
+def test_a_difference_range_beyond_the_bound_is_refused_at_once(make, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert time.perf_counter() - start < 1
+    assert str(excinfo.value) == message
+
+
+def test_the_difference_range_may_reach_the_bound():
+    for degree in (-scales.MAX_DEGREE, scales.MAX_DEGREE):     # the scales differ there
+        assert [row[0] for row in scales.pyth2_pyth3_differences(degree, degree)] == [degree]
+
+
+ONE = FreqRatio(0, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: notation.edo12_name("x"), "semitone must be an int, not 'x'"),
+    (lambda: notation.edo12_name(1.5), "semitone must be an int, not 1.5"),
+    (lambda: notation.edo12_name(True), "semitone must be an int, not True"),
+    (lambda: FreqRatio(True, False), "exponent True is not an integer"),
+    (lambda: FreqRatio.from_fraction("a"), "numerator must be an int, not 'a'"),
+    (lambda: temperament.cf_coefficients(True), "count must be an int, not True"),
+    (lambda: temperament.convergents(True), "count must be an int, not True"),
+    (lambda: temperament.comma_for("a", 2), "p must be an int, not 'a'"),
+    (lambda: temperament.comma_for(True, True), "p must be an int, not True"),
+    (lambda: exports.emit_table(5), "a table id must be a str, not int"),
+    (lambda: exports.emit_scl("pyth3", 5), ".scl description must be a str, not int"),
+    (lambda: exports.parse_scl(5), ".scl text must be a str, not int"),
+    (lambda: exports.parse_progression(5), "progression text must be a str, not int"),
+    (lambda: exports.emit_tonnetz_path([1]), "emit_tonnetz_path takes a Chord, not int"),
+    (lambda: tonnetz.major_triad(ONE, "234"),
+     "a lattice system must be a TonnetzSystem, not str"),
+    (lambda: tonnetz.minor_triad(ONE, "234"),
+     "a lattice system must be a TonnetzSystem, not str"),
+    (lambda: tonnetz.note_class(ONE, "234"), "a lattice system must be a TonnetzSystem, not str"),
+    (lambda: harmony.Chord(5), "chord notes must be a tuple, not int"),
+    (lambda: harmony.chord_456(5), "chord notes must be iterable, not int"),
+], ids=["edo12-str", "edo12-float", "edo12-bool", "ratio-bool", "from_fraction-str",
+        "cf-bool", "convergents-bool", "comma-str", "comma-bool", "emit_table-int",
+        "scl-description-int", "parse_scl-int", "progression-int", "path-int",
+        "major_triad-id", "minor_triad-id", "note_class-id", "chord-int", "chord_456-int"])
+def test_a_library_argument_of_the_wrong_type_is_named(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 TRIAD = tonnetz.major_triad(FreqRatio(0, 0))
 
 

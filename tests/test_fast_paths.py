@@ -5,13 +5,12 @@ the exponent range; `numerator`, `denominator` and `str` build ``2**a``
 and ``3**b`` directly; `scales` reads just pitches off the keyboard's
 degree map, tests domain membership by the period shift and finds where
 the two just scales differ by the comma power that reduces one to the
-other; `notation` reads a note's base name
-and period shift off a degree table; and the walk primitives build their
-chords through `harmony._chord`, which checks nothing.  Each is compared
-here with the path it replaced: the public `FreqRatio` and `Chord`
-constructors, `Fraction` powers, the step-at-a-time period reduction of
-``6**h``, the two-sided test on the squared domain bounds, and the shift of
-`scales.period_reduce`.
+other; `notation` reads a note's base name and period shift off its key;
+and the walk primitives build their chords through `harmony._chord`,
+which checks nothing.  Each is compared here with the path it replaced:
+the public `FreqRatio` and `Chord` constructors, `Fraction` powers, the
+step-at-a-time period reduction of ``6**h``, the two-sided test on the
+squared domain bounds, and the shift of `scales.period_reduce`.
 """
 
 import math
@@ -96,8 +95,9 @@ def reference_fundamental_note(h, system):
 
 def reference_note_at_scale_degree(degree, system):
     """The formula the degree map replaced: reduce, then shift by whole periods."""
-    t, s = scales._split_degree(degree, system)
-    note = reference_fundamental_note(scales.scale_to_harmonic(s, system), system)
+    lo = system.harmonic_range[0]
+    t, place = divmod(degree - lo, system.notes_per_period)
+    note = reference_fundamental_note(scales.scale_to_harmonic(lo + place, system), system)
     return note * system.period ** t
 
 
@@ -303,6 +303,28 @@ def test_the_range_endpoints_spell_as_the_reference(system):
         notation.name_of(FreqRatio(10, 0))
     with pytest.raises(ValueError, match=r"^harmonic degree -6 outside \[-5, 6\]: not an "):
         notation.pyth2_name_of(FreqRatio(0, -6))
+
+
+KEYS = range(-5000, 5001)
+
+
+@pytest.mark.parametrize("system", (PYTH3, PYTH2), ids=lambda s: s.id)
+def test_the_note_on_every_key_spells_as_the_reference(system):
+    for key in KEYS:
+        note = scales._just_note(key, system)
+        assert notation._name_in(note, system) == reference_spelling(note, system)
+
+
+def test_the_name_at_a_degree_is_that_of_the_just_note_there():
+    for degree in KEYS:
+        note = scales.note_at_scale_degree(degree, PYTH3, "just")
+        assert notation.note_name_at_degree(degree) == notation.name_of(note)
+
+
+def test_a_tritave_class_is_the_base_name_of_its_fundamental_note():
+    for u in range(PYTH3.notes_per_period):
+        note = scales.fundamental_note(scales._window(u, PYTH3), PYTH3)
+        assert notation._TRITAVE_CLASSES[u] == reference_spelling(note, PYTH3)
 
 
 # --- chords built without checks ----------------------------------------------
