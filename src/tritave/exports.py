@@ -238,12 +238,28 @@ def emit_table(
         writer.writerows(rows)
         return buf.getvalue()
     if format == "json":
-        import json
-
-        return json.dumps(
-            [dict(zip(header, row)) for row in rows], indent=2
-        ) + "\n"
+        return _json_table(header, rows)
     raise ValueError(f"format must be 'csv' or 'json', not {format!r}")
+
+
+def _json_table(header: list[str], rows) -> str:
+    """``json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\\n"``
+    for rows of scalar cells under distinct keys, one cell per key, written
+    directly: with an indent, `json.dumps` takes the pure-Python encoder."""
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
+    if not rows:
+        return "[]\n"
+    keys = [f"    {quote(key)}: " for key in header]
+
+    def cell(value) -> str:
+        if type(value) is str:
+            return quote(value)
+        return int.__repr__(value) if type(value) is int else json.dumps(value)
+
+    objects = (",\n".join([key + cell(value) for key, value in zip(keys, row)]) for row in rows)
+    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
 
 
 # --- progression files --------------------------------------------------
@@ -295,6 +311,7 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
     with no name is labelled by its ratio, or by its exponents, ``2^u*3^v``,
     when the ratio is too long to write.
     """
+    chords = harmony._items(chords, "a progression")
     if not chords:
         raise ValueError("empty progression")
     notes: dict[FreqRatio, str] = {}

@@ -128,7 +128,7 @@ class TonnetzSystem(_Record):
     def parse_chord(self, names) -> Chord:
         """Chord of three distinct note names given in any order."""
         typed = {}
-        for name in names:
+        for name in _items(names, "chord names"):
             note = self.parse(name)
             if note in typed:
                 raise ValueError(f"chord notes must be distinct: {notation._quote(typed[note])} "
@@ -326,12 +326,18 @@ def _chord(notes: tuple, system: TonnetzSystem) -> Chord:
     return chord
 
 
+def _items(values, what: str) -> tuple:
+    """``tuple(values)``, refusing a non-iterable by its type."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, not {type(values).__name__}") from None
+    return tuple(items)
+
+
 def _sorted_chord(notes, system: TonnetzSystem) -> Chord:
     """The chord of three notes in any order, each checked before the sort; none is converted."""
-    try:
-        notes = tuple(notes)
-    except TypeError:
-        raise ValueError(f"chord notes must be iterable, not {type(notes).__name__}") from None
+    notes = _items(notes, "chord notes")
     for note in notes:
         system.check_note(note)
     return Chord(tuple(sorted(notes)), system)

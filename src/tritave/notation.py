@@ -144,6 +144,18 @@ class NoteName(_Record):
         return "".join(_UNICODE_MARKS.get(ch, ch) for ch in text)
 
 
+_set_base, _set_shift = NoteName._setters
+
+
+def _note_name(base: str, shift: int) -> NoteName:
+    """``NoteName(base, shift)`` for a base name and an int shift the package
+    has just read off a key: nothing is checked (see `ratios._ratio`)."""
+    name = object.__new__(NoteName)
+    _set_base(name, base)
+    _set_shift(name, shift)
+    return name
+
+
 def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int]:
     """Base name and period shift of a note in a just scale, off its key ``12*u + 19*v``."""
     h = scales._harmonic_degree(ratio, system)
@@ -175,13 +187,13 @@ def name_of(ratio: FreqRatio) -> NoteName:
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
     scales._check_ratio(ratio)
-    return NoteName(*_spell(ratio, scales.PYTH3))
+    return _note_name(*_spell(ratio, scales.PYTH3))
 
 
 def note_name_at_degree(degree: int) -> NoteName:
     """Name of the tritave-system note at an absolute scale degree, on that key."""
     _check_int(degree, "degree")
-    return NoteName(*_base_at(degree, scales.PYTH3))
+    return _note_name(*_base_at(degree, scales.PYTH3))
 
 
 def _split_marks(text: str, bases) -> tuple[str, str]:

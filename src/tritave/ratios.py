@@ -264,9 +264,11 @@ class FreqRatio(_Record):
         return cls(nu - du, nv - dv)
 
     def __mul__(self, other: FreqRatio) -> FreqRatio:
+        _check_ratio(other)
         return _ratio(self.u + other.u, self.v + other.v)
 
     def __truediv__(self, other: FreqRatio) -> FreqRatio:
+        _check_ratio(other)
         return _ratio(self.u - other.u, self.v - other.v)
 
     def __pow__(self, exponent: int) -> FreqRatio:
@@ -354,8 +356,14 @@ def _ratio(u: int, v: int) -> FreqRatio:
     return FreqRatio(u, v)
 
 
+def _check_ratio(ratio) -> None:
+    if not isinstance(ratio, FreqRatio):
+        raise ValueError(f"a note must be a FreqRatio, not {type(ratio).__name__}")
+
+
 def cents(ratio: FreqRatio) -> Cents:
     """1200 * log2 of the ratio."""
+    _check_ratio(ratio)
     return ratio.cents()
 
 

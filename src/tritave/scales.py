@@ -15,8 +15,8 @@ a harmonic degree modulo the comma is what makes the scales finite.
 
 from __future__ import annotations
 
-from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _floor_log, _ratio, _Record,
-                     cents)
+from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_ratio, _floor_log,
+                     _ratio, _Record, cents)
 
 __all__ = [
     "ScaleSystem",
@@ -93,11 +93,6 @@ def _window(value: int, system: ScaleSystem) -> int:
     """``value`` moved by whole windows into the system's harmonic range."""
     lo = system.harmonic_range[0]
     return (value - lo) % system.notes_per_period + lo
-
-
-def _check_ratio(ratio) -> None:
-    if not isinstance(ratio, FreqRatio):
-        raise ValueError(f"a note must be a FreqRatio, not {type(ratio).__name__}")
 
 
 def _check_system(system) -> None:
@@ -182,16 +177,18 @@ def harmonic_to_scale_degree(h: int, system: ScaleSystem) -> int:
 
 def fundamental_note(h: int, system: ScaleSystem) -> FreqRatio:
     """The unique note of harmonic degree ``h`` in the fundamental interval."""
-    return _sixes(h, harmonic_to_scale_degree(h, system), system)
+    return _just_note(harmonic_to_scale_degree(h, system), system)
 
 
-def _sixes(h: int, degree: int, system: ScaleSystem) -> FreqRatio:
-    """The note at an absolute scale degree of harmonic degree ``h``: ``6**h``
-    moved by the whole periods between its key and the degree's."""
+def _key_exponents(degree: int, system: ScaleSystem) -> tuple[int, int]:
+    """Exponents of the just note at an absolute scale degree: ``6**h``, for the
+    degree's harmonic degree ``h``, moved by the whole periods between its key
+    and the degree's."""
+    h = _window(system.degree_multiplier_inv * degree, system)
     # Exact: 31 is b modulo the notes per period, so 31*h and the degree agree there.
     t = (degree - _KEYS_PER_SIX * h) // system.notes_per_period
     period = system.period
-    return _ratio(h + t * period.u, h + t * period.v)
+    return h + t * period.u, h + t * period.v
 
 
 def note_at_scale_degree(
@@ -214,10 +211,11 @@ def note_at_scale_degree(
     return _just_note(degree, system)
 
 
-def _just_note(degree: int, system: ScaleSystem) -> FreqRatio:
-    """Just pitch at an absolute scale degree: the one note on that key whose
-    harmonic degree is in the range."""
-    return _sixes(_window(system.degree_multiplier_inv * degree, system), degree, system)
+def _just_note(degree: int, system: ScaleSystem, commas: int = 0) -> FreqRatio:
+    """Just pitch at an absolute scale degree times ``COMMA**commas``; with no
+    commas, the one note on that key whose harmonic degree is in the range."""
+    u, v = _key_exponents(degree, system)
+    return _ratio(u + commas * COMMA.u, v + commas * COMMA.v)
 
 
 class ScaleRow(_Record):
@@ -260,26 +258,18 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     if not isinstance(pair, str) or pair not in _TABLE_PAIRS:
         raise ValueError(f"unknown table pair {pair!r}")
     system, degrees, boundary, boundary_names = _TABLE_PAIRS[pair]
+    n_per, period_cents = system.notes_per_period, system.period.cents()
+    period_value = float(system.period.numerator)
 
     rows = []
     for n in degrees:
-        just = _just_note(n, system) * COMMA ** boundary.get(n, 0)
+        just = _just_note(n, system, boundary.get(n, 0))
         # The window has no name of its own one degree outside.
         name = notation._name_in(just, boundary_names if n in boundary else system)
-        equal_exp = Fraction(n, system.notes_per_period)
-        equal_cents = n / system.notes_per_period * system.period.cents()
-        rows.append(
-            ScaleRow(
-                scale_degree=n,
-                note=name,
-                just_ratio=just,
-                harmonic_degree=_harmonic_degree(just, system),
-                equal_exponent=equal_exp,
-                equal_value=float(system.period.numerator) ** float(equal_exp),
-                deviation_cents=just.cents() - equal_cents,
-                boundary=n in boundary,
-            )
-        )
+        # n / n_per and float(Fraction(n, n_per)) are the same correctly rounded float.
+        rows.append(ScaleRow(n, name, just, _harmonic_degree(just, system), Fraction(n, n_per),
+                             period_value ** (n / n_per), just.cents() - n / n_per * period_cents,
+                             n in boundary))
     return rows
 
 
@@ -306,8 +296,9 @@ def pyth2_pyth3_differences(
         raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
     out = []
     for n in range(degree_lo, degree_hi + 1):
-        p3 = _just_note(n, PYTH3)
-        p2, m = reduce_to_fundamental(p3, PYTH2)
+        u, v = _key_exponents(n, PYTH3)
+        m = (_window(v, PYTH2) - v) // COMMA.v
         if m:
-            out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), p3 / p2))
+            p3, p2 = _ratio(u, v), _just_note(n, PYTH3, m)
+            out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), COMMA ** -m))
     return out

@@ -39,7 +39,7 @@ from .harmony import (
     _chord,
     classify,
 )
-from .ratios import FreqRatio, _Record
+from .ratios import FreqRatio, _check_ratio, _Record
 
 __all__ = [
     "TonnetzSystem",
@@ -219,6 +219,7 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
 
 def note_coordinates(ratio: FreqRatio) -> tuple[int, int]:
     """Plane embedding of a 2:3:4 note: octave (+2, 0), fifth (+1, +1)."""
+    _check_ratio(ratio)
     return (2 * ratio.u + 3 * ratio.v, ratio.v)
 
 

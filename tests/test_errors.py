@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tritave import cli, exports, harmony, notation, scales, temperament, tonnetz
+from tritave import cli, exports, harmony, notation, ratios, scales, temperament, tonnetz
 from tritave.ratios import FreqRatio
 
 
@@ -174,6 +174,21 @@ ONE = FreqRatio(0, 0)
         "scl-description-int", "parse_scl-int", "progression-int", "path-int",
         "major_triad-id", "minor_triad-id", "note_class-id", "chord-int", "chord_456-int"])
 def test_a_library_argument_of_the_wrong_type_is_named(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FreqRatio(1, 0) * 5, "a note must be a FreqRatio, not int"),
+    (lambda: FreqRatio(1, 0) / "a", "a note must be a FreqRatio, not str"),
+    (lambda: ratios.cents(5), "a note must be a FreqRatio, not int"),
+    (lambda: tonnetz.note_coordinates(5), "a note must be a FreqRatio, not int"),
+    (lambda: exports.emit_tonnetz_path(5), "a progression must be iterable, not int"),
+    (lambda: harmony.TONNETZ_234.parse_chord(5), "chord names must be iterable, not int"),
+], ids=["mul-int", "truediv-str", "cents-int", "note_coordinates-int", "path-int",
+        "parse_chord-int"])
+def test_a_non_ratio_or_non_iterable_is_refused_by_its_type(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
     assert str(excinfo.value) == message

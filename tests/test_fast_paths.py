@@ -13,6 +13,7 @@ step-at-a-time period reduction of ``6**h``, the two-sided test on the
 squared domain bounds, and the shift of `scales.period_reduce`.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tritave import harmony, notation, scales, tonnetz
+from tritave import exports, harmony, notation, scales, tonnetz
 from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_STR_DIGITS, OCTAVE, TRITAVE,
                            FreqRatio, _floor_log)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
@@ -177,6 +178,54 @@ def test_the_differences_are_those_of_the_reference_notes(degree_lo, degree_hi):
     assert all(12 * q.u + 19 * q.v == 0 and q.v for *_, q in want)
 
 
+def reference_deviation_rows(pair):
+    """The rows as built one `FreqRatio` product and one `Fraction` at a time."""
+    system, degrees, boundary, boundary_names = scales._TABLE_PAIRS[pair]
+    rows = []
+    for n in degrees:
+        just = scales._just_note(n, system) * COMMA ** boundary.get(n, 0)
+        equal_exp = Fraction(n, system.notes_per_period)
+        rows.append(scales.ScaleRow(
+            scale_degree=n,
+            note=notation._name_in(just, boundary_names if n in boundary else system),
+            just_ratio=just,
+            harmonic_degree=scales.harmonic_degree(just, system),
+            equal_exponent=equal_exp,
+            equal_value=float(system.period.numerator) ** float(equal_exp),
+            deviation_cents=just.cents() - n / system.notes_per_period * system.period.cents(),
+            boundary=n in boundary,
+        ))
+    return rows
+
+
+def exact_fields(row):
+    """A row's fields, each float as its exact ``hex`` text."""
+    return tuple(x.hex() if type(x) is float else x for x in row._key(row))
+
+
+def assert_deviation_rows_as_the_reference(pair):
+    got, want = scales.deviation_table(pair), reference_deviation_rows(pair)
+    assert [exact_fields(row) for row in got] == [exact_fields(row) for row in want]
+
+
+@pytest.mark.parametrize("pair", scales._TABLE_PAIRS)
+def test_the_deviation_rows_are_those_of_the_reference_build(pair):
+    assert_deviation_rows_as_the_reference(pair)
+
+
+@pytest.mark.parametrize("pair", scales._TABLE_PAIRS)
+def test_wide_deviation_rows_are_those_of_the_reference_build(monkeypatch, pair):
+    # Degrees -200..200 and, on every seventh, the comma power that moves the
+    # note into the other scale's range; the real tables use only 0 and -1.
+    system, _, _, boundary_names = scales._TABLE_PAIRS[pair]
+    degrees = range(-200, 201)
+    boundary = {n: scales.reduce_to_fundamental(scales._just_note(n, system), boundary_names)[1]
+                for n in degrees[::7]}
+    assert set(boundary.values()) == {-1, 0, 1}
+    monkeypatch.setitem(scales._TABLE_PAIRS, pair, (system, degrees, boundary, boundary_names))
+    assert_deviation_rows_as_the_reference(pair)
+
+
 def test_the_fast_paths_keep_the_checked_errors():
     cases = [
         (lambda: FreqRatio(2**62, 0) ** 4, "exponent 18446744073709551616 is outside"),
@@ -325,6 +374,53 @@ def test_a_tritave_class_is_the_base_name_of_its_fundamental_note():
     for u in range(PYTH3.notes_per_period):
         note = scales.fundamental_note(scales._window(u, PYTH3), PYTH3)
         assert notation._TRITAVE_CLASSES[u] == reference_spelling(note, PYTH3)
+
+
+def test_a_trusted_name_is_the_one_the_checked_constructor_builds():
+    for base in notation.BASE_NAMES_PYTH3:
+        for shift in (-10**20, -1, 0, 1, 7, notation.MAX_MARKS + 1):
+            trusted, checked = notation._note_name(base, shift), notation.NoteName(base, shift)
+            assert type(trusted) is notation.NoteName
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert repr(trusted) == repr(checked)
+
+
+# --- table JSON written without the indenting encoder --------------------------
+
+
+def indented_json(header, rows):
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+
+
+# Every table, and difference ranges where no key differs.
+@pytest.mark.parametrize("which, bounds", [
+    *((which, ()) for which in exports.TABLE_IDS), ("diff", (0, 5)), ("diff", (-5, -1)),
+    ("diff", (3, 3)),
+])
+def test_a_json_table_is_what_the_indenting_encoder_writes(which, bounds):
+    header, rows = exports._table_rows(which, *bounds)
+    assert bool(rows) == (bounds == ())
+    assert exports.emit_table(which, "json", *bounds) == indented_json(header, rows)
+
+
+# Text with quotes, backslashes, control characters and non-ASCII (surrogates
+# too); ints past 2**64; bools, floats and None take `json.dumps`.
+AWKWARD = '"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\u2028\U0001f600\ud800'
+awkward_text = st.text(st.sampled_from(AWKWARD) | st.characters(), max_size=6)
+cells = (awkward_text | st.integers() | st.integers(2**64, 2**200) | st.integers(-2**200, -2**64)
+         | st.booleans() | st.floats() | st.none())
+tables = st.lists(awkward_text, min_size=1, max_size=5, unique=True).flatmap(
+    lambda header: st.tuples(st.just(header), st.lists(
+        st.lists(cells, min_size=len(header), max_size=len(header)), max_size=4)))
+
+
+@settings(EXACT, max_examples=150)
+@given(tables)
+@example((["a"], []))
+@example((["n", "b", "x"], [[2**64 + 1, True, 0.1], [-(2**70), False, float("nan")]]))
+def test_the_json_writer_writes_what_the_indenting_encoder_writes(table):
+    header, rows = table
+    assert exports._json_table(header, rows) == indented_json(header, rows)
 
 
 # --- chords built without checks ----------------------------------------------
