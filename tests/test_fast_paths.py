@@ -5,12 +5,16 @@ the exponent range; `numerator`, `denominator` and `str` build ``2**a``
 and ``3**b`` directly; `scales` reads just pitches off the keyboard's
 degree map, tests domain membership by the period shift and finds where
 the two just scales differ by the comma power that reduces one to the
-other; `notation` reads a note's base name and period shift off its key;
-and the walk primitives build their chords through `harmony._chord`,
-which checks nothing.  Each is compared here with the path it replaced:
-the public `FreqRatio` and `Chord` constructors, `Fraction` powers, the
-step-at-a-time period reduction of ``6**h``, the two-sided test on the
-squared domain bounds, and the shift of `scales.period_reduce`.
+other, and builds each deviation row's just note from its exponents;
+`notation` reads a note's base name and period shift off its key and
+builds the `NoteName` unchecked; `exports` writes table JSON without the
+indenting encoder; and the walk primitives build their chords through
+`harmony._chord`, which checks nothing.  Each is compared here with the
+path it replaced: the public `FreqRatio`, `NoteName` and `Chord`
+constructors, `Fraction` powers, the step-at-a-time period reduction of
+``6**h``, the two-sided test on the squared domain bounds, the shift of
+`scales.period_reduce`, the per-row `FreqRatio` product and `Fraction`
+of the deviation rows, and `json.dumps` with an indent.
 """
 
 import json
