@@ -13,7 +13,7 @@ import itertools
 import math
 
 from . import harmony, notation, scales, tonnetz
-from .ratios import FreqRatio
+from .ratios import FreqRatio, _parts
 
 __all__ = [
     "ProgressionError",
@@ -59,7 +59,7 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     for degree in range(1, n + 1):
         if system.just:
             pitch = scales._just_note(degree, system)
-            lines.append(f"{pitch.numerator}/{pitch.denominator}")
+            lines.append("%d/%d" % _parts(pitch.u, pitch.v))
         else:
             lines.append(f"{scales.note_at_scale_degree(degree, system):.5f}")
     return "\n".join(lines) + "\n"
@@ -89,10 +89,13 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
     if len(lines) < 2:
         raise ValueError("truncated .scl: need a description and a note count")
     description = lines[0]
+    text = lines[1].strip()
     try:
-        count = int(lines[1].strip())
+        count = int(text)
     except ValueError:
-        raise ValueError(f"bad .scl count line {lines[1].strip()!r}: must be a note count") from None
+        count = -1
+    if count < 0:
+        raise ValueError(f"bad .scl count line {text!r}: must be a note count")
     pitches = []
     for raw in lines[2:]:
         token = raw.strip().split()[0] if raw.strip() else ""
@@ -317,7 +320,8 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
     notes: dict[FreqRatio, str] = {}
     for chord in chords:
         harmony._check_chord(chord, "emit_tonnetz_path")
-        if chord.system != harmony.TONNETZ_234:
+        # Identity first, as in `harmony.reduce_chord_to_domain`.
+        if chord.system is not harmony.TONNETZ_234 and chord.system != harmony.TONNETZ_234:
             raise ValueError("lattice paths are drawn for 2:3:4 progressions")
         for note in chord.notes:
             if note not in notes:

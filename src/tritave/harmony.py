@@ -62,7 +62,8 @@ import math
 import operator
 
 from . import notation
-from .ratios import FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _ratio, _Record
+from .ratios import (FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _parts, _ratio,
+                     _Record)
 
 __all__ = [
     "ChordQuality",
@@ -126,15 +127,22 @@ class TonnetzSystem(_Record):
                              f"not {note!r}")
 
     def parse_chord(self, names) -> Chord:
-        """Chord of three distinct note names given in any order."""
-        typed = {}
-        for name in _items(names, "chord names"):
-            note = self.parse(name)
-            if note in typed:
-                raise ValueError(f"chord notes must be distinct: {notation._quote(typed[note])} "
-                                 f"and {notation._quote(name)} are one note")
-            typed[note] = name
-        return Chord(tuple(sorted(typed)), self)
+        """Chord of three distinct note names given in any order.  Of two names
+        for one note, the later is refused with the earlier, before a later bad name."""
+        names, notes = _items(names, "chord names"), []
+        try:
+            for name in names:
+                notes.append(self.parse(name))
+        finally:    # the notes read so far, sorted by note then by place
+            order = sorted(range(len(notes)), key=notes.__getitem__)
+            repeats = [(q, p) for p, q in zip(order, order[1:]) if notes[p] == notes[q]]
+            if repeats:     # the first repeat as read, with the first name of its note
+                q, p = min(repeats)
+                raise ValueError(f"chord notes must be distinct: {notation._quote(names[p])} "
+                                 f"and {notation._quote(names[q])} are one note")
+        notes = tuple(map(notes.__getitem__, order))
+        # Trusted: `parse` builds the system's notes, and they are sorted and distinct.
+        return _chord(notes, self) if len(notes) == 3 else Chord(notes, self)
 
     def class_name(self, note) -> str:
         return self.class_table[self.class_index(note) % len(self.class_table)]
@@ -528,13 +536,14 @@ def _whole(monzo, low) -> int:
     return _ratio(two, three).numerator * 5 ** five
 
 
-def _fraction(monzo) -> Fraction:
-    """The exact value of a monzo, checked like `_whole`."""
+def _fractions(monzo, lcm: int) -> tuple[Fraction, Fraction]:
+    """The exact value of a monzo and ``lcm`` times it; `_parts` checks the sizes."""
     from fractions import Fraction
 
     two, three, five = monzo
-    note = _ratio(two, three)
-    return Fraction(note.numerator * 5 ** max(five, 0), note.denominator * 5 ** max(-five, 0))
+    num, den = _parts(two, three)
+    num, den = num * 5 ** max(five, 0), den * 5 ** max(-five, 0)
+    return Fraction(num, den), Fraction(num * lcm, den)
 
 
 @functools.lru_cache(maxsize=16)
@@ -580,6 +589,5 @@ def purity(c: Chord) -> PurityReport:
     # before any big integer is built or kept.
     base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
     ratio, d_overtone, lcm = _purity_shape(system.id, steps)
-    base = _fraction(low)
-    return PurityReport(ratio, ratio[0], d_overtone, base, base * lcm, base_names,
+    return PurityReport(ratio, ratio[0], d_overtone, *_fractions(low, lcm), base_names,
                         overtone_names)

@@ -174,10 +174,14 @@ def _name_in(ratio: FreqRatio, system: scales.ScaleSystem = scales.PYTH3) -> str
 
 
 def _just_names(ratio: FreqRatio) -> tuple[str, ...]:
-    """The note's name in each just scale whose harmonic range holds its degree."""
-    return tuple(_name_in(ratio, system) for system in (scales.PYTH3, scales.PYTH2)
-                 if system.harmonic_range[0] <= scales._harmonic_degree(ratio, system)
-                 <= system.harmonic_range[1])
+    """The note's name in each just scale whose window holds u (tritave) or v (octave)."""
+    key, names = 12 * ratio.u + 19 * ratio.v, []
+    for h, system in ((ratio.u, scales.PYTH3), (ratio.v, scales.PYTH2)):
+        lo, n, _, _, up, down, _ = _BASES[system.id]
+        if lo <= h < lo + n:
+            base, shift = _base_at(key, system)
+            names.append(base + _marks(shift, up, down))
+    return tuple(names)
 
 
 def name_of(ratio: FreqRatio) -> NoteName:

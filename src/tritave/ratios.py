@@ -279,12 +279,6 @@ class FreqRatio(_Record):
     def inverse(self) -> FreqRatio:
         return _ratio(-self.u, -self.v)
 
-    def _power(self, part: str, a: int, b: int) -> int:
-        """``2**a * 3**b`` for a, b >= 0, one part of the reduced fraction
-        (2 and 3 are coprime), built once `_check_power` lets it."""
-        self._check_power(part, a, b)
-        return 3 ** b << a
-
     def _check_power(self, part: str, a: int, b: int) -> None:
         """Refuse a part ``2**a * 3**b`` of more than `MAX_POWER_BITS` bits,
         counted from the exponents."""
@@ -293,19 +287,28 @@ class FreqRatio(_Record):
             raise ValueError(f"cannot build {self!r}: its {part} has about {bits} bits, "
                              f"more than {MAX_POWER_BITS}")
 
+    # Each part of the reduced fraction (2 and 3 are coprime) is ``2**a * 3**b``
+    # for a, b >= 0, built once its bit count, ``int(a + b*LOG2_3) + 1``, is
+    # at most MAX_POWER_BITS, that is once ``a + b*LOG2_3 < MAX_POWER_BITS``.
     @property
     def numerator(self) -> int:
-        return self._power("numerator", max(self.u, 0), max(self.v, 0))
+        a, b = max(self.u, 0), max(self.v, 0)
+        if a + b * LOG2_3 >= MAX_POWER_BITS:
+            self._check_power("numerator", a, b)    # raises
+        return 3 ** b << a
 
     @property
     def denominator(self) -> int:
-        return self._power("denominator", max(-self.u, 0), max(-self.v, 0))
+        a, b = max(-self.u, 0), max(-self.v, 0)
+        if a + b * LOG2_3 >= MAX_POWER_BITS:
+            self._check_power("denominator", a, b)  # raises
+        return 3 ** b << a
 
     def as_fraction(self) -> Fraction:
         """The exact value as a big-integer fraction."""
         from fractions import Fraction
 
-        return Fraction(self.numerator, self.denominator)
+        return Fraction(*_parts(self.u, self.v))
 
     def cents(self) -> Cents:
         return 1200.0 * (self.u + self.v * LOG2_3)
@@ -317,7 +320,9 @@ class FreqRatio(_Record):
     def __lt__(self, other: FreqRatio) -> bool:
         if not isinstance(other, FreqRatio):
             return NotImplemented
-        return _log_sign(other.u - self.u, other.v - self.v) > 0
+        du, dv = other.u - self.u, other.v - self.v
+        x = du + dv * LOG2_3    # `_log_sign`'s float test, inline; close calls go to it
+        return x > 0 if abs(x) > (abs(du) + abs(dv)) * _FLOAT_ERROR else _log_sign(du, dv) > 0
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -329,13 +334,17 @@ class FreqRatio(_Record):
 
     def __str__(self) -> str:
         """``N/D``, or ``N`` for a whole number; checked against `MAX_STR_DIGITS` first."""
-        for part, u, v in (("numerator", self.u, self.v), ("denominator", -self.u, -self.v)):
-            # log10 of the part, from its exponents: no power is built to count digits
-            digits = int((max(u, 0) + max(v, 0) * LOG2_3) * _LOG10_2) + 1
+        parts = []
+        for part, a, b in (("numerator", max(self.u, 0), max(self.v, 0)),
+                           ("denominator", max(-self.u, 0), max(-self.v, 0))):
+            # log10 of the part, from its exponents: no power is built to count
+            # digits.  Its digit bound is far under its bit bound.
+            digits = int((a + b * LOG2_3) * _LOG10_2) + 1
             if digits > MAX_STR_DIGITS:
                 raise ValueError(f"cannot write {self!r}: its {part} has about {digits} digits, "
                                  f"more than {MAX_STR_DIGITS}")
-        return _written(self.numerator, self.denominator)
+            parts.append(3 ** b << a)
+        return _written(*parts)
 
     def __repr__(self) -> str:
         return f"FreqRatio({self.u}, {self.v})"
@@ -354,6 +363,17 @@ def _ratio(u: int, v: int) -> FreqRatio:
         _set_v(ratio, v)
         return ratio
     return FreqRatio(u, v)
+
+
+def _parts(u: int, v: int) -> tuple[int, int]:
+    """Numerator and denominator of ``2**u * 3**v``, each refused by
+    `FreqRatio._check_power` as the two properties refuse it; no ratio is built."""
+    a, b, c, d = max(u, 0), max(v, 0), max(-u, 0), max(-v, 0)
+    if a + b * LOG2_3 >= MAX_POWER_BITS:
+        _ratio(u, v)._check_power("numerator", a, b)     # raises
+    if c + d * LOG2_3 >= MAX_POWER_BITS:
+        _ratio(u, v)._check_power("denominator", c, d)   # raises
+    return 3 ** b << a, 3 ** d << c
 
 
 def _check_ratio(ratio) -> None:

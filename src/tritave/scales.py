@@ -15,6 +15,8 @@ a harmonic degree modulo the comma is what makes the scales finite.
 
 from __future__ import annotations
 
+import math
+
 from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_ratio, _floor_log,
                      _ratio, _Record, cents)
 
@@ -199,16 +201,23 @@ def note_at_scale_degree(
     Just intonation returns the :class:`FreqRatio` (the fundamental-domain
     note shifted by whole periods); equal intonation returns cents.
     ``intonation`` may be ``"just"`` or ``"equal"`` and defaults to the
-    system's own flavour.
+    system's own flavour.  A degree whose cents leave float range is refused.
     """
     _check_int(degree, "degree")
     _check_system(system)
     if intonation not in (None, "just", "equal"):
         raise ValueError(f"intonation must be 'just' or 'equal', not {intonation!r}")
     just = system.just if intonation is None else intonation == "just"
-    if not just:
-        return degree / system.notes_per_period * system.period.cents()
-    return _just_note(degree, system)
+    if just:
+        return _just_note(degree, system)
+    try:
+        pitch = degree / system.notes_per_period * system.period.cents()
+    except OverflowError:       # the quotient alone is past float range
+        pitch = math.inf
+    if math.isinf(pitch):
+        shown = degree if degree.bit_length() <= 64 else f"of {degree.bit_length()} bits"
+        raise ValueError(f"degree {shown} is too far out for {system.id} cents in float range")
+    return pitch
 
 
 def _just_note(degree: int, system: ScaleSystem, commas: int = 0) -> FreqRatio:
@@ -273,6 +282,13 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     return rows
 
 
+# The keys 12*u + 19*v with u in PYTH3's harmonic range and v in PYTH2's, on
+# which both just scales put one note: 19 * 12 distinct keys, from -203 to 222.
+_AGREEING_KEYS = frozenset(12 * u + 19 * v for u in range(PYTH3.harmonic_range[0],
+                                                           PYTH3.harmonic_range[1] + 1)
+                           for v in range(PYTH2.harmonic_range[0], PYTH2.harmonic_range[1] + 1))
+
+
 def pyth2_pyth3_differences(
     degree_lo: int = PIANO_DEGREE_LO, degree_hi: int = PIANO_DEGREE_HI
 ):
@@ -296,6 +312,8 @@ def pyth2_pyth3_differences(
         raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
     out = []
     for n in range(degree_lo, degree_hi + 1):
+        if n in _AGREEING_KEYS:
+            continue
         u, v = _key_exponents(n, PYTH3)
         m = (_window(v, PYTH2) - v) // COMMA.v
         if m:

@@ -96,6 +96,18 @@ class Triad(_Record):
         return _chord(self.system.triad(self.root, self.quality is _MAJOR), self.system)
 
 
+_set_system, _set_root, _set_quality = Triad._setters
+
+
+def _triad(system: TonnetzSystem, root, quality: ChordQuality) -> Triad:
+    """``Triad(system, root, quality)`` unchecked, as `harmony._chord`: for a move's image."""
+    triad = object.__new__(Triad)
+    _set_system(triad, system)
+    _set_root(triad, root)
+    _set_quality(triad, quality)
+    return triad
+
+
 def major_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
     return Triad(system, root, _MAJOR)
 
@@ -124,7 +136,8 @@ def apply_plr(t: Triad, move: str) -> Triad:
     major, system = t.quality is _MAJOR, t.system
     diagonal, times = _PLR[move]
     root = system.move_root(t.root, getattr(system, diagonal), times if major else -times)
-    return Triad(system, root, _MINOR if major else _MAJOR)
+    # Trusted: `move_root` keeps the type of the checked root.
+    return _triad(system, root, _MINOR if major else _MAJOR)
 
 
 def _check_moves(moves: str) -> None:

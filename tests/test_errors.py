@@ -349,3 +349,25 @@ def test_cli_errors_name_the_input_as_typed(capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("degree, message", [
+    (10**308, "degree of 1024 bits is too far out for edo12 cents in float range"),
+    (2**1030, "degree of 1031 bits is too far out for edo12 cents in float range"),
+    (-2**1030, "degree of 1031 bits is too far out for edo12 cents in float range"),
+], ids=["cents-overflow", "quotient-overflow", "quotient-overflow-down"])
+def test_an_equal_pitch_past_float_range_is_refused_by_its_degree(degree, message):
+    with pytest.raises(ValueError) as excinfo:
+        scales.note_at_scale_degree(degree, scales.EDO12)
+    assert str(excinfo.value) == message
+
+
+def test_an_equal_pitch_just_inside_float_range_is_finite():
+    assert scales.note_at_scale_degree(10**306, scales.EDO12) == 10**306 / 12 * 1200.0
+    assert scales.note_at_scale_degree(-10**306, scales.EDT19, "equal") < 0
+
+
+def test_a_negative_scl_count_is_refused_as_a_bad_count_line():
+    with pytest.raises(ValueError) as excinfo:
+        exports.parse_scl("x\n-1\n")
+    assert str(excinfo.value) == "bad .scl count line '-1': must be a note count"

@@ -5,18 +5,23 @@ the exponent range; `numerator`, `denominator` and `str` build ``2**a``
 and ``3**b`` directly; `scales` reads just pitches off the keyboard's
 degree map, tests domain membership by the period shift and finds where
 the two just scales differ by the comma power that reduces one to the
-other, and builds each deviation row's just note from its exponents;
-`notation` reads a note's base name and period shift off its key and
-builds the `NoteName` unchecked; `exports` writes table JSON without the
-indenting encoder; and the walk primitives build their chords through
-`harmony._chord`, which checks nothing.  Each is compared here with the
-path it replaced: the public `FreqRatio`, `NoteName` and `Chord`
-constructors, `Fraction` powers, the step-at-a-time period reduction of
-``6**h``, the two-sided test on the squared domain bounds, the shift of
-`scales.period_reduce`, the per-row `FreqRatio` product and `Fraction`
-of the deviation rows, and `json.dumps` with an indent.
+other, skipping the keys where they agree, and builds each deviation
+row's just note from its exponents; `notation` reads a note's base name
+and period shift off its key, testing each just scale's window once for
+purity's names, and builds the `NoteName` unchecked; `exports` writes
+table JSON without the indenting encoder; chord parsing sorts the notes
+with their places; and the walk primitives build their chords and P/L/R
+images through `harmony._chord` and `tonnetz._triad`, which check
+nothing.  Each is compared here with the path it replaced: the public
+`FreqRatio`, `NoteName`, `Chord` and `Triad` constructors, `Fraction`
+powers, the step-at-a-time period reduction of ``6**h``, the two-sided
+test on the squared domain bounds, the shift of `scales.period_reduce`,
+the per-row `FreqRatio` product and `Fraction` of the deviation rows,
+the per-key difference build, the per-scale spelling, the messages of
+the dict-keyed chord parse, and `json.dumps` with an indent.
 """
 
+import itertools
 import json
 import math
 import re
@@ -26,8 +31,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tritave import exports, harmony, notation, scales, tonnetz
-from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_STR_DIGITS, OCTAVE, TRITAVE,
-                           FreqRatio, _floor_log)
+from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_STR_DIGITS, OCTAVE,
+                           TRITAVE, FreqRatio, _floor_log)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -560,3 +565,163 @@ def test_the_public_chord_constructor_keeps_every_check(notes, system, message):
     with pytest.raises(ValueError) as excinfo:
         harmony.Chord(notes, system)
     assert str(excinfo.value) == message
+
+
+def text_outcome(make, *args):
+    """The value returned, or the message of the ValueError raised."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_just_names(ratio):
+    """`notation._name_in` in each just scale whose harmonic range holds the
+    note's degree there, each degree read by `scales._harmonic_degree`."""
+    return tuple(notation._name_in(ratio, system) for system in (PYTH3, PYTH2)
+                 if system.harmonic_range[0] <= scales._harmonic_degree(ratio, system)
+                 <= system.harmonic_range[1])
+
+
+# Exponents up to 10**4 either way, one window either side of each range,
+# and the shifts past which a name would hold more than `MAX_MARKS` marks.
+window_edges = st.sampled_from([-10, -9, 9, 10, -6, -5, 6, 7, 0])
+too_many_marks = st.sampled_from([notation.MAX_MARKS + 2, -notation.MAX_MARKS - 2])
+
+
+@EXACT
+@given(st.integers(-10**4, 10**4) | window_edges | too_many_marks,
+       st.integers(-10**4, 10**4) | window_edges | too_many_marks)
+def test_the_just_names_are_the_per_scale_spellings(u, v):
+    ratio = FreqRatio(u, v)
+    assert (text_outcome(notation._just_names, ratio)
+            == text_outcome(reference_just_names, ratio))
+
+
+def test_the_just_names_at_every_window_edge_are_the_per_scale_spellings():
+    edges = (-10, -9, 9, 10, -6, -5, 6, 7)
+    for u in edges + (-10**4, 10**4):
+        for v in edges + (-10**4, 10**4):
+            ratio = FreqRatio(u, v)
+            assert notation._just_names(ratio) == reference_just_names(ratio)
+
+
+@EXACT
+@given(st.integers(-10**4, 10**4) | edge, st.integers(-10**4, 10**4) | edge)
+def test_both_parts_in_one_call_are_those_of_the_properties(u, v):
+    from tritave.ratios import _parts
+
+    ratio = FreqRatio(u, v)
+    want = text_outcome(lambda: (ratio.numerator, ratio.denominator))
+    assert text_outcome(_parts, u, v) == want
+
+
+@pytest.mark.parametrize("u, v", [(MAX_POWER_BITS - 1, 0), (MAX_POWER_BITS, 0),
+                                  (-MAX_POWER_BITS + 1, 0), (-MAX_POWER_BITS, 0),
+                                  (MAX_POWER_BITS, -MAX_POWER_BITS)])
+def test_the_parts_are_refused_at_the_bit_bound_with_the_check_message(u, v):
+    from tritave.ratios import _parts
+
+    ratio = FreqRatio(u, v)
+    for part, a, b in (("numerator", max(u, 0), max(v, 0)),
+                       ("denominator", max(-u, 0), max(-v, 0))):
+        if int(a + b * math.log2(3)) + 1 <= MAX_POWER_BITS:
+            assert getattr(ratio, part) == 3 ** b << a
+            continue
+        with pytest.raises(ValueError) as want:
+            ratio._check_power(part, a, b)
+        with pytest.raises(ValueError) as got:
+            getattr(ratio, part)
+        assert str(got.value) == str(want.value)
+    want = text_outcome(lambda: (ratio.numerator, ratio.denominator))
+    assert text_outcome(_parts, u, v) == want
+
+
+class Tagged(str):
+    """A note name whose repr is a tag, so a message shows which argument it quotes."""
+
+    def __new__(cls, text, tag):
+        name = super().__new__(cls, text)
+        name.tag = tag
+        return name
+
+    def __repr__(self):
+        return self.tag
+
+
+# The refusals of three names with two or three equal notes, in every order
+# of the names, as the dict-keyed parse before the sorted one wrote them.
+REPEATS = {
+    ("234", "A A E"): ["<A0> and <A1>", "<A0> and <A1>", "<A1> and <A0>",
+                       "<A1> and <A0>", "<A0> and <A1>", "<A1> and <A0>"],
+    ("234", "A A A"): ["<A0> and <A1>", "<A0> and <A2>", "<A1> and <A0>",
+                       "<A1> and <A2>", "<A2> and <A0>", "<A2> and <A1>"],
+    ("456", "C G C"): ["<C0> and <C2>", "<C0> and <C2>", "<C0> and <C2>",
+                       "<C2> and <C0>", "<C2> and <C0>", "<C2> and <C0>"],
+    ("456", "E E E"): ["<E0> and <E1>", "<E0> and <E2>", "<E1> and <E0>",
+                       "<E1> and <E2>", "<E2> and <E0>", "<E2> and <E1>"],
+}
+
+
+@pytest.mark.parametrize("system_id, texts", list(REPEATS))
+def test_a_repeated_note_is_refused_by_the_names_the_dict_parse_gave(system_id, texts):
+    system = harmony._SYSTEMS[system_id]
+    names = [Tagged(text, f"<{text}{i}>") for i, text in enumerate(texts.split())]
+    for order, pair in zip(itertools.permutations(range(3)), REPEATS[system_id, texts]):
+        with pytest.raises(ValueError) as excinfo:
+            system.parse_chord([names[k] for k in order])
+        assert str(excinfo.value) == f"chord notes must be distinct: {pair} are one note"
+
+
+@pytest.mark.parametrize("names, message", [
+    (["A", "A", "H"], "chord notes must be distinct: 'A' and 'A' are one note"),
+    (["A", "H", "A"], "unknown note name 'H'"),
+    (["H", "A", "A"], "unknown note name 'H'"),
+    (["A", "E", "A", "A'"], "chord notes must be distinct: 'A' and 'A' are one note"),
+    (["A", "E"], "a chord needs exactly 3 notes, not 2: (FreqRatio(-2, 1), FreqRatio(-3, 2))"),
+    (["A", "E", "A'", "C"], "a chord needs exactly 3 notes, not 4: (FreqRatio(-2, 1), "
+     "FreqRatio(3, -2), FreqRatio(-3, 2), FreqRatio(-1, 1))"),
+])
+def test_names_are_read_left_to_right_as_the_dict_parse_read_them(names, message):
+    with pytest.raises(ValueError) as excinfo:
+        harmony.TONNETZ_234.parse_chord(names)
+    assert str(excinfo.value) == message
+
+
+@EXACT
+@given(triads, st.sampled_from("PLR"))
+def test_a_trusted_move_image_is_the_triad_the_checked_constructor_builds(triad, move):
+    image = tonnetz.apply_plr(triad, move)
+    again = tonnetz.Triad(image.system, image.root, image.quality)
+    assert image == again and repr(image) == repr(again)
+    assert image.system is triad.system and type(image.root) is type(triad.root)
+    assert tonnetz.apply_plr(image, move) == triad
+
+
+def reference_differences(degree_lo, degree_hi):
+    """Every key of the range built from its exponents, then kept where
+    reducing the PYTH3 note to PYTH2's range takes a comma."""
+    out = []
+    for n in range(degree_lo, degree_hi + 1):
+        u, v = scales._key_exponents(n, PYTH3)
+        m = (scales._window(v, PYTH2) - v) // COMMA.v
+        if m:
+            p3, p2 = FreqRatio(u, v), FreqRatio(u + m * COMMA.u, v + m * COMMA.v)
+            out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), COMMA ** -m))
+    return out
+
+
+@pytest.mark.parametrize("bounds", [
+    (scales.PIANO_DEGREE_LO, scales.PIANO_DEGREE_HI), (-300, 300), (-203, 222), (0, 5), (3, 3),
+    (-scales.MAX_DEGREE, -scales.MAX_DEGREE + 400), (scales.MAX_DEGREE - 400, scales.MAX_DEGREE),
+], ids=["piano", "300", "agreeing-span", "empty", "one-key", "max-low", "max-high"])
+def test_the_differences_are_those_of_the_per_key_build(bounds):
+    got = scales.pyth2_pyth3_differences(*bounds)
+    assert got == reference_differences(*bounds)
+    assert (got == []) == (bounds in ((0, 5), (3, 3)))
+
+
+def test_the_agreeing_keys_are_those_where_no_comma_is_taken():
+    for n in range(-400, 401):
+        u, v = scales._key_exponents(n, PYTH3)
+        assert (n in scales._AGREEING_KEYS) == (scales._window(v, PYTH2) == v)
