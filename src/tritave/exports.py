@@ -70,32 +70,43 @@ def _check_text(text, what: str) -> None:
         raise ValueError(f"{what} must be a str, not {type(text).__name__}")
 
 
+def _digits(text: str) -> bool:
+    """Whether a text is ASCII digits only, the one way a .scl file writes an integer."""
+    return text.isascii() and text.isdigit()
+
+
 def _scl_cents(token: str) -> float:
     """One .scl pitch: cents when it holds a '.', else a ratio ``N/D`` or ``N``."""
     if "." in token and "/" not in token:
-        return float(token)
-    num, _, den = token.partition("/")
-    num, den = int(num), int(den or 1)
+        cents = float(token)
+        if not math.isfinite(cents):
+            raise ValueError("cents must be a finite number")
+        return cents
+    num_text, _, den_text = token.partition("/")
+    num, den = int(num_text), int(den_text or 1)
     if num <= 0 or den <= 0:
         raise ValueError("a ratio needs a positive numerator and denominator")
+    if not (_digits(num_text) and _digits(den_text or "1")):
+        raise ValueError("a ratio is written in the ASCII digits 0-9 only")
     # Logs of the integers, not of their quotient, which can leave float range.
     return 1200.0 * (math.log2(num) - math.log2(den))
 
 
 def parse_scl(text: str) -> tuple[str, list[float]]:
-    """Minimal .scl reader: returns (description, pitches in cents)."""
+    """Minimal .scl reader: returns (description, pitches in cents).
+
+    The note count and a ratio's integers are ASCII digits, and cents a
+    finite float, the forms a Scala file holds.
+    """
     _check_text(text, ".scl text")
     lines = [ln for ln in text.splitlines() if not ln.startswith("!")]
     if len(lines) < 2:
         raise ValueError("truncated .scl: need a description and a note count")
     description = lines[0]
     text = lines[1].strip()
-    try:
-        count = int(text)
-    except ValueError:
-        count = -1
-    if count < 0:
+    if not _digits(text):
         raise ValueError(f"bad .scl count line {text!r}: must be a note count")
+    count = int(text)
     pitches = []
     for raw in lines[2:]:
         token = raw.strip().split()[0] if raw.strip() else ""

@@ -62,8 +62,8 @@ import math
 import operator
 
 from . import notation
-from .ratios import (FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _parts, _ratio,
-                     _Record)
+from .ratios import (FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _fraction_type,
+                     _parts, _ratio, _Record)
 
 __all__ = [
     "ChordQuality",
@@ -196,7 +196,7 @@ class _TritaveSystem(TonnetzSystem):
 
     def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
         two, three, _ = monzo
-        return notation._just_names(_ratio(two, three))
+        return notation._just_names(two, three)
 
 
 class _OctaveSystem(TonnetzSystem):
@@ -312,7 +312,7 @@ class Chord(_Record):
         self._set(notes, system)
 
     def names(self) -> tuple[str, str, str]:
-        return tuple(self.system.name(n) for n in self.notes)
+        return tuple(map(self.system.name, self.notes))
 
     def __str__(self) -> str:
         return "-".join(self.names())
@@ -466,10 +466,11 @@ def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
         raise ValueError(f"{kind} sequence needs a major tonic, not "
                          f"{notation._quote(str(tonic))} ({quality})")
     system, root = tonic.system, tonic.notes[0]
+    shift = system.shift
+    (a, b, c), (d, e, f) = _moved_from_origin(system.id, steps)
     # Trusted: one note added to every note keeps their type and order.
-    moved = (_chord(tuple(system.shift(root, n) for n in notes), system)
-             for notes in _moved_from_origin(system.id, steps))
-    return [tonic, *moved, tonic]
+    return [tonic, _chord((shift(root, a), shift(root, b), shift(root, c)), system),
+            _chord((shift(root, d), shift(root, e), shift(root, f)), system), tonic]
 
 
 def basic_sequence(tonic: Chord) -> list[Chord]:
@@ -526,6 +527,26 @@ class PurityReport(_Record):
         return (lcm // a, lcm // b, lcm // c)
 
 
+(_set_ratio, _set_d_base, _set_d_overtone, _set_base, _set_overtone, _set_base_names,
+ _set_overtone_names) = PurityReport._setters
+
+
+def _report(ratio: tuple[int, int, int], d_base: int, d_overtone: int, base_frequency: Fraction,
+            overtone_frequency: Fraction, base_names: tuple[str, ...],
+            overtone_names: tuple[str, ...]) -> PurityReport:
+    """``PurityReport(...)`` with no checks, for the fields `purity` has just
+    built (see `_chord`)."""
+    report = object.__new__(PurityReport)
+    _set_ratio(report, ratio)
+    _set_d_base(report, d_base)
+    _set_d_overtone(report, d_overtone)
+    _set_base(report, base_frequency)
+    _set_overtone(report, overtone_frequency)
+    _set_base_names(report, base_names)
+    _set_overtone_names(report, overtone_names)
+    return report
+
+
 def _whole(monzo, low) -> int:
     """The integer ``monzo / low`` for a ``low`` at or below it in every prime.
 
@@ -538,8 +559,7 @@ def _whole(monzo, low) -> int:
 
 def _fractions(monzo, lcm: int) -> tuple[Fraction, Fraction]:
     """The exact value of a monzo and ``lcm`` times it; `_parts` checks the sizes."""
-    from fractions import Fraction
-
+    Fraction = _fraction_type()
     two, three, five = monzo
     num, den = _parts(two, three)
     num, den = num * 5 ** max(five, 0), den * 5 ** max(-five, 0)
@@ -582,12 +602,12 @@ def purity(c: Chord) -> PurityReport:
     """Express the chord as a:b:c and report both purity distances."""
     _check_chord(c, "purity")
     system, steps = c.system, _steps(c)
-    _, base, overtone = _shape(system.id, steps)
-    lowest = system.monzo(c.notes[0])
-    low, high = (tuple(map(operator.add, lowest, m)) for m in (base, overtone))
+    _, (b2, b3, b5), (o2, o3, o5) = _shape(system.id, steps)
+    two, three, five = system.monzo(c.notes[0])
+    low, high = (two + b2, three + b3, five + b5), (two + o2, three + o3, five + o5)
     # Names before values: a note too far up to spell fails as such, and
     # before any big integer is built or kept.
     base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
     ratio, d_overtone, lcm = _purity_shape(system.id, steps)
-    return PurityReport(ratio, ratio[0], d_overtone, *_fractions(low, lcm), base_names,
-                        overtone_names)
+    base, overtone = _fractions(low, lcm)
+    return _report(ratio, ratio[0], d_overtone, base, overtone, base_names, overtone_names)

@@ -83,10 +83,18 @@ def _written(numerator: int, denominator: int) -> str:
     return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
-def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds for atanh(1/inv)."""
+@functools.cache
+def _fraction_type() -> type:
+    """`fractions.Fraction`, imported on the first call: the package loads
+    `fractions` only where a `Fraction` is asked for."""
     from fractions import Fraction
 
+    return Fraction
+
+
+def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds for atanh(1/inv)."""
+    Fraction = _fraction_type()
     x = Fraction(1, inv)
     x2 = x * x
     total = Fraction(0)
@@ -148,9 +156,15 @@ def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
     """
     base = pu + pv * LOG2_3
     lo = math.floor((u + v * LOG2_3) / base) if base > (abs(pu) + abs(pv)) * _FLOAT_ERROR else 0
-    if (_log_sign(u - lo * pu, v - lo * pv) >= 0
-            and _log_sign(u - (lo + 1) * pu, v - (lo + 1) * pv) < 0):
-        return lo
+    # The two sign tests, that base**lo fits and base**(lo+1) does not, each
+    # with `_log_sign`'s float test inline; close calls go to it.
+    du, dv = u - lo * pu, v - lo * pv
+    x = du + dv * LOG2_3
+    if (x > 0 if abs(x) > (abs(du) + abs(dv)) * _FLOAT_ERROR else _log_sign(du, dv) >= 0):
+        du, dv = du - pu, dv - pv
+        x = du + dv * LOG2_3
+        if (x < 0 if abs(x) > (abs(du) + abs(dv)) * _FLOAT_ERROR else _log_sign(du, dv) < 0):
+            return lo
 
     def fits(n: int) -> bool:
         return _log_sign(u - n * pu, v - n * pv) >= 0
@@ -174,12 +188,12 @@ class _Record:
 
     A subclass lists its fields in ``__slots__`` and sets each one once in
     its own ``__init__``, through `_set`, which takes the values in field
-    order (or ``object.__setattr__``); the fields are those of the
-    ``__slots__`` along the MRO, base first, and ``__init__`` takes them as
-    parameters in that order, so ``cls(*fields)`` rebuilds a record.  The
-    base supplies the rest of a value type: equality with a record of the
-    same class whose fields are equal (``NotImplemented`` for any other
-    object), the hash of the field tuple, the repr
+    order, or through the slots' own setters, ``_setters``; the fields are
+    those of the ``__slots__`` along the MRO, base first, and ``__init__``
+    takes them as parameters in that order, so ``cls(*fields)`` rebuilds a
+    record.  The base supplies the rest of a value type: equality with a
+    record of the same class whose fields are equal (``NotImplemented`` for
+    any other object), the hash of the field tuple, the repr
     ``QualName(field=value, ...)``, an ``AttributeError`` on assigning or
     deleting an attribute, and copies and pickles that call the class with
     the fields.
@@ -228,17 +242,16 @@ class FreqRatio(_Record):
     __slots__ = ("u", "v")
 
     def __init__(self, u: int, v: int) -> None:
-        for e in (u, v):
-            if type(e) is not int:      # no bool either
-                raise ValueError(f"exponent {e!r} is not an integer")
+        if type(u) is not int or type(v) is not int:    # no bool either
+            raise ValueError(f"exponent {v if type(u) is int else u!r} is not an integer")
         if not (-_INT64 <= u < _INT64 and -_INT64 <= v < _INT64):
             e = v if -_INT64 <= u < _INT64 else u
             # str() of an int beyond 4300 digits raises by itself.
             shown = (f"exponent {e}" if abs(e) < 10**20 else
                      f"{'negative ' if e < 0 else ''}exponent of {e.bit_length()} bits")
             raise ValueError(f"{shown} is outside [-2**63, 2**63)")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        _set_u(self, u)
+        _set_v(self, v)
 
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int = 1) -> FreqRatio:
@@ -306,9 +319,7 @@ class FreqRatio(_Record):
 
     def as_fraction(self) -> Fraction:
         """The exact value as a big-integer fraction."""
-        from fractions import Fraction
-
-        return Fraction(*_parts(self.u, self.v))
+        return _fraction_type()(*_parts(self.u, self.v))
 
     def cents(self) -> Cents:
         return 1200.0 * (self.u + self.v * LOG2_3)

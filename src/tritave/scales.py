@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_ratio, _floor_log,
-                     _ratio, _Record, cents)
+                     _fraction_type, _ratio, _Record, cents)
 
 __all__ = [
     "ScaleSystem",
@@ -260,8 +260,6 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     flat-side enharmonic boundary row).  Boundary rows are flagged and
     spelled in the other just scale.
     """
-    from fractions import Fraction
-
     from . import notation
 
     if not isinstance(pair, str) or pair not in _TABLE_PAIRS:
@@ -270,7 +268,7 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     n_per, period_cents = system.notes_per_period, system.period.cents()
     period_value = float(system.period.numerator)
 
-    rows = []
+    Fraction, rows = _fraction_type(), []
     for n in degrees:
         just = _just_note(n, system, boundary.get(n, 0))
         # The window has no name of its own one degree outside.

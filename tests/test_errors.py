@@ -1,5 +1,6 @@
 """Library errors name the value that failed, on one line."""
 
+import math
 import time
 
 import pytest
@@ -371,3 +372,40 @@ def test_a_negative_scl_count_is_refused_as_a_bad_count_line():
     with pytest.raises(ValueError) as excinfo:
         exports.parse_scl("x\n-1\n")
     assert str(excinfo.value) == "bad .scl count line '-1': must be a note count"
+
+
+@pytest.mark.parametrize("u, v, shown", [(True, 1.5, "True"), (1.5, True, "1.5"), (0, True, "True"),
+                                         (0, "3", "'3'"), (None, 0, "None")])
+def test_the_ratio_constructor_names_the_first_bad_exponent(u, v, shown):
+    with pytest.raises(ValueError) as excinfo:
+        FreqRatio(u, v)
+    assert str(excinfo.value) == f"exponent {shown} is not an integer"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\n1_0\n" + "100.0\n" * 10, "bad .scl count line '1_0': must be a note count"),
+    ("x\n+1\n3/2", "bad .scl count line '+1': must be a note count"),
+    ("x\n١\n3/2", "bad .scl count line '١': must be a note count"),
+    ("x\n1\n1_0/3", "bad .scl pitch line '1_0/3': a ratio is written in the ASCII digits 0-9 only"),
+    ("x\n1\n3/1_0", "bad .scl pitch line '3/1_0': a ratio is written in the ASCII digits 0-9 only"),
+    ("x\n1\n+1", "bad .scl pitch line '+1': a ratio is written in the ASCII digits 0-9 only"),
+    ("x\n1\n١٢", "bad .scl pitch line '١٢': a ratio is written in the ASCII digits 0-9 only"),
+    ("x\n1\n1.e999", "bad .scl pitch line '1.e999': cents must be a finite number"),
+    ("x\n1\n-" + "9" * 400 + ".", "bad .scl pitch line '-" + "9" * 400 + ".': "
+     "cents must be a finite number"),
+    # refused before: the same messages
+    ("x\n1\n-3/2",
+     "bad .scl pitch line '-3/2': a ratio needs a positive numerator and denominator"),
+    ("x\n1\nabc", "bad .scl pitch line 'abc': invalid literal for int() with base 10: 'abc'"),
+], ids=["count-underscore", "count-plus", "count-arabic-indic", "numerator-underscore",
+        "denominator-underscore", "ratio-plus", "ratio-arabic-indic", "cents-overflow",
+        "cents-long-overflow", "ratio-negative", "ratio-letters"])
+def test_an_scl_file_is_read_in_its_own_forms_only(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        exports.parse_scl(text)
+    assert str(excinfo.value) == message
+
+
+def test_the_scl_forms_still_read():
+    assert exports.parse_scl("x\n 3 \n-5.0\n100.\n 3/ foo\n")[1] == [-5.0, 100.0,
+                                                                      1200 * math.log2(3)]

@@ -594,7 +594,7 @@ too_many_marks = st.sampled_from([notation.MAX_MARKS + 2, -notation.MAX_MARKS - 
        st.integers(-10**4, 10**4) | window_edges | too_many_marks)
 def test_the_just_names_are_the_per_scale_spellings(u, v):
     ratio = FreqRatio(u, v)
-    assert (text_outcome(notation._just_names, ratio)
+    assert (text_outcome(notation._just_names, u, v)
             == text_outcome(reference_just_names, ratio))
 
 
@@ -603,7 +603,7 @@ def test_the_just_names_at_every_window_edge_are_the_per_scale_spellings():
     for u in edges + (-10**4, 10**4):
         for v in edges + (-10**4, 10**4):
             ratio = FreqRatio(u, v)
-            assert notation._just_names(ratio) == reference_just_names(ratio)
+            assert notation._just_names(u, v) == reference_just_names(ratio)
 
 
 @EXACT
