@@ -86,7 +86,7 @@ def _scl_cents(token: str) -> float:
     num, den = int(num_text), int(den_text or 1)
     if num <= 0 or den <= 0:
         raise ValueError("a ratio needs a positive numerator and denominator")
-    if not (_digits(num_text) and _digits(den_text or "1")):
+    if not _digits(num_text + den_text):
         raise ValueError("a ratio is written in the ASCII digits 0-9 only")
     # Logs of the integers, not of their quotient, which can leave float range.
     return 1200.0 * (math.log2(num) - math.log2(den))
