@@ -516,8 +516,13 @@ class PurityReport(_Record):
     def __init__(self, ratio: tuple[int, int, int], d_base: int, d_overtone: int,
                  base_frequency: Fraction, overtone_frequency: Fraction,
                  base_names: tuple[str, ...], overtone_names: tuple[str, ...]) -> None:
-        self._set(ratio, d_base, d_overtone, base_frequency, overtone_frequency,
-                  base_names, overtone_names)
+        _set_ratio(self, ratio)
+        _set_d_base(self, d_base)
+        _set_d_overtone(self, d_overtone)
+        _set_base(self, base_frequency)
+        _set_overtone(self, overtone_frequency)
+        _set_base_names(self, base_names)
+        _set_overtone_names(self, overtone_names)
 
     @property
     def reciprocal(self) -> tuple[int, int, int]:
@@ -529,22 +534,6 @@ class PurityReport(_Record):
 
 (_set_ratio, _set_d_base, _set_d_overtone, _set_base, _set_overtone, _set_base_names,
  _set_overtone_names) = PurityReport._setters
-
-
-def _report(ratio: tuple[int, int, int], d_base: int, d_overtone: int, base_frequency: Fraction,
-            overtone_frequency: Fraction, base_names: tuple[str, ...],
-            overtone_names: tuple[str, ...]) -> PurityReport:
-    """``PurityReport(...)`` with no checks, for the fields `purity` has just
-    built (see `_chord`)."""
-    report = object.__new__(PurityReport)
-    _set_ratio(report, ratio)
-    _set_d_base(report, d_base)
-    _set_d_overtone(report, d_overtone)
-    _set_base(report, base_frequency)
-    _set_overtone(report, overtone_frequency)
-    _set_base_names(report, base_names)
-    _set_overtone_names(report, overtone_names)
-    return report
 
 
 def _whole(monzo, low) -> int:
@@ -610,4 +599,4 @@ def purity(c: Chord) -> PurityReport:
     base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
     ratio, d_overtone, lcm = _purity_shape(system.id, steps)
     base, overtone = _fractions(low, lcm)
-    return _report(ratio, ratio[0], d_overtone, base, overtone, base_names, overtone_names)
+    return PurityReport(ratio, ratio[0], d_overtone, base, overtone, base_names, overtone_names)

@@ -158,14 +158,11 @@ def _note_name(base: str, shift: int) -> NoteName:
 
 def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int]:
     """Base name and period shift of a note in a just scale, off its key ``12*u + 19*v``."""
-    lo, n, names, _, _, _, kind = _BASES[system.id]
-    u, v = ratio.u, ratio.v
-    h = v if system.period.u else u     # the harmonic degree
-    if not lo <= h < lo + n:    # raises
-        scales._check_harmonic(h, system, f": not {kind}-system note, "
+    h = scales._harmonic_degree(ratio, system)
+    if not system.harmonic_range[0] <= h <= system.harmonic_range[1]:     # raises
+        scales._check_harmonic(h, system, f": not {_BASES[system.id][6]}-system note, "
                                           "reduce to the fundamental set first")
-    key = 12 * u + 19 * v - lo
-    return names[key % n], key // n
+    return _base_at(12 * ratio.u + 19 * ratio.v, system)
 
 
 def _name_in(ratio: FreqRatio, system: scales.ScaleSystem = scales.PYTH3) -> str:
@@ -176,17 +173,16 @@ def _name_in(ratio: FreqRatio, system: scales.ScaleSystem = scales.PYTH3) -> str
     return base + _marks(shift, up, down)
 
 
-_JUST_BASES = (_BASES[scales.PYTH3.id], _BASES[scales.PYTH2.id])
-
-
 def _just_names(u: int, v: int) -> tuple[str, ...]:
     """The names of ``2**u * 3**v`` in each just scale whose window holds u
     (tritave) or v (octave)."""
-    key, spelled = 12 * u + 19 * v, []
-    for h, (lo, n, names, _, up, down, _) in zip((u, v), _JUST_BASES):
+    key, names = 12 * u + 19 * v, []
+    for h, system in ((u, scales.PYTH3), (v, scales.PYTH2)):
+        lo, n, _, _, up, down, _ = _BASES[system.id]
         if lo <= h < lo + n:
-            spelled.append(names[(key - lo) % n] + _marks((key - lo) // n, up, down))
-    return tuple(spelled)
+            base, shift = _base_at(key, system)
+            names.append(base + _marks(shift, up, down))
+    return tuple(names)
 
 
 def name_of(ratio: FreqRatio) -> NoteName:

@@ -128,6 +128,7 @@ def _log_sign(du: int, dv: int) -> int:
     19/12, 84/53, ... of log2(3) with exponents beyond about 1e7.  Then the
     sign of ``du*log(2)/log(3) + dv`` is read off a rational enclosure of
     log(2)/log(3), refined until it excludes 0; no power of 2 or 3 is built.
+    `FreqRatio.__lt__` runs the same float test inline, under the same bound.
     """
     if not dv:  # exact, and the only way to get 0
         return (du > 0) - (du < 0)
@@ -156,15 +157,9 @@ def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
     """
     base = pu + pv * LOG2_3
     lo = math.floor((u + v * LOG2_3) / base) if base > (abs(pu) + abs(pv)) * _FLOAT_ERROR else 0
-    # The two sign tests, that base**lo fits and base**(lo+1) does not, each
-    # with `_log_sign`'s float test inline; close calls go to it.
-    du, dv = u - lo * pu, v - lo * pv
-    x = du + dv * LOG2_3
-    if (x > 0 if abs(x) > (abs(du) + abs(dv)) * _FLOAT_ERROR else _log_sign(du, dv) >= 0):
-        du, dv = du - pu, dv - pv
-        x = du + dv * LOG2_3
-        if (x < 0 if abs(x) > (abs(du) + abs(dv)) * _FLOAT_ERROR else _log_sign(du, dv) < 0):
-            return lo
+    if (_log_sign(u - lo * pu, v - lo * pv) >= 0
+            and _log_sign(u - (lo + 1) * pu, v - (lo + 1) * pv) < 0):
+        return lo
 
     def fits(n: int) -> bool:
         return _log_sign(u - n * pu, v - n * pv) >= 0
