@@ -31,10 +31,6 @@ from .ratios import MAX_STR_DIGITS, FreqRatio
 #: `exports.TABLE_IDS`, written out so the parser does not load `exports`.
 TABLE_IDS = ("t1", "t2", "diff", "plr456", "plr234", "purity234", "purity456")
 
-#: Longest numerator or denominator accepted, in digits: Python's default
-#: limit for converting a digit string to an int.
-MAX_RATIO_DIGITS = 4300
-
 
 def _parse_ratio_or_note(text: str) -> FreqRatio:
     num, slash, den = text.partition("/")
@@ -42,9 +38,9 @@ def _parse_ratio_or_note(text: str) -> FreqRatio:
         if slash and not den.isdecimal():
             raise ValueError(f"bad ratio {text!r}: write a whole number N or a fraction N/D")
         for part, digits in (("numerator", num), ("denominator", den)):
-            if len(digits) > MAX_RATIO_DIGITS:
+            if len(digits) > MAX_STR_DIGITS:
                 raise ValueError(f"ratio {text[:20]}...: the {part} has {len(digits)} digits, "
-                                 f"more than {MAX_RATIO_DIGITS}")
+                                 f"more than {MAX_STR_DIGITS}")
         return FreqRatio.from_fraction(int(num), int(den) if slash else 1)
     try:
         return notation.parse_note(text)
@@ -155,7 +151,7 @@ def _cmd_plr(args) -> int:
 def _cmd_reach(args) -> int:
     from . import harmony, tonnetz
     system = harmony._SYSTEMS[args.system]
-    start = tonnetz.major_triad(system.parse(args.start or system.home), system)
+    start = tonnetz.major_triad(system._parse(args.start or system.home), system)
     for level in tonnetz.reachable_note_classes(start, args.k):
         names = " ".join(sorted(level.classes, key=system.class_names.index))
         print(f"{level.moves:>2} moves: {level.count:>2} classes  [{names}]")

@@ -81,6 +81,8 @@ def _scl_cents(token: str) -> float:
         cents = float(token)
         if not math.isfinite(cents):
             raise ValueError("cents must be a finite number")
+        if not _digits(token.lstrip("+-").replace(".", "", 1)):
+            raise ValueError("cents are written in the ASCII digits 0-9, one '.' and a sign only")
         return cents
     num_text, _, den_text = token.partition("/")
     num, den = int(num_text), int(den_text or 1)
@@ -96,7 +98,7 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
     """Minimal .scl reader: returns (description, pitches in cents).
 
     The note count and a ratio's integers are ASCII digits, and cents a
-    finite float, the forms a Scala file holds.
+    finite signed decimal in ASCII digits, the forms a Scala file holds.
     """
     _check_text(text, ".scl text")
     lines = [ln for ln in text.splitlines() if not ln.startswith("!")]
@@ -145,10 +147,6 @@ _PURITY_456_ROWS = [
 ]
 
 
-def _exponent_str(r: FreqRatio) -> str:
-    return f"2^{r.u}*3^{r.v}"
-
-
 def _deviation_rows(pair: str):
     header = ["scale_degree", "note", "ratio", "exponents", "harmonic_degree",
               "equal", "deviation_cents", "boundary"]
@@ -158,7 +156,7 @@ def _deviation_rows(pair: str):
             row.scale_degree,
             row.note,
             str(row.just_ratio),
-            _exponent_str(row.just_ratio),
+            notation._exponent_str(row.just_ratio),
             row.harmonic_degree,
             f"{row.equal_value:.4f}",
             f"{row.deviation_cents:+.2f}",
@@ -177,7 +175,7 @@ def _diff_rows(degree_lo: int, degree_hi: int):
 
 
 def _plr_rows(system: harmony.TonnetzSystem, max_moves: int):
-    start = tonnetz.major_triad(system.parse(system.home), system)
+    start = tonnetz.major_triad(system._parse(system.home), system)
     header = ["moves", "reachable"]
     rows = [[lvl.moves, lvl.count]
             for lvl in tonnetz.reachable_note_classes(start, max_moves)]
@@ -334,15 +332,7 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
         # Identity first, as in `harmony.reduce_chord_to_domain`.
         if chord.system is not harmony.TONNETZ_234 and chord.system != harmony.TONNETZ_234:
             raise ValueError("lattice paths are drawn for 2:3:4 progressions")
-        for note in chord.notes:
-            if note not in notes:
-                try:
-                    notes[note] = str(notation.name_of(note))
-                except ValueError:      # no name
-                    try:
-                        notes[note] = str(note)
-                    except ValueError:  # the ratio is too long to write
-                        notes[note] = _exponent_str(note)
+        notes.update((n, notation._label(n)) for n in chord.notes if n not in notes)
 
     lines = [
         "digraph tonnetz_path {",

@@ -13,7 +13,7 @@ Two harmonic systems, one `TonnetzSystem` object each, share one chord type:
 
 In both, the first step of a major chord is the system's up diagonal, of
 a minor chord its down diagonal, and the two steps make the horizontal
-one; `TonnetzSystem.triad` builds every major and minor chord from them.
+one; `TonnetzSystem._triangle` builds every major and minor chord from them.
 
 Purity distances: write a chord as coprime integers a:b:c.  The common
 base note (all chord notes are among its overtones) sits ``a`` steps below
@@ -51,7 +51,8 @@ root, a domain reduction after its sort and its collapse check, and a
 sequence chord moved to a checked tonic's root.  Any other chord goes
 through `Chord`; `chord_234` and `chord_456` take notes in any order and
 check each before the sort compares it.  Every public function taking a
-chord refuses anything else by its type.
+chord refuses anything else by its type.  A system's three public methods
+check their input; its note arithmetic (``_shift``, ``_parse``, ...) trusts it.
 """
 
 from __future__ import annotations
@@ -103,10 +104,12 @@ class TonnetzSystem(_Record):
     The horizontal step is the circle step; the up diagonal (major step)
     and the down diagonal (minor step) split it.  Notes repeat after
     ``period``; ``home`` is the root of the default starting triad and
-    ``class_names`` lists the note classes in display order.  The two
-    subclasses supply everything that depends on the note type, among it
-    the ``origin`` note, a note's integer class index and ``class_table``,
-    the class names in index order (modulo its length).
+    ``class_names`` lists the note classes in display order.  The class is
+    abstract: ``TONNETZ_234`` and ``TONNETZ_456`` are its instances, and only
+    `check_note`, `parse_chord` and `class_name`, which check their input,
+    are public.  Each subclass supplies the private note arithmetic of its
+    note type, among it the ``_origin`` note, a note's integer class index
+    and ``_class_table``, the class names in index order (modulo its length).
     """
 
     __slots__ = ("id", "horizontal", "up_diagonal", "down_diagonal", "period", "home",
@@ -115,7 +118,9 @@ class TonnetzSystem(_Record):
     def __init__(self, id: str, horizontal: FreqRatio | int, up_diagonal: FreqRatio | int,
                  down_diagonal: FreqRatio | int, period: FreqRatio | int, home: str,
                  class_names: tuple[str, ...]) -> None:
-        if self.shift(up_diagonal, down_diagonal) != horizontal:
+        if type(self) is TonnetzSystem:
+            raise ValueError("TonnetzSystem is abstract: use TONNETZ_234 or TONNETZ_456")
+        if self._shift(up_diagonal, down_diagonal) != horizontal:
             raise ValueError(f"system {id}: diagonals {up_diagonal} and "
                              f"{down_diagonal} miss the horizontal step {horizontal}")
         self._set(id, horizontal, up_diagonal, down_diagonal, period, home, class_names)
@@ -132,7 +137,7 @@ class TonnetzSystem(_Record):
         names, notes = _items(names, "chord names"), []
         try:
             for name in names:
-                notes.append(self.parse(name))
+                notes.append(self._parse(name))
         finally:    # the notes read so far, sorted by note then by place
             order = sorted(range(len(notes)), key=notes.__getitem__)
             repeats = [(q, p) for p, q in zip(order, order[1:]) if notes[p] == notes[q]]
@@ -141,18 +146,19 @@ class TonnetzSystem(_Record):
                 raise ValueError(f"chord notes must be distinct: {notation._quote(names[p])} "
                                  f"and {notation._quote(names[q])} are one note")
         notes = tuple(map(notes.__getitem__, order))
-        # Trusted: `parse` builds the system's notes, and they are sorted and distinct.
+        # Trusted: `_parse` builds the system's notes, and they are sorted and distinct.
         return _chord(notes, self) if len(notes) == 3 else Chord(notes, self)
 
     def class_name(self, note) -> str:
-        return self.class_table[self.class_index(note) % len(self.class_table)]
+        self.check_note(note)
+        return self._class_table[self._class_index(note) % len(self._class_table)]
 
-    def triad(self, root, major: bool) -> tuple:
+    def _triangle(self, root, major: bool) -> tuple:
         """The notes of the major (up) or minor (down) triangle on a root, root
         first: the root, a diagonal above it and the horizontal step above it.
         They ascend strictly and keep the root's type."""
-        return (root, self.shift(root, self.up_diagonal if major else self.down_diagonal),
-                self.shift(root, self.horizontal))
+        return (root, self._shift(root, self.up_diagonal if major else self.down_diagonal),
+                self._shift(root, self.horizontal))
 
 
 class _TritaveSystem(TonnetzSystem):
@@ -160,41 +166,35 @@ class _TritaveSystem(TonnetzSystem):
 
     __slots__ = ()
 
-    def shift(self, note: FreqRatio, interval: FreqRatio, times: int = 1) -> FreqRatio:
-        # A non-int ``times`` takes the checked constructor, which rejects the sum.
-        make = _ratio if isinstance(times, int) else FreqRatio
-        return make(note.u + interval.u * times, note.v + interval.v * times)
+    def _shift(self, note: FreqRatio, interval: FreqRatio, times: int = 1) -> FreqRatio:
+        return _ratio(note.u + interval.u * times, note.v + interval.v * times)
 
-    def step(self, low: FreqRatio, high: FreqRatio) -> tuple[int, int]:
+    def _step(self, low: FreqRatio, high: FreqRatio) -> tuple[int, int]:
         """The exponents of ``high / low``; no ratio is built."""
         return high.u - low.u, high.v - low.v
 
-    def name(self, note: FreqRatio) -> str:
-        return notation._name_in(note)
+    _name = staticmethod(notation._name_in)
+    _parse = staticmethod(notation.parse_note)
+    _origin = ONE
+    _class_index = operator.attrgetter("u")     # the class is u mod 19
+    _class_table = notation._TRITAVE_CLASSES
 
-    def parse(self, text: str) -> FreqRatio:
-        return notation.parse_note(text)
-
-    origin = ONE
-    class_index = operator.attrgetter("u")      # the class is u mod 19
-    class_table = notation._TRITAVE_CLASSES
-
-    def lattice_points(self, notes: tuple) -> tuple:
+    def _lattice_points(self, notes: tuple) -> tuple:
         """Inversions are not invisible here, so the plane is not rolled up."""
         return notes
 
-    move_root = shift   # P/L/R root map: on the unrolled plane a plain shift
+    _move_root = _shift     # P/L/R root map: on the unrolled plane a plain shift
 
-    def voice_near(self, c: Chord, tonic: Chord) -> Chord:
+    def _voice_near(self, c: Chord, tonic: Chord) -> Chord:
         return reduce_chord_to_domain(c, root=tonic.notes[0])
 
-    def monzo(self, note: FreqRatio) -> tuple[int, int, int]:
+    def _monzo(self, note: FreqRatio) -> tuple[int, int, int]:
         return note.u, note.v, 0
 
-    def step_monzo(self, step: tuple[int, int]) -> tuple[int, int, int]:
+    def _step_monzo(self, step: tuple[int, int]) -> tuple[int, int, int]:
         return (*step, 0)
 
-    def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
+    def _monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
         two, three, _ = monzo
         return notation._just_names(two, three)
 
@@ -204,31 +204,27 @@ class _OctaveSystem(TonnetzSystem):
 
     __slots__ = ()
 
-    def shift(self, note: int, interval: int, times: int = 1) -> int:
+    def _shift(self, note: int, interval: int, times: int = 1) -> int:
         return note + interval * times
 
-    def step(self, low: int, high: int) -> int:
+    def _step(self, low: int, high: int) -> int:
         return high - low
 
-    def name(self, note: int) -> str:
-        return notation.edo12_name(note)
+    _name = staticmethod(notation.edo12_name)
+    _parse = staticmethod(notation.parse_edo12_note)
+    _origin = 0
+    _class_index = operator.index               # the class is the pitch class
+    _class_table = property(operator.attrgetter("class_names"))
 
-    def parse(self, text: str) -> int:
-        return notation.parse_edo12_note(text)
-
-    origin = 0
-    class_index = operator.index                # the class is the pitch class
-    class_table = property(operator.attrgetter("class_names"))
-
-    def lattice_points(self, notes: tuple) -> tuple:
+    def _lattice_points(self, notes: tuple) -> tuple:
         """The lattice is rolled up onto the 12 pitch classes."""
         return tuple(n % self.period for n in notes)
 
-    def move_root(self, root: int, interval: int, times: int) -> int:
+    def _move_root(self, root: int, interval: int, times: int) -> int:
         """Moves the pitch class and keeps the root's octave block."""
         return root - root % self.period + (root + interval * times) % self.period
 
-    def voice_near(self, c: Chord, tonic: Chord) -> Chord:
+    def _voice_near(self, c: Chord, tonic: Chord) -> Chord:
         """Close voicing (span under an octave) nearest the tonic.
 
         The notes folded into the octave from the tonic root, with the
@@ -246,18 +242,18 @@ class _OctaveSystem(TonnetzSystem):
                         for j, a, b, d in zip(range(-2, 3), folded[1:], folded[2:], folded[3:]))
         return chord_456(notes)
 
-    def monzo(self, note: int) -> tuple[int, int, int]:
+    def _monzo(self, note: int) -> tuple[int, int, int]:
         """The note's just pitch class, an octave count up."""
         pc = note % self.period
         two, three, five = _JUST_CLASSES[pc]
         return two + (note - pc) // self.period, three, five
 
-    def step_monzo(self, step: int) -> tuple[int, int, int]:
+    def _step_monzo(self, step: int) -> tuple[int, int, int]:
         if step not in _JUST_STEPS:
             raise ValueError("no just interpretation for these step intervals")
         return _JUST_STEPS[step]
 
-    def monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
+    def _monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
         """The 12-EDO name of the pitch class with the same 3- and 5-exponents,
         an octave up per 2-exponent over that class's."""
         two, three, five = monzo
@@ -277,9 +273,9 @@ _SYSTEMS = {s.id: s for s in (TONNETZ_234, TONNETZ_456)}
 
 def _qualities(s: TonnetzSystem) -> dict:
     """`classify`'s table for one system: the quality of each ordered pair of
-    steps as `step` gives them.  Each diagonal is the horizontal step over
+    steps as `_step` gives them.  Each diagonal is the horizontal step over
     the other one."""
-    up, down = s.step(s.down_diagonal, s.horizontal), s.step(s.up_diagonal, s.horizontal)
+    up, down = s._step(s.down_diagonal, s.horizontal), s._step(s.up_diagonal, s.horizontal)
     return {(up, down): ChordQuality.MAJOR, (down, up): ChordQuality.MINOR,
             (up, up): ChordQuality.AUGMENTED, (down, down): ChordQuality.DIMINISHED}
 
@@ -312,10 +308,10 @@ class Chord(_Record):
         self._set(notes, system)
 
     def names(self) -> tuple[str, str, str]:
-        return tuple(map(self.system.name, self.notes))
+        return tuple(map(self.system._name, self.notes))
 
     def __str__(self) -> str:
-        return "-".join(self.names())
+        return "-".join(map(notation._label, self.notes))   # a far note has no name
 
 
 _set_notes, _set_system = Chord._setters
@@ -361,12 +357,12 @@ def chord_456(notes) -> Chord:
 
 def major_triad_234(root: FreqRatio) -> Chord:
     TONNETZ_234.check_note(root)
-    return _chord(TONNETZ_234.triad(root, True), TONNETZ_234)    # Trusted: a checked root
+    return _chord(TONNETZ_234._triangle(root, True), TONNETZ_234)    # Trusted: a checked root
 
 
 def minor_triad_234(root: FreqRatio) -> Chord:
     TONNETZ_234.check_note(root)
-    return _chord(TONNETZ_234.triad(root, False), TONNETZ_234)   # Trusted: a checked root
+    return _chord(TONNETZ_234._triangle(root, False), TONNETZ_234)   # Trusted: a checked root
 
 
 def _check_chord(c, caller: str) -> None:
@@ -376,7 +372,7 @@ def _check_chord(c, caller: str) -> None:
 
 def _steps(c: Chord):
     a, b, top = c.notes
-    return c.system.step(a, b), c.system.step(b, top)
+    return c.system._step(a, b), c.system._step(b, top)
 
 
 def classify(c: Chord) -> ChordQuality:
@@ -397,9 +393,9 @@ def invert(c: Chord, direction: str = "first") -> Chord:
     a, b, top = c.notes
     system = c.system
     if direction == "first":
-        notes = (b, top, system.shift(a, system.period))
+        notes = (b, top, system._shift(a, system.period))
     elif direction == "second":
-        notes = (system.shift(top, system.period, -1), a, b)
+        notes = (system._shift(top, system.period, -1), a, b)
     else:
         raise ValueError(f"direction must be 'first' or 'second', not {direction!r}")
     return Chord(tuple(sorted(notes)), system)
@@ -412,11 +408,10 @@ def shift_in_circle(c: Chord, steps: int) -> Chord:
     for 4:5:6 chords (circle of fifths).  No register reduction is applied.
     """
     _check_chord(c, "shift_in_circle")
+    if not isinstance(steps, int):      # a bool is an int
+        raise ValueError(f"shift_in_circle takes int steps, not {type(steps).__name__}")
     system = c.system
-    try:        # a number of steps that is not an int fails in `FreqRatio` or `Chord`
-        return Chord(tuple(system.shift(n, system.horizontal, steps) for n in c.notes), system)
-    except TypeError:           # not a number at all
-        raise ValueError(f"shift_in_circle takes int steps, not {type(steps).__name__}") from None
+    return Chord(tuple(system._shift(n, system.horizontal, steps) for n in c.notes), system)
 
 
 def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
@@ -450,8 +445,8 @@ def _moved_from_origin(system_id: str, steps: tuple[int, int]) -> tuple:
     """The notes of the circle shifts by ``steps`` of the major tonic on the
     origin, each voiced near it."""
     system = _SYSTEMS[system_id]
-    tonic = _chord(system.triad(system.origin, True), system)    # Trusted: `triad`'s notes
-    return tuple(system.voice_near(shift_in_circle(tonic, k), tonic).notes for k in steps)
+    tonic = _chord(system._triangle(system._origin, True), system)   # Trusted: `_triangle`'s
+    return tuple(system._voice_near(shift_in_circle(tonic, k), tonic).notes for k in steps)
 
 
 def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
@@ -466,7 +461,7 @@ def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
         raise ValueError(f"{kind} sequence needs a major tonic, not "
                          f"{notation._quote(str(tonic))} ({quality})")
     system, root = tonic.system, tonic.notes[0]
-    shift = system.shift
+    shift = system._shift
     (a, b, c), (d, e, f) = _moved_from_origin(system.id, steps)
     # Trusted: one note added to every note keeps their type and order.
     return [tonic, _chord((shift(root, a), shift(root, b), shift(root, c)), system),
@@ -563,7 +558,7 @@ def _shape(system_id: str, steps: tuple) -> tuple:
     Each integer `_purity_shape` builds from them has passed its size
     check, and nothing big is built here.  Errors are not kept.
     """
-    first, second = map(_SYSTEMS[system_id].step_monzo, steps)
+    first, second = map(_SYSTEMS[system_id]._step_monzo, steps)
     notes = ((0, 0, 0), first, tuple(map(operator.add, first, second)))
     low, high = tuple(map(min, *notes)), tuple(map(max, *notes))
     for monzo in (*notes, high):    # `_whole`'s size check, in its order
@@ -592,11 +587,11 @@ def purity(c: Chord) -> PurityReport:
     _check_chord(c, "purity")
     system, steps = c.system, _steps(c)
     _, (b2, b3, b5), (o2, o3, o5) = _shape(system.id, steps)
-    two, three, five = system.monzo(c.notes[0])
+    two, three, five = system._monzo(c.notes[0])
     low, high = (two + b2, three + b3, five + b5), (two + o2, three + o3, five + o5)
     # Names before values: a note too far up to spell fails as such, and
     # before any big integer is built or kept.
-    base_names, overtone_names = system.monzo_names(low), system.monzo_names(high)
+    base_names, overtone_names = system._monzo_names(low), system._monzo_names(high)
     ratio, d_overtone, lcm = _purity_shape(system.id, steps)
     base, overtone = _fractions(low, lcm)
     return PurityReport(ratio, ratio[0], d_overtone, base, overtone, base_names, overtone_names)

@@ -128,7 +128,8 @@ class NoteName(_Record):
             raise ValueError(f"unknown base name {_quote(base)}")
         if type(tritave_shift) is not int:      # no bool either
             raise ValueError(f"a tritave shift must be an int, not {_shown(tritave_shift)}")
-        self._set(base, tritave_shift)
+        _set_base(self, base)
+        _set_shift(self, tritave_shift)
 
     def ratio(self) -> FreqRatio:
         note = _TRITAVE_BASES[self.base]
@@ -145,15 +146,6 @@ class NoteName(_Record):
 
 
 _set_base, _set_shift = NoteName._setters
-
-
-def _note_name(base: str, shift: int) -> NoteName:
-    """``NoteName(base, shift)`` for a base name and an int shift the package
-    has just read off a key: nothing is checked (see `ratios._ratio`)."""
-    name = object.__new__(NoteName)
-    _set_base(name, base)
-    _set_shift(name, shift)
-    return name
 
 
 def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int]:
@@ -185,6 +177,24 @@ def _just_names(u: int, v: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _exponent_str(ratio: FreqRatio) -> str:
+    return f"2^{ratio.u}*3^{ratio.v}"
+
+
+def _label(note) -> str:
+    """A chord note as `str` of a chord or a lattice drawing shows it: its name;
+    a 2:3:4 note with no name by its ratio, or its exponents if that is too long."""
+    if type(note) is not FreqRatio:
+        return edo12_name(note)
+    try:
+        return _name_in(note)
+    except ValueError:      # no name
+        try:
+            return str(note)
+        except ValueError:  # the ratio is too long to write
+            return _exponent_str(note)
+
+
 def name_of(ratio: FreqRatio) -> NoteName:
     """The unique tritave-system name of a note.
 
@@ -192,13 +202,13 @@ def name_of(ratio: FreqRatio) -> NoteName:
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
     scales._check_ratio(ratio)
-    return _note_name(*_spell(ratio, scales.PYTH3))
+    return NoteName(*_spell(ratio, scales.PYTH3))
 
 
 def note_name_at_degree(degree: int) -> NoteName:
     """Name of the tritave-system note at an absolute scale degree, on that key."""
     _check_int(degree, "degree")
-    return _note_name(*_base_at(degree, scales.PYTH3))
+    return NoteName(*_base_at(degree, scales.PYTH3))
 
 
 def _split_marks(text: str, bases) -> tuple[str, str]:

@@ -43,8 +43,8 @@ Cents = float
 
 _INT64 = 1 << 63
 
-#: Most digits `str` writes for a numerator or denominator: Python's
-#: default limit for converting an int to a digit string.
+#: Most digits of a numerator or denominator that `str` writes or the CLI
+#: reads: Python's default limit for converting an int to or from digits.
 MAX_STR_DIGITS = 4300
 
 #: Most bits a numerator or denominator may have when it is built, about
@@ -280,9 +280,9 @@ class FreqRatio(_Record):
         return _ratio(self.u - other.u, self.v - other.v)
 
     def __pow__(self, exponent: int) -> FreqRatio:
-        # A non-int exponent takes the checked constructor, which rejects the product.
-        make = _ratio if isinstance(exponent, int) else FreqRatio
-        return make(self.u * exponent, self.v * exponent)
+        if type(exponent) is not int:       # no bool either
+            raise ValueError(f"exponent {exponent!r} is not an integer")
+        return _ratio(self.u * exponent, self.v * exponent)
 
     def inverse(self) -> FreqRatio:
         return _ratio(-self.u, -self.v)

@@ -61,12 +61,17 @@ class ScaleSystem(_Record):
     def __init__(self, id: str, period: FreqRatio, notes_per_period: int,
                  harmonic_range: tuple[int, int], degree_multiplier: int,
                  degree_multiplier_inv: int, just: bool) -> None:
+        if type(harmonic_range) is not tuple or list(map(type, harmonic_range)) != [int, int]:
+            raise ValueError(f"scale {id}: harmonic_range must be two ints, not {harmonic_range!r}")
         lo, hi = harmonic_range
         n, b, b_inv = notes_per_period, degree_multiplier, degree_multiplier_inv
+        for name, value in (("notes_per_period", n), ("degree_multiplier", b),
+                            ("degree_multiplier_inv", b_inv)):
+            _check_int(value, f"scale {id}: {name}")
         # The fundamental domains are centred for these two only.
         if period not in (OCTAVE, TRITAVE):
             raise ValueError(f"scale {id}: period {period!r} is not OCTAVE or TRITAVE")
-        if hi - lo + 1 != n:
+        if not 0 < n == hi - lo + 1:
             raise ValueError(f"scale {id}: harmonic range {lo, hi} does not hold {n} notes")
         if b * b_inv % n != 1:
             raise ValueError(f"scale {id}: multipliers {b}, {b_inv} not inverse modulo {n}")

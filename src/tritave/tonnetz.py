@@ -12,8 +12,8 @@ major and minor while changing exactly one note:
 * R keeps the shared fifth (2:3:4) or relative-third edge (4:5:6),
 * L keeps the shared fourth (2:3:4) or leading-tone edge (4:5:6).
 
-Each is written once.  `TonnetzSystem.triad` stacks a triangle on its
-root, and `_PLR` gives each move's diagonal and how many times a major
+Each is written once.  `TonnetzSystem._triangle` stacks a triangle on
+its root, and `_PLR` gives each move's diagonal and how many times a major
 triad's root moves along it; a minor one's moves back as far.  `Triad`,
 `apply_plr` and the reach search all read those two.
 
@@ -36,6 +36,7 @@ from .harmony import (
     Chord,
     ChordQuality,
     TonnetzSystem,
+    _check_chord,
     _chord,
     classify,
 )
@@ -89,11 +90,11 @@ class Triad(_Record):
 
     def notes(self) -> tuple:
         """Vertices of the triangle as lattice points, root first."""
-        return self.system.lattice_points(self.system.triad(self.root, self.quality is _MAJOR))
+        return self.system._lattice_points(self.system._triangle(self.root, self.quality is _MAJOR))
 
     def chord(self) -> Chord:
-        # Trusted: the root's type is checked in `__init__`, and `triad` keeps it.
-        return _chord(self.system.triad(self.root, self.quality is _MAJOR), self.system)
+        # Trusted: the root's type is checked in `__init__`, and `_triangle` keeps it.
+        return _chord(self.system._triangle(self.root, self.quality is _MAJOR), self.system)
 
 
 _set_system, _set_root, _set_quality = Triad._setters
@@ -117,8 +118,7 @@ def minor_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
 
 
 def triad_from_chord(c: Chord) -> Triad:
-    if not isinstance(c, Chord):
-        raise ValueError(f"triad_from_chord takes a Chord, not {type(c).__name__}")
+    _check_chord(c, "triad_from_chord")
     quality = classify(c)
     if quality not in (_MAJOR, _MINOR):
         raise ValueError(f"P/L/R moves need a major or minor triad, not "
@@ -135,8 +135,8 @@ def apply_plr(t: Triad, move: str) -> Triad:
         raise ValueError(f"move must be P, L or R, not {move!r}")
     major, system = t.quality is _MAJOR, t.system
     diagonal, times = _PLR[move]
-    root = system.move_root(t.root, getattr(system, diagonal), times if major else -times)
-    # Trusted: `move_root` keeps the type of the checked root.
+    root = system._move_root(t.root, getattr(system, diagonal), times if major else -times)
+    # Trusted: `_move_root` keeps the type of the checked root.
     return _triad(system, root, _MINOR if major else _MAJOR)
 
 
@@ -165,15 +165,14 @@ def note_class(note, system: TonnetzSystem) -> str:
     name of that class.
     """
     _check_system(system)
-    system.check_note(note)
     return system.class_name(note)
 
 
 def _class_steps(system: TonnetzSystem) -> tuple:
     """Indexed by `major` (minor first): the class steps of a triad's notes
     over its root, and those of its P, L and R moves."""
-    index = system.class_index
-    stacks = tuple(tuple(map(index, system.triad(system.origin, major))) for major in (False, True))
+    index = system._class_index
+    stacks = tuple(tuple(map(index, system._triangle(system._origin, m))) for m in (False, True))
     moves = tuple(tuple(sign * times * index(getattr(system, diagonal))
                         for diagonal, times in _PLR.values()) for sign in (-1, 1))
     return stacks, moves
@@ -211,10 +210,10 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     if not 0 <= max_moves <= 12:
         raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
     system = start.system
-    table = system.class_table
+    table = system._class_table
     n = len(table)
     stacks, moves = _CLASS_STEPS[system.id]
-    key = (system.class_index(start.root) % n, start.quality is _MAJOR)
+    key = (system._class_index(start.root) % n, start.quality is _MAJOR)
     seen, frontier, classes, levels = {key}, [key], set(), []
     for k in range(max_moves + 1):
         nxt = []

@@ -278,7 +278,7 @@ def test_reduce_of_a_note_too_long_to_write_as_a_ratio_is_named(capsys):
 @pytest.mark.parametrize("command", ["name", "reduce"])
 def test_ratio_at_the_digit_bound_is_parsed(capsys, command):
     # 10**4299 = 2**4299 * 5**4299 has 4300 digits and is not 3-smooth
-    code, out, err = run(capsys, command, "1" + "0" * (cli.MAX_RATIO_DIGITS - 1))
+    code, out, err = run(capsys, command, "1" + "0" * (ratios.MAX_STR_DIGITS - 1))
     assert code == 2
     assert out == ""
     assert "not 3-smooth" in err

@@ -34,7 +34,7 @@ PLAIN = {"notes": NAMES, "start": NAMES, "note": NAMES + RATIOS[:6], "ratio": RA
          "moves": ["P", "L", "R", "PLR", "RRLP"], "file": ["-"], "description": ["x", ""]}
 INTS = ["0", "3", "12", "60", "108"]
 #: Major and minor triads of both systems, as three names.
-TRIADS = [list(make(system.parse(root), system).chord().names())
+TRIADS = [list(make(system._parse(root), system).chord().names())
           for system, roots in ((TONNETZ_234, ["A", "D", "F#", "Bb'"]), (TONNETZ_456, ["C", "Eb"]))
           for root in roots for make in (tonnetz.major_triad, tonnetz.minor_triad)]
 

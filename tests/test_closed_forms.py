@@ -1,6 +1,6 @@
 """Closed forms against the step-at-a-time loops they replace.
 
-`_OctaveSystem.voice_near` reads the five close voicings off the sorted
+`_OctaveSystem._voice_near` reads the five close voicings off the sorted
 pitches, the 4:5:6 just names come from `notation.edo12_name` of a
 semitone worked out from the 2-exponent, and `ratios._strip` halves the
 exponent left to find at each division.  The reference copies below are
@@ -139,8 +139,8 @@ def classified_triads(system, roots):
     up, down = system.up_diagonal, system.down_diagonal
     for root in roots:
         for s1, s2 in ((up, down), (down, up), (up, up), (down, down)):
-            middle = system.shift(root, s1)
-            yield harmony.Chord((root, middle, system.shift(middle, s2)), system)
+            middle = system._shift(root, s1)
+            yield harmony.Chord((root, middle, system._shift(middle, s2)), system)
 
 
 DIFFERENTIAL_ROOTS = {
@@ -165,9 +165,9 @@ def other_chords(system, roots):
     steps = OTHER_STEPS[system.id]
     for root in roots:
         for s1 in steps:
-            middle = system.shift(root, s1)
+            middle = system._shift(root, s1)
             for s2 in steps:
-                yield harmony.Chord((root, middle, system.shift(middle, s2)), system)
+                yield harmony.Chord((root, middle, system._shift(middle, s2)), system)
 
 
 def assert_same_purity(c):
@@ -193,7 +193,7 @@ def test_purity_matches_the_fractions(system):
     voicings += other_chords(system, OTHER_ROOTS[system.id])
     for voicing in voicings:
         for periods in (0, 10**3, -10**3):
-            notes = (system.shift(n, system.period, periods) for n in voicing.notes)
+            notes = (system._shift(n, system.period, periods) for n in voicing.notes)
             assert_same_purity(harmony.Chord(tuple(notes), system))
 
 
@@ -223,7 +223,7 @@ def test_purity_refuses_a_name_before_it_builds_the_integers():
 
 def shifted_sequence(tonic, steps):
     """The sequence as each tonic's own circle shifts, voiced near it."""
-    moved = (tonic.system.voice_near(harmony.shift_in_circle(tonic, k), tonic) for k in steps)
+    moved = (tonic.system._voice_near(harmony.shift_in_circle(tonic, k), tonic) for k in steps)
     return [tonic, *moved, tonic]
 
 
@@ -250,8 +250,8 @@ def major_tonics(system, roots):
     up, down = system.up_diagonal, system.down_diagonal
     for root in roots:
         try:
-            middle = system.shift(root, up)
-            yield harmony.Chord((root, middle, system.shift(middle, down)), system)
+            middle = system._shift(root, up)
+            yield harmony.Chord((root, middle, system._shift(middle, down)), system)
         except ValueError:
             continue
 
@@ -260,7 +260,7 @@ def major_tonics(system, roots):
 def test_sequences_match_the_shifted_chords(system):
     tonics = []
     for periods in (0, 10**3, -10**3):
-        roots = (system.shift(r, system.period, periods) for r in DIFFERENTIAL_ROOTS[system.id])
+        roots = (system._shift(r, system.period, periods) for r in DIFFERENTIAL_ROOTS[system.id])
         tonics += major_tonics(system, roots)
     for tonic in tonics:
         for make, steps in SEQUENCES:
@@ -316,7 +316,7 @@ def test_voice_near_matches_the_rotations(root):
     for third in (3, 4):
         tonic = chord_456((root, root + third, root + 7))
         for c in TRIADS:
-            assert TONNETZ_456.voice_near(c, tonic) == rotation_voice_near(c, tonic)
+            assert TONNETZ_456._voice_near(c, tonic) == rotation_voice_near(c, tonic)
 
 
 CLUSTERS = [(a, b, c) for a in range(12) for b in range(a + 1, 12) for c in range(b + 1, 12)]
@@ -329,7 +329,7 @@ def test_voice_near_matches_the_rotations_for_any_chords(steps):
         tonic = chord_456((root, root + steps[0], root + sum(steps)))
         for notes in CLUSTERS:
             c = chord_456(notes)
-            assert TONNETZ_456.voice_near(c, tonic) == rotation_voice_near(c, tonic)
+            assert TONNETZ_456._voice_near(c, tonic) == rotation_voice_near(c, tonic)
 
 
 FREQUENCIES = [
@@ -345,7 +345,7 @@ def test_frequency_names_match_the_folding(freq):
     for k in range(-60, 61):
         scaled = freq * Fraction(2) ** k
         monzo = five_limit_monzo(scaled)
-        names = () if monzo is None else TONNETZ_456.monzo_names(monzo)
+        names = () if monzo is None else TONNETZ_456._monzo_names(monzo)
         assert names == folding_frequency_names(scaled)
 
 
@@ -394,9 +394,9 @@ def triad_apply_plr(t, move):
     if move == "P":
         root = t.root
     elif move == "R":
-        root = system.move_root(t.root, system.down_diagonal, -1 if major else 1)
+        root = system._move_root(t.root, system.down_diagonal, -1 if major else 1)
     else:  # L
-        root = system.move_root(t.root, system.up_diagonal, 1 if major else -1)
+        root = system._move_root(t.root, system.up_diagonal, 1 if major else -1)
     return Triad(system, root, flipped)
 
 

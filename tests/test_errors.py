@@ -14,6 +14,14 @@ C_MAJOR_456 = harmony.chord_456((0, 4, 7))
 LONG_C = "C" + "'" * 50     # 50 octaves up, quoted as its first 20 characters
 QUOTED_LONG_C = '"C' + "'" * 19 + '"... (51 characters)'
 
+FAR_MINOR = harmony.minor_triad_234(FreqRatio(-12, 0))      # no note has a name
+FAR_AUGMENTED = harmony.chord_234((FreqRatio(-12, 0), FreqRatio(-13, 1), FreqRatio(-14, 2)))
+PYTH2_FIELDS = ("pyth2", ratios.OCTAVE, 12, (-5, 6), 7, 7, True)
+
+
+def scale_system(place, value):
+    return scales.ScaleSystem(*PYTH2_FIELDS[:place], value, *PYTH2_FIELDS[place + 1:])
+
 
 @pytest.mark.parametrize("make, message", [
     (lambda: tonnetz.reachable_note_classes(tonnetz.major_triad(FreqRatio(0, 0)), 20),
@@ -47,10 +55,27 @@ QUOTED_LONG_C = '"C' + "'" * 19 + '"... (51 characters)'
      "chord notes must be distinct: 'A' and 'A' are one note"),
     (lambda: harmony.TONNETZ_456.parse_chord([LONG_C, "G", LONG_C]),
      f"chord notes must be distinct: {QUOTED_LONG_C} and {QUOTED_LONG_C} are one note"),
+    (lambda: harmony.basic_sequence(FAR_MINOR),
+     "basic sequence needs a major tonic, not '1/4096-1/3072-1/2048' (minor)"),
+    (lambda: tonnetz.triad_from_chord(FAR_AUGMENTED),
+     "P/L/R moves need a major or minor triad, not '1/4096-3/8192-9/16384' (augmented)"),
+    (lambda: tonnetz.TonnetzSystem("456", 7, 4, 3, 12, "C", ()),
+     "TonnetzSystem is abstract: use TONNETZ_234 or TONNETZ_456"),
+    (lambda: harmony.TONNETZ_234.class_name(5), "system 234 takes FreqRatio notes, not 5"),
+    (lambda: FreqRatio(3, -2) ** None, "exponent None is not an integer"),
+    (lambda: FreqRatio(3, -2) ** True, "exponent True is not an integer"),
+    (lambda: scale_system(2, "12"), "scale pyth2: notes_per_period must be an int, not '12'"),
+    (lambda: scale_system(3, None), "scale pyth2: harmonic_range must be two ints, not None"),
+    (lambda: scale_system(3, (-5, 6.0)),
+     "scale pyth2: harmonic_range must be two ints, not (-5, 6.0)"),
+    (lambda: scale_system(4, None), "scale pyth2: degree_multiplier must be an int, not None"),
+    (lambda: scale_system(5, "x"), "scale pyth2: degree_multiplier_inv must be an int, not 'x'"),
 ], ids=["max_moves", "midi-range", "chord-size", "ascending-234", "ascending-456",
         "degree-range", "comma-p", "comma-q", "basic-sequence", "cadence-sequence", "plr-triad",
         "scl-scale", "path-456", "deviation-pair", "reduce-456", "repeated-name",
-        "repeated-name-456-long"])
+        "repeated-name-456-long", "far-sequence-tonic", "far-plr-triad", "abstract-system",
+        "class-name", "power-none", "power-bool", "scale-count", "scale-range",
+        "scale-range-float", "scale-multiplier", "scale-inverse"])
 def test_error_names_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
@@ -382,6 +407,9 @@ def test_the_ratio_constructor_names_the_first_bad_exponent(u, v, shown):
     assert str(excinfo.value) == f"exponent {shown} is not an integer"
 
 
+CENTS_FORM = "cents are written in the ASCII digits 0-9, one '.' and a sign only"
+
+
 @pytest.mark.parametrize("text, message", [
     ("x\n1_0\n" + "100.0\n" * 10, "bad .scl count line '1_0': must be a note count"),
     ("x\n+1\n3/2", "bad .scl count line '+1': must be a note count"),
@@ -393,13 +421,17 @@ def test_the_ratio_constructor_names_the_first_bad_exponent(u, v, shown):
     ("x\n1\n1.e999", "bad .scl pitch line '1.e999': cents must be a finite number"),
     ("x\n1\n-" + "9" * 400 + ".", "bad .scl pitch line '-" + "9" * 400 + ".': "
      "cents must be a finite number"),
+    ("x\n1\n1_0.5", "bad .scl pitch line '1_0.5': " + CENTS_FORM),
+    ("x\n1\n1.5e3", "bad .scl pitch line '1.5e3': " + CENTS_FORM),
+    ("x\n1\n١.٥", "bad .scl pitch line '١.٥': " + CENTS_FORM),
     # refused before: the same messages
     ("x\n1\n-3/2",
      "bad .scl pitch line '-3/2': a ratio needs a positive numerator and denominator"),
     ("x\n1\nabc", "bad .scl pitch line 'abc': invalid literal for int() with base 10: 'abc'"),
 ], ids=["count-underscore", "count-plus", "count-arabic-indic", "numerator-underscore",
         "denominator-underscore", "ratio-plus", "ratio-arabic-indic", "cents-overflow",
-        "cents-long-overflow", "ratio-negative", "ratio-letters"])
+        "cents-long-overflow", "cents-underscore", "cents-exponent", "cents-arabic-indic",
+        "ratio-negative", "ratio-letters"])
 def test_an_scl_file_is_read_in_its_own_forms_only(text, message):
     with pytest.raises(ValueError) as excinfo:
         exports.parse_scl(text)
@@ -407,5 +439,6 @@ def test_an_scl_file_is_read_in_its_own_forms_only(text, message):
 
 
 def test_the_scl_forms_still_read():
-    assert exports.parse_scl("x\n 3 \n-5.0\n100.\n 3/ foo\n")[1] == [-5.0, 100.0,
-                                                                      1200 * math.log2(3)]
+    assert exports.parse_scl("x\n 4 \n-5.0\n100.\n+.5\n 3/ foo\n")[1] == [
+        -5.0, 100.0, 0.5, 1200 * math.log2(3)]
+

@@ -197,8 +197,8 @@ def grid(system):
     """The major, minor, augmented and diminished chords on every root of the grid."""
     for root in ROOTS[system.id]:
         for first, second, quality in QUALITIES:
-            middle = system.shift(root, getattr(system, f"{first}_diagonal"))
-            top = system.shift(middle, getattr(system, f"{second}_diagonal"))
+            middle = system._shift(root, getattr(system, f"{first}_diagonal"))
+            top = system._shift(middle, getattr(system, f"{second}_diagonal"))
             yield harmony.Chord((root, middle, top), system), quality
 
 
@@ -231,7 +231,7 @@ def test_sequences_on_the_grid_are_the_voiced_circle_shifts(system):
                 with pytest.raises(ValueError):
                     make(tonic)
                 continue
-            want = [tonic, *(system.voice_near(harmony.shift_in_circle(tonic, k), tonic)
+            want = [tonic, *(system._voice_near(harmony.shift_in_circle(tonic, k), tonic)
                              for k in steps), tonic]
             got = make(tonic)
             assert got == want and repr(got) == repr(want), tonic
