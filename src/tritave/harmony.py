@@ -64,7 +64,7 @@ import operator
 
 from . import notation
 from .ratios import (FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _fraction_type,
-                     _parts, _ratio, _Record)
+                     _part, _parts, _ratio, _Record)
 
 __all__ = [
     "ChordQuality",
@@ -249,9 +249,7 @@ class _OctaveSystem(TonnetzSystem):
         return two + (note - pc) // self.period, three, five
 
     def _step_monzo(self, step: int) -> tuple[int, int, int]:
-        if step not in _JUST_STEPS:
-            raise ValueError("no just interpretation for these step intervals")
-        return _JUST_STEPS[step]
+        return _JUST_STEPS[step]    # a KeyError, which `purity` words
 
     def _monzo_names(self, monzo: tuple[int, int, int]) -> tuple[str, ...]:
         """The 12-EDO name of the pitch class with the same 3- and 5-exponents,
@@ -538,7 +536,8 @@ def _whole(monzo, low) -> int:
     the 5-exponents of the just tables stay small.
     """
     two, three, five = map(operator.sub, monzo, low)
-    return _ratio(two, three).numerator * 5 ** five
+    a, b = _part(two, three, "numerator")
+    return (3 ** b << a) * 5 ** five
 
 
 def _fractions(monzo, lcm: int) -> tuple[Fraction, Fraction]:
@@ -562,8 +561,7 @@ def _shape(system_id: str, steps: tuple) -> tuple:
     notes = ((0, 0, 0), first, tuple(map(operator.add, first, second)))
     low, high = tuple(map(min, *notes)), tuple(map(max, *notes))
     for monzo in (*notes, high):    # `_whole`'s size check, in its order
-        two, three, _ = map(operator.sub, monzo, low)
-        _ratio(two, three)._check_power("numerator", two, three)
+        _part(monzo[0] - low[0], monzo[1] - low[1], "numerator")
     return notes, low, high
 
 
@@ -586,7 +584,11 @@ def purity(c: Chord) -> PurityReport:
     """Express the chord as a:b:c and report both purity distances."""
     _check_chord(c, "purity")
     system, steps = c.system, _steps(c)
-    _, (b2, b3, b5), (o2, o3, o5) = _shape(system.id, steps)
+    try:
+        _, (b2, b3, b5), (o2, o3, o5) = _shape(system.id, steps)
+    except KeyError as step:    # a 4:5:6 step of 12 semitones or more
+        raise ValueError(f"no just interpretation of {notation._quote(str(c))}: a step of "
+                         f"{step} semitones (4:5:6 purity takes 1 to 11)") from None
     two, three, five = system._monzo(c.notes[0])
     low, high = (two + b2, three + b3, five + b5), (two + o2, three + o3, five + o5)
     # Names before values: a note too far up to spell fails as such, and

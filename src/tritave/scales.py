@@ -297,10 +297,10 @@ def pyth2_pyth3_differences(
 ):
     """Scale degrees where the two just scales disagree.
 
-    Both just notes of a key sit on it, so the PYTH2 note is the PYTH3
-    note reduced to PYTH2's harmonic range by commas; the two differ where
-    that takes a comma, and the quotient pyth3/pyth2 is that power of the
-    comma (one comma up or down on a standard keyboard).  Returns a list
+    Both just notes of a key sit on it, so they differ by a power of the
+    comma; they agree on the keys `_AGREEING_KEYS`, and on every other key
+    both notes are read off it, with the quotient pyth3/pyth2 (one comma up
+    or down on a standard keyboard).  Returns a list
     of ``(degree, pyth3_name, pyth2_name, quotient)``.  Neither end of the
     range may lie beyond `MAX_DEGREE` either way.
     """
@@ -317,9 +317,6 @@ def pyth2_pyth3_differences(
     for n in range(degree_lo, degree_hi + 1):
         if n in _AGREEING_KEYS:
             continue
-        u, v = _key_exponents(n, PYTH3)
-        m = (_window(v, PYTH2) - v) // COMMA.v
-        if m:
-            p3, p2 = _ratio(u, v), _just_note(n, PYTH3, m)
-            out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), COMMA ** -m))
+        p3, p2 = _just_note(n, PYTH3), _just_note(n, PYTH2)
+        out.append((n, notation.name_of(p3), notation.pyth2_name_of(p2), p3 / p2))
     return out

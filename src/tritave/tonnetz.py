@@ -40,7 +40,7 @@ from .harmony import (
     _chord,
     classify,
 )
-from .ratios import FreqRatio, _check_ratio, _Record
+from .ratios import FreqRatio, _check_int, _check_ratio, _Record
 
 __all__ = [
     "TonnetzSystem",
@@ -205,8 +205,7 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     """
     if not isinstance(start, Triad):
         raise ValueError(f"start must be a Triad, not {type(start).__name__} {start}")
-    if isinstance(max_moves, bool) or not isinstance(max_moves, int):
-        raise ValueError(f"max_moves must be an int, not {max_moves!r}")
+    _check_int(max_moves, "max_moves")
     if not 0 <= max_moves <= 12:
         raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
     system = start.system

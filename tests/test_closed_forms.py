@@ -86,7 +86,9 @@ def fraction_just_frequencies(c):
         return [n.as_fraction() for n in c.notes]
     s1, s2 = harmony._steps(c)
     if s1 not in JUST_STEP or s2 not in JUST_STEP:
-        raise ValueError("no just interpretation for these step intervals")
+        raise ValueError(f"no just interpretation of {notation._quote(str(c))}: a step of "
+                         f"{s1 if s1 not in JUST_STEP else s2} semitones "
+                         "(4:5:6 purity takes 1 to 11)")
     pc = c.notes[0] % 12
     f0 = CANON_FREQ[pc] * Fraction(2) ** ((c.notes[0] - pc) // 12)
     return [f0, f0 * JUST_STEP[s1], f0 * JUST_STEP[s1] * JUST_STEP[s2]]
@@ -198,10 +200,14 @@ def test_purity_matches_the_fractions(system):
 
 
 def test_purity_refuses_the_steps_with_no_just_interval():
-    # the oracle's refusal, so that the comparison above sees both outcomes
-    for s1, s2 in ((4, 12), (13, 3), (14, 14)):
-        with pytest.raises(ValueError, match="^no just interpretation for these step intervals$"):
+    # the oracle's refusal, so that the comparison above sees both outcomes;
+    # the message names the chord and its first step with no just interval
+    for (s1, s2), chord, step in (((4, 12), "C-E-E'", 12), ((13, 3), "C-C#'-E'", 13),
+                                  ((14, 14), "C-D'-E''", 14)):
+        with pytest.raises(ValueError) as excinfo:
             harmony.purity(chord_456((0, s1, s1 + s2)))
+        assert str(excinfo.value) == (f'no just interpretation of "{chord}": a step of '
+                                      f"{step} semitones (4:5:6 purity takes 1 to 11)")
 
 
 def test_the_purity_memo_is_bounded():

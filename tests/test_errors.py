@@ -368,8 +368,11 @@ def test_chord_builders_check_each_note_before_the_sort(make, message):
      "move 3 of 'prz' must be P, L or R, not 'z'"),
     (["plr", "A", "E", "A'", "P" * 50 + "?"],
      "move 51 of 'PPPPPPPPPPPPPPPPPPPP'... (51 characters) must be P, L or R, not '?'"),
+    (["purity", "C", "E", "G'", "--system", "456"],
+     "no just interpretation of \"C-E-G'\": a step of 15 semitones "
+     "(4:5:6 purity takes 1 to 11)"),
 ], ids=["purity-repeated-name", "sequence-repeated-name-456", "plr-move-2", "plr-move-3-456",
-        "plr-move-51"])
+        "plr-move-51", "purity-no-just-step-456"])
 def test_cli_errors_name_the_input_as_typed(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

@@ -64,6 +64,8 @@ def test_scl_reader_validates():
         parse_scl("only description")
     with pytest.raises(ValueError):
         parse_scl("desc\n3\n100.0\n200.0")
+    # an empty or whitespace-only pitch line is skipped, not counted
+    assert parse_scl("x\n2\n100.0\n\n   \n3/2\n") == ("x", [100.0, cents(FreqRatio(-1, 1))])
 
 
 def test_scl_reader_rejects_a_bad_count_line_naming_it():
