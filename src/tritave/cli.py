@@ -26,7 +26,7 @@ import sys
 import types
 
 from . import notation, scales
-from .ratios import MAX_STR_DIGITS, FreqRatio
+from .ratios import MAX_STR_DIGITS, FreqRatio, _shown
 
 #: `exports.TABLE_IDS`, written out so the parser does not load `exports`.
 TABLE_IDS = ("t1", "t2", "diff", "plr456", "plr234", "purity234", "purity456")
@@ -36,10 +36,10 @@ def _parse_ratio_or_note(text: str) -> FreqRatio:
     num, slash, den = text.partition("/")
     if num.isdecimal():
         if slash and not den.isdecimal():
-            raise ValueError(f"bad ratio {text!r}: write a whole number N or a fraction N/D")
+            raise ValueError(f"bad ratio {_shown(text)}: write a whole number N or a fraction N/D")
         for part, digits in (("numerator", num), ("denominator", den)):
             if len(digits) > MAX_STR_DIGITS:
-                raise ValueError(f"ratio {text[:20]}...: the {part} has {len(digits)} digits, "
+                raise ValueError(f"ratio {_shown(text)}: the {part} has {len(digits)} digits, "
                                  f"more than {MAX_STR_DIGITS}")
         return FreqRatio.from_fraction(int(num), int(den) if slash else 1)
     try:
@@ -181,7 +181,7 @@ def _cmd_purity(args) -> int:
                            ("base frequency", (base.numerator, base.denominator)),
                            ("overtone frequency", (overtone.numerator, overtone.denominator))):
         if max(numbers) >= limit:
-            chord = " ".join(map(notation._quote, args.notes))
+            chord = " ".join(map(_shown, args.notes))
             raise ValueError(f"cannot write the purity of {chord}: the {label} line has a "
                              f"number of more than {MAX_STR_DIGITS} digits")
     a, b, c = report.ratio
@@ -203,7 +203,7 @@ def _cmd_tonnetz_path(args) -> int:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:      # its str quotes the whole file name
-            raise ValueError(f"cannot read {notation._quote(args.file)}: {exc.strerror}") from None
+            raise ValueError(f"cannot read {_shown(args.file)}: {exc.strerror}") from None
     chords = exports.parse_progression(text)
     if args.dot:
         sys.stdout.write(exports.emit_tonnetz_path(chords))

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from . import harmony, notation, scales, tonnetz
-from .ratios import FreqRatio, _parts
+from .ratios import FreqRatio, _check_type, _parts, _shown
 
 __all__ = [
     "ProgressionError",
@@ -47,11 +47,11 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     it may not start with ``!`` (a comment) or span lines.
     """
     if scale not in SCL_SCALES:
-        raise ValueError(f"unknown scale {scale!r}; choose from {SCL_SCALES}")
+        raise ValueError(f"unknown scale {_shown(scale)}; choose from {SCL_SCALES}")
     if description is not None:
-        _check_text(description, ".scl description")
+        _check_type(description, str, ".scl description must be")
         if description.startswith("!") or description.splitlines() not in ([], [description]):
-            raise ValueError(f".scl description {description!r} must not start with '!' "
+            raise ValueError(f".scl description {_shown(description)} must not start with '!' "
                              "or span lines")
     system = scales._SYSTEMS[scale]
     n = system.notes_per_period
@@ -63,11 +63,6 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
         else:
             lines.append(f"{scales.note_at_scale_degree(degree, system):.5f}")
     return "\n".join(lines) + "\n"
-
-
-def _check_text(text, what: str) -> None:
-    if not isinstance(text, str):
-        raise ValueError(f"{what} must be a str, not {type(text).__name__}")
 
 
 def _digits(text: str) -> bool:
@@ -100,14 +95,14 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
     The note count and a ratio's integers are ASCII digits, and cents a
     finite signed decimal in ASCII digits, the forms a Scala file holds.
     """
-    _check_text(text, ".scl text")
+    _check_type(text, str, ".scl text must be")
     lines = [ln for ln in text.splitlines() if not ln.startswith("!")]
     if len(lines) < 2:
         raise ValueError("truncated .scl: need a description and a note count")
     description = lines[0]
     text = lines[1].strip()
     if not _digits(text):
-        raise ValueError(f"bad .scl count line {text!r}: must be a note count")
+        raise ValueError(f"bad .scl count line {_shown(text)}: must be a note count")
     count = int(text)
     pitches = []
     for raw in lines[2:]:
@@ -210,7 +205,7 @@ def _table_rows(
     degree_hi: int = scales.PIANO_DEGREE_HI,
 ):
     """Header and rows of one reference table (``which`` as for `emit_table`)."""
-    _check_text(which, "a table id")
+    _check_type(which, str, "a table id must be")
     tables = {
         "diff": lambda: _diff_rows(degree_lo, degree_hi),
         "plr456": lambda: _plr_rows(harmony.TONNETZ_456, 3),
@@ -223,7 +218,7 @@ def _table_rows(
     if key in deviation_pairs:
         return _deviation_rows(deviation_pairs[key])
     if key not in tables:
-        raise ValueError(f"unknown table {which!r}; choose from {TABLE_IDS}")
+        raise ValueError(f"unknown table {_shown(which)}; choose from {TABLE_IDS}")
     return tables[key]()
 
 
@@ -251,7 +246,7 @@ def emit_table(
         return buf.getvalue()
     if format == "json":
         return _json_table(header, rows)
-    raise ValueError(f"format must be 'csv' or 'json', not {format!r}")
+    raise ValueError(f"format must be 'csv' or 'json', not {_shown(format)}")
 
 
 def _json_table(header: list[str], rows) -> str:
@@ -286,7 +281,7 @@ def parse_progression(text: str) -> list[harmony.Chord]:
 
     A comment starts at a word beginning with '#'; sharps in names stay.
     """
-    _check_text(text, "progression text")
+    _check_type(text, str, "progression text must be")
     chords = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = list(itertools.takewhile(lambda tok: not tok.startswith("#"), raw.split()))
@@ -328,7 +323,7 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
         raise ValueError("empty progression")
     notes: dict[FreqRatio, str] = {}
     for chord in chords:
-        harmony._check_chord(chord, "emit_tonnetz_path")
+        _check_type(chord, harmony.Chord, "emit_tonnetz_path takes")
         # Identity first, as in `harmony.reduce_chord_to_domain`.
         if chord.system is not harmony.TONNETZ_234 and chord.system != harmony.TONNETZ_234:
             raise ValueError("lattice paths are drawn for 2:3:4 progressions")

@@ -63,8 +63,8 @@ import math
 import operator
 
 from . import notation
-from .ratios import (FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _floor_log, _fraction_type,
-                     _part, _parts, _ratio, _Record)
+from .ratios import (FreqRatio, FIFTH, FOURTH, OCTAVE, ONE, TRITAVE, _check_type, _floor_log,
+                     _fraction_type, _part, _parts, _ratio, _Record, _shown, _SHOWN_BELOW)
 
 __all__ = [
     "ChordQuality",
@@ -129,7 +129,7 @@ class TonnetzSystem(_Record):
         """Reject a note whose type is not exactly the period's: no bool is a 4:5:6 note."""
         if type(note) is not type(self.period):
             raise ValueError(f"system {self.id} takes {type(self.period).__name__} notes, "
-                             f"not {note!r}")
+                             f"not {_shown(note)}")
 
     def parse_chord(self, names) -> Chord:
         """Chord of three distinct note names given in any order.  Of two names
@@ -143,8 +143,8 @@ class TonnetzSystem(_Record):
             repeats = [(q, p) for p, q in zip(order, order[1:]) if notes[p] == notes[q]]
             if repeats:     # the first repeat as read, with the first name of its note
                 q, p = min(repeats)
-                raise ValueError(f"chord notes must be distinct: {notation._quote(names[p])} "
-                                 f"and {notation._quote(names[q])} are one note")
+                raise ValueError(f"chord notes must be distinct: {_shown(names[p])} "
+                                 f"and {_shown(names[q])} are one note")
         notes = tuple(map(notes.__getitem__, order))
         # Trusted: `_parse` builds the system's notes, and they are sorted and distinct.
         return _chord(notes, self) if len(notes) == 3 else Chord(notes, self)
@@ -292,17 +292,16 @@ class Chord(_Record):
     def __init__(self, notes: tuple, system: TonnetzSystem | str = TONNETZ_234) -> None:
         if not isinstance(system, TonnetzSystem):
             if not isinstance(system, str) or system not in _SYSTEMS:
-                raise ValueError(f"unknown system {system!r}")
+                raise ValueError(f"unknown system {_shown(system)}")
             system = _SYSTEMS[system]
-        if not isinstance(notes, tuple):
-            raise ValueError(f"chord notes must be a tuple, not {type(notes).__name__}")
+        _check_type(notes, tuple, "chord notes must be")
         if len(notes) != 3:
-            raise ValueError(f"a chord needs exactly 3 notes, not {len(notes)}: {notes!r}")
+            raise ValueError(f"a chord needs exactly 3 notes, not {len(notes)}: {_shown(notes)}")
         for note in notes:
             system.check_note(note)
         a, b, c = notes
         if not (a < b < c):
-            raise ValueError(f"chord notes must be strictly ascending, not {notes!r}")
+            raise ValueError(f"chord notes must be strictly ascending, not {_shown(notes)}")
         self._set(notes, system)
 
     def names(self) -> tuple[str, str, str]:
@@ -363,11 +362,6 @@ def minor_triad_234(root: FreqRatio) -> Chord:
     return _chord(TONNETZ_234._triangle(root, False), TONNETZ_234)   # Trusted: a checked root
 
 
-def _check_chord(c, caller: str) -> None:
-    if not isinstance(c, Chord):
-        raise ValueError(f"{caller} takes a Chord, not {type(c).__name__}")
-
-
 def _steps(c: Chord):
     a, b, top = c.notes
     return c.system._step(a, b), c.system._step(b, top)
@@ -378,7 +372,7 @@ def classify(c: Chord) -> ChordQuality:
 
     Major stacks the up diagonal then the down one, minor the reverse.
     """
-    _check_chord(c, "classify")
+    _check_type(c, Chord, "classify takes")
     return _QUALITIES[c.system.id].get(_steps(c), ChordQuality.OTHER)
 
 
@@ -387,7 +381,7 @@ def invert(c: Chord, direction: str = "first") -> Chord:
 
     Three first inversions of a 2:3:4 chord land a whole tritave higher.
     """
-    _check_chord(c, "invert")
+    _check_type(c, Chord, "invert takes")
     a, b, top = c.notes
     system = c.system
     if direction == "first":
@@ -395,7 +389,7 @@ def invert(c: Chord, direction: str = "first") -> Chord:
     elif direction == "second":
         notes = (system._shift(top, system.period, -1), a, b)
     else:
-        raise ValueError(f"direction must be 'first' or 'second', not {direction!r}")
+        raise ValueError(f"direction must be 'first' or 'second', not {_shown(direction)}")
     return Chord(tuple(sorted(notes)), system)
 
 
@@ -405,7 +399,7 @@ def shift_in_circle(c: Chord, steps: int) -> Chord:
     The step is an octave for 2:3:4 chords (circle of octaves) and a fifth
     for 4:5:6 chords (circle of fifths).  No register reduction is applied.
     """
-    _check_chord(c, "shift_in_circle")
+    _check_type(c, Chord, "shift_in_circle takes")
     if not isinstance(steps, int):      # a bool is an int
         raise ValueError(f"shift_in_circle takes int steps, not {type(steps).__name__}")
     system = c.system
@@ -420,7 +414,7 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
     Each note keeps its tritave class, so this is a stack of first/second
     inversions; it is idempotent for a fixed root.
     """
-    _check_chord(c, "reduce_chord_to_domain")
+    _check_type(c, Chord, "reduce_chord_to_domain takes")
     # Identity first: `!=` on two systems compares seven fields.
     if c.system is not TONNETZ_234 and c.system != TONNETZ_234:
         raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
@@ -453,11 +447,11 @@ def _sequence(kind: str, tonic: Chord, steps: tuple[int, int]) -> list[Chord]:
     The shift and the voicing move with the tonic, so the two chords are
     those of the major tonic on the origin, moved to the tonic's root.
     """
-    _check_chord(tonic, f"{kind}_sequence")
+    _check_type(tonic, Chord, f"{kind}_sequence takes")
     quality = classify(tonic)
     if quality is not ChordQuality.MAJOR:
-        raise ValueError(f"{kind} sequence needs a major tonic, not "
-                         f"{notation._quote(str(tonic))} ({quality})")
+        raise ValueError(f"{kind} sequence needs a major tonic, not {_shown(str(tonic))} "
+                         f"({quality})")
     system, root = tonic.system, tonic.notes[0]
     shift = system._shift
     (a, b, c), (d, e, f) = _moved_from_origin(system.id, steps)
@@ -582,13 +576,15 @@ def _purity_shape(system_id: str, steps: tuple) -> tuple:
 
 def purity(c: Chord) -> PurityReport:
     """Express the chord as a:b:c and report both purity distances."""
-    _check_chord(c, "purity")
+    _check_type(c, Chord, "purity takes")
     system, steps = c.system, _steps(c)
     try:
         _, (b2, b3, b5), (o2, o3, o5) = _shape(system.id, steps)
-    except KeyError as step:    # a 4:5:6 step of 12 semitones or more
-        raise ValueError(f"no just interpretation of {notation._quote(str(c))}: a step of "
-                         f"{step} semitones (4:5:6 purity takes 1 to 11)") from None
+    except KeyError as key:     # a 4:5:6 step of 12 semitones or more
+        step = key.args[0]
+        step = f"of {step} semitones" if step < _SHOWN_BELOW else _shown(step)
+        raise ValueError(f"no just interpretation of {_shown(str(c))}: a step {step} "
+                         "(4:5:6 purity takes 1 to 11)") from None
     two, three, five = system._monzo(c.notes[0])
     low, high = (two + b2, three + b3, five + b5), (two + o2, three + o3, five + o5)
     # Names before values: a note too far up to spell fails as such, and

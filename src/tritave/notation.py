@@ -28,7 +28,7 @@ of the notes a comma apart on a key, the one in the harmonic range is named.
 from __future__ import annotations
 
 from . import scales
-from .ratios import FreqRatio, _check_int, _ratio, _Record
+from .ratios import FreqRatio, _check_int, _check_type, _ratio, _Record, _shown, _SHOWN_BELOW
 
 __all__ = [
     "NoteName",
@@ -70,23 +70,11 @@ _UNICODE_MARKS = {"#": "♯", "b": "♭", "'": "′", ",": "⌄",
 MAX_MARKS = 10**6
 
 
-def _quote(name: str) -> str:
-    """`repr` of a name for an error message; past 40 characters, its first
-    20, ``...`` and its length, so a message stays one short line."""
-    return repr(name) if len(name) <= 40 else f"{name[:20]!r}... ({len(name)} characters)"
-
-
-def _shown(value) -> str:
-    """The type and a cut repr of a bad argument; an int's repr past 4300 digits would raise."""
-    bits = value.bit_length() if isinstance(value, int) else 0
-    shown = repr(value) if bits <= 64 else f"of {bits} bits"
-    return f"{type(value).__name__} {shown if len(shown) <= 40 else shown[:20] + '...'}"
-
-
 def _marks(shift: int, up: str, down: str) -> str:
     """Period marks for a shift: ``up`` once per period up, ``down`` per period down."""
     if abs(shift) > MAX_MARKS:
-        raise ValueError(f"cannot spell a shift of {shift} periods: more than {MAX_MARKS} marks")
+        periods = f"of {shift} periods" if abs(shift) < _SHOWN_BELOW else _shown(shift)
+        raise ValueError(f"cannot spell a shift {periods}: more than {MAX_MARKS} marks")
     return up * shift if shift >= 0 else down * -shift
 
 
@@ -123,11 +111,14 @@ class NoteName(_Record):
 
     def __init__(self, base: str, tritave_shift: int = 0) -> None:
         if not isinstance(base, str):
-            raise ValueError(f"a base name must be a str, not {_shown(base)}")
+            raise ValueError(f"a base name must be a str, not {type(base).__name__} {_shown(base)}")
         if base not in _TRITAVE_BASES:
-            raise ValueError(f"unknown base name {_quote(base)}")
+            raise ValueError(f"unknown base name {_shown(base)}")
         if type(tritave_shift) is not int:      # no bool either
-            raise ValueError(f"a tritave shift must be an int, not {_shown(tritave_shift)}")
+            # Cut at 40 characters, a str too: here it is a value, not a name.
+            shown = _shown(tritave_shift)
+            raise ValueError(f"a tritave shift must be an int, not {type(tritave_shift).__name__} "
+                             f"{shown if len(shown) <= 40 else shown[:20] + '...'}")
         _set_base(self, base)
         _set_shift(self, tritave_shift)
 
@@ -183,9 +174,13 @@ def _exponent_str(ratio: FreqRatio) -> str:
 
 def _label(note) -> str:
     """A chord note as `str` of a chord or a lattice drawing shows it: its name;
-    a 2:3:4 note with no name by its ratio, or its exponents if that is too long."""
+    a 2:3:4 note with no name by its ratio, or its exponents if that is too long,
+    and a 4:5:6 one by its semitone number."""
     if type(note) is not FreqRatio:
-        return edo12_name(note)
+        try:
+            return edo12_name(note)
+        except ValueError:  # too far out to spell
+            return _shown(note)
     try:
         return _name_in(note)
     except ValueError:      # no name
@@ -201,7 +196,7 @@ def name_of(ratio: FreqRatio) -> NoteName:
     The 2-adic harmonic degree must already lie in [-9, 9]; callers holding
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
-    scales._check_ratio(ratio)
+    _check_type(ratio, FreqRatio, "a note must be")
     return NoteName(*_spell(ratio, scales.PYTH3))
 
 
@@ -212,21 +207,20 @@ def note_name_at_degree(degree: int) -> NoteName:
 
 
 def _split_marks(text: str, bases) -> tuple[str, str]:
-    if not isinstance(text, str):
-        raise ValueError(f"a note name must be a str, not {type(text).__name__}")
+    _check_type(text, str, "a note name must be")
     # The longest base name has 3 characters ("F#,", "Bb'"), so the longest
     # match is the first of three prefix lookups.
     for k in (3, 2, 1):
         if text[:k] in bases:
             return text[:k], text[k:]
-    raise ValueError(f"unknown note name {_quote(text)}")
+    raise ValueError(f"unknown note name {_shown(text)}")
 
 
 def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
     """Signed count of the marks after a base name: +1 per ``up``, -1 per ``down``."""
     # A run is its first mark repeated: one C fill and one compare check it.
     if marks and (marks[0] not in (up, down) or marks != marks[0] * len(marks)):
-        raise ValueError(f"bad {kind} marks in {_quote(text)}: use only {up!r} or only {down!r}")
+        raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
 
@@ -235,7 +229,7 @@ def parse_note(text: str) -> FreqRatio:
     base, marks = _split_marks(text, _TRITAVE_BASES)
     if marks and marks[0] in "'," and marks == marks[0] * len(marks):
         raise ValueError(
-            f"{_quote(text)} uses octave-system marks; in the tritave system write "
+            f"{_shown(text)} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
     note = _TRITAVE_BASES[base]
@@ -244,7 +238,7 @@ def parse_note(text: str) -> FreqRatio:
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
     """Octave-system spelling: base name plus repeated primes/commas."""
-    scales._check_ratio(ratio)
+    _check_type(ratio, FreqRatio, "a note must be")
     return _name_in(ratio, scales.PYTH2)
 
 
@@ -285,7 +279,7 @@ def keyboard_labels(midi_lo: int = 21, midi_hi: int = 108) -> list[KeyLabel]:
     _check_int(midi_hi, "midi_hi")
     if not 0 <= midi_lo <= midi_hi <= 127:
         raise ValueError("midi range must satisfy 0 <= lo <= hi <= 127, "
-                         f"not lo={midi_lo!r}, hi={midi_hi!r}")
+                         f"not lo={_shown(midi_lo)}, hi={_shown(midi_hi)}")
     labels = []
     for midi in range(midi_lo, midi_hi + 1):
         degree = midi - 62

@@ -65,9 +65,34 @@ class NotThreeSmoothError(ValueError):
     """A fraction had a prime factor other than 2 or 3."""
 
 
+_SHOWN_BELOW = 10**20      # `_shown` writes an int this large by its bit count
+
+
+def _shown(value) -> str:
+    """The caller's value as an error message writes it, on one short line: a str
+    past 40 characters as its first 20, ``...`` and its length; an int of more than
+    20 digits as ``of N bits``, after a noun (``degree of 1024 bits``); any other repr
+    past 200 characters as its first 20 and ``...``, or by type if it cannot be written."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+    if isinstance(value, int) and not -_SHOWN_BELOW < value < _SHOWN_BELOW:
+        return f"of {value.bit_length()} bits"
+    try:
+        shown = repr(value)
+    except ValueError:      # an int inside is past the digit limit
+        return f"a {type(value).__name__} too long to write"
+    return shown if len(shown) <= 200 else shown[:20] + "..."
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """Refuse a non-``kind`` by its type; ``what`` has the verb: ``"classify takes"``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} a {kind.__name__}, not {type(value).__name__}")
+
+
 def _check_int(value, name: str) -> None:
     if type(value) is not int:      # no bool either
-        raise ValueError(f"{name} must be an int, not {value!r}")
+        raise ValueError(f"{name} must be an int, not {_shown(value)}")
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:
@@ -249,13 +274,11 @@ class FreqRatio(_Record):
 
     def __init__(self, u: int, v: int) -> None:
         if type(u) is not int or type(v) is not int:    # no bool either
-            raise ValueError(f"exponent {v if type(u) is int else u!r} is not an integer")
+            raise ValueError(f"exponent {_shown(v if type(u) is int else u)} is not an integer")
         if not (-_INT64 <= u < _INT64 and -_INT64 <= v < _INT64):
             e = v if -_INT64 <= u < _INT64 else u
-            # str() of an int beyond 4300 digits raises by itself.
-            shown = (f"exponent {e}" if abs(e) < 10**20 else
-                     f"{'negative ' if e < 0 else ''}exponent of {e.bit_length()} bits")
-            raise ValueError(f"{shown} is outside [-2**63, 2**63)")
+            sign = "negative " if e <= -_SHOWN_BELOW else ""    # `_shown` writes no sign there
+            raise ValueError(f"{sign}exponent {_shown(e)} is outside [-2**63, 2**63)")
         _set_u(self, u)
         _set_v(self, v)
 
@@ -270,7 +293,7 @@ class FreqRatio(_Record):
         _check_int(denominator, "denominator")
         if numerator < 1 or denominator < 1:
             raise ValueError("numerator and denominator must be positive integers, "
-                             f"not {numerator}/{denominator}")
+                             f"not {_shown(numerator)}/{_shown(denominator)}")
         g = math.gcd(numerator, denominator)
         numerator, denominator = numerator // g, denominator // g
         num, nu = _strip(numerator, 2)
@@ -278,21 +301,22 @@ class FreqRatio(_Record):
         den, du = _strip(denominator, 2)
         den, dv = _strip(den, 3)
         if num != 1 or den != 1:
-            raise NotThreeSmoothError(f"not 3-smooth: {_written(numerator, denominator)} "
-                                      f"keeps a factor of {num * den}")
+            raise NotThreeSmoothError(f"not 3-smooth: numerator {_shown(numerator)} and "
+                                      f"denominator {_shown(denominator)} keep the factor "
+                                      f"{_shown(num * den)}")
         return cls(nu - du, nv - dv)
 
     def __mul__(self, other: FreqRatio) -> FreqRatio:
-        _check_ratio(other)
+        _check_type(other, FreqRatio, "a note must be")
         return _ratio(self.u + other.u, self.v + other.v)
 
     def __truediv__(self, other: FreqRatio) -> FreqRatio:
-        _check_ratio(other)
+        _check_type(other, FreqRatio, "a note must be")
         return _ratio(self.u - other.u, self.v - other.v)
 
     def __pow__(self, exponent: int) -> FreqRatio:
         if type(exponent) is not int:       # no bool either
-            raise ValueError(f"exponent {exponent!r} is not an integer")
+            raise ValueError(f"exponent {_shown(exponent)} is not an integer")
         return _ratio(self.u * exponent, self.v * exponent)
 
     def inverse(self) -> FreqRatio:
@@ -343,8 +367,8 @@ class FreqRatio(_Record):
             # digits.  Its digit bound is far under its bit bound.
             digits = int((a + b * LOG2_3) * _LOG10_2) + 1
             if digits > MAX_STR_DIGITS:
-                raise ValueError(f"cannot write {self!r}: its {part} has about {digits} digits, "
-                                 f"more than {MAX_STR_DIGITS}")
+                raise ValueError(f"cannot write FreqRatio({self.u}, {self.v}): its {part} has "
+                                 f"about {digits} digits, more than {MAX_STR_DIGITS}")
             parts.append(3 ** b << a)
         return _written(*parts)
 
@@ -386,14 +410,9 @@ def _parts(u: int, v: int) -> tuple[int, int]:
     return 3 ** b << a, 3 ** d << c
 
 
-def _check_ratio(ratio) -> None:
-    if not isinstance(ratio, FreqRatio):
-        raise ValueError(f"a note must be a FreqRatio, not {type(ratio).__name__}")
-
-
 def cents(ratio: FreqRatio) -> Cents:
     """1200 * log2 of the ratio."""
-    _check_ratio(ratio)
+    _check_type(ratio, FreqRatio, "a note must be")
     return ratio.cents()
 
 

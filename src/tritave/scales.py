@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_ratio, _floor_log,
-                     _fraction_type, _ratio, _Record, cents)
+from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_type, _floor_log,
+                     _fraction_type, _ratio, _Record, _shown, _SHOWN_BELOW, cents)
 
 __all__ = [
     "ScaleSystem",
@@ -61,8 +61,10 @@ class ScaleSystem(_Record):
     def __init__(self, id: str, period: FreqRatio, notes_per_period: int,
                  harmonic_range: tuple[int, int], degree_multiplier: int,
                  degree_multiplier_inv: int, just: bool) -> None:
+        _check_type(id, str, "a scale id must be")     # each message below names it
         if type(harmonic_range) is not tuple or list(map(type, harmonic_range)) != [int, int]:
-            raise ValueError(f"scale {id}: harmonic_range must be two ints, not {harmonic_range!r}")
+            raise ValueError(f"scale {id}: harmonic_range must be two ints, "
+                             f"not {_shown(harmonic_range)}")
         lo, hi = harmonic_range
         n, b, b_inv = notes_per_period, degree_multiplier, degree_multiplier_inv
         for name, value in (("notes_per_period", n), ("degree_multiplier", b),
@@ -70,11 +72,14 @@ class ScaleSystem(_Record):
             _check_int(value, f"scale {id}: {name}")
         # The fundamental domains are centred for these two only.
         if period not in (OCTAVE, TRITAVE):
-            raise ValueError(f"scale {id}: period {period!r} is not OCTAVE or TRITAVE")
+            raise ValueError(f"scale {id}: period {_shown(period)} is not OCTAVE or TRITAVE")
         if not 0 < n == hi - lo + 1:
-            raise ValueError(f"scale {id}: harmonic range {lo, hi} does not hold {n} notes")
+            held = f"{n} notes" if abs(n) < _SHOWN_BELOW else f"notes_per_period {_shown(n)}"
+            raise ValueError(f"scale {id}: harmonic range {_shown(harmonic_range)} does not hold "
+                             f"{held}")
         if b * b_inv % n != 1:
-            raise ValueError(f"scale {id}: multipliers {b}, {b_inv} not inverse modulo {n}")
+            raise ValueError(f"scale {id}: multipliers {_shown(b)}, {_shown(b_inv)} not inverse "
+                             f"modulo {_shown(n)}")
         self._set(id, period, n, harmonic_range, b, b_inv, just)
 
 
@@ -102,24 +107,19 @@ def _window(value: int, system: ScaleSystem) -> int:
     return (value - lo) % system.notes_per_period + lo
 
 
-def _check_system(system) -> None:
-    if not isinstance(system, ScaleSystem):
-        raise ValueError(f"a scale system must be a ScaleSystem, not {type(system).__name__}")
-
-
 def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
     _check_int(h, "harmonic degree")
-    _check_system(system)
+    _check_type(system, ScaleSystem, "a scale system must be")
     lo, hi = system.harmonic_range
     if not lo <= h <= hi:
-        raise ValueError(f"harmonic degree {h} outside [{lo}, {hi}]{hint}")
+        raise ValueError(f"harmonic degree {_shown(h)} outside [{lo}, {hi}]{hint}")
 
 
 def harmonic_degree(ratio: FreqRatio, system: ScaleSystem) -> int:
     """The exponent that locates a note in the system's harmonic circle:
     that of the prime other than the period, so whole periods keep it."""
-    _check_ratio(ratio)
-    _check_system(system)
+    _check_type(ratio, FreqRatio, "a note must be")
+    _check_type(system, ScaleSystem, "a scale system must be")
     return _harmonic_degree(ratio, system)
 
 
@@ -137,8 +137,8 @@ def reduce_to_fundamental(
     The quotient/remainder split of the raw harmonic degree makes ``m``
     unique, so reducing twice is a no-op.
     """
-    _check_ratio(ratio)
-    _check_system(system)
+    _check_type(ratio, FreqRatio, "a note must be")
+    _check_type(system, ScaleSystem, "a scale system must be")
     h = _harmonic_degree(ratio, system)
     # One comma moves the harmonic degree by a whole window: u - 19 in the
     # tritave scales, v + 12 in the octave scales.
@@ -161,8 +161,8 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     ``ceil(log(ratio**2 / upper) / log(period**2))``; ``rep**2`` is then
     above the lower bound, which sits one ``period**2`` further down.
     """
-    _check_ratio(ratio)
-    _check_system(system)
+    _check_type(ratio, FreqRatio, "a note must be")
+    _check_type(system, ScaleSystem, "a scale system must be")
     period = system.period
     upper_u, upper_v = _UPPER_SQ[period.u]
     shift = -_floor_log(upper_u - 2 * ratio.u, upper_v - 2 * ratio.v, 2 * period.u, 2 * period.v)
@@ -172,7 +172,7 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
     """Scale degree -> harmonic degree (multiplication by b**-1)."""
     _check_int(degree, "degree")
-    _check_system(system)
+    _check_type(system, ScaleSystem, "a scale system must be")
     return _window(system.degree_multiplier_inv * degree, system)
 
 
@@ -209,9 +209,9 @@ def note_at_scale_degree(
     system's own flavour.  A degree whose cents leave float range is refused.
     """
     _check_int(degree, "degree")
-    _check_system(system)
+    _check_type(system, ScaleSystem, "a scale system must be")
     if intonation not in (None, "just", "equal"):
-        raise ValueError(f"intonation must be 'just' or 'equal', not {intonation!r}")
+        raise ValueError(f"intonation must be 'just' or 'equal', not {_shown(intonation)}")
     just = system.just if intonation is None else intonation == "just"
     if just:
         return _just_note(degree, system)
@@ -220,8 +220,8 @@ def note_at_scale_degree(
     except OverflowError:       # the quotient alone is past float range
         pitch = math.inf
     if math.isinf(pitch):
-        shown = degree if degree.bit_length() <= 64 else f"of {degree.bit_length()} bits"
-        raise ValueError(f"degree {shown} is too far out for {system.id} cents in float range")
+        raise ValueError(f"degree {_shown(degree)} is too far out for {system.id} cents in "
+                         "float range")
     return pitch
 
 
@@ -268,7 +268,7 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     from . import notation
 
     if not isinstance(pair, str) or pair not in _TABLE_PAIRS:
-        raise ValueError(f"unknown table pair {pair!r}")
+        raise ValueError(f"unknown table pair {_shown(pair)}")
     system, degrees, boundary, boundary_names = _TABLE_PAIRS[pair]
     n_per, period_cents = system.notes_per_period, system.period.cents()
     period_value = float(system.period.numerator)
@@ -310,9 +310,9 @@ def pyth2_pyth3_differences(
         _check_int(degree, name)
         if abs(degree) > MAX_DEGREE:
             raise ValueError(f"{name} must be in [-{MAX_DEGREE}, {MAX_DEGREE}], "
-                             f"not {notation._shown(degree)}")
+                             f"not int {_shown(degree)}")
     if degree_lo > degree_hi:
-        raise ValueError(f"degree_lo {degree_lo!r} exceeds degree_hi {degree_hi!r}")
+        raise ValueError(f"degree_lo {_shown(degree_lo)} exceeds degree_hi {_shown(degree_hi)}")
     out = []
     for n in range(degree_lo, degree_hi + 1):
         if n in _AGREEING_KEYS:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratios import Cents, FreqRatio, _check_int, _floor_log, _Record
+from .ratios import Cents, FreqRatio, _check_int, _floor_log, _Record, _shown
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
@@ -33,7 +33,7 @@ def cf_coefficients(count: int) -> list[int]:
     """
     _check_int(count, "count")
     if not 1 <= count <= MAX_TERMS:
-        raise ValueError(f"count must be an integer in [1, {MAX_TERMS}], not {count!r}")
+        raise ValueError(f"count must be an integer in [1, {MAX_TERMS}], not {_shown(count)}")
     # Start from 3 over 2: log(3)/log(2), the reciprocal, has the same
     # quotients without the leading 0.
     (u, v), (pu, pv) = (0, 1), (1, 0)
@@ -84,6 +84,6 @@ def comma_for(p: int, q: int) -> tuple[FreqRatio, Cents]:
     _check_int(p, "p")
     _check_int(q, "q")
     if p < 1 or q < 1:
-        raise ValueError(f"p and q must be positive, not p={p!r}, q={q!r}")
+        raise ValueError(f"p and q must be positive, not p={_shown(p)}, q={_shown(q)}")
     ratio = FreqRatio(-q, p)
     return ratio, abs(ratio.cents())

@@ -29,18 +29,8 @@ the index: the class index of the same triad and of the same diagonals.
 
 from __future__ import annotations
 
-from . import notation
-from .harmony import (
-    TONNETZ_234,
-    TONNETZ_456,
-    Chord,
-    ChordQuality,
-    TonnetzSystem,
-    _check_chord,
-    _chord,
-    classify,
-)
-from .ratios import FreqRatio, _check_int, _check_ratio, _Record
+from .harmony import TONNETZ_234, TONNETZ_456, Chord, ChordQuality, TonnetzSystem, _chord, classify
+from .ratios import FreqRatio, _check_int, _check_type, _Record, _shown
 
 __all__ = [
     "TonnetzSystem",
@@ -69,12 +59,6 @@ _MAJOR, _MINOR = ChordQuality.MAJOR, ChordQuality.MINOR
 _PLR = {"P": ("up_diagonal", 0), "L": ("up_diagonal", 1), "R": ("down_diagonal", -1)}
 
 
-def _check_system(system) -> None:
-    """Refuse a system by its type; an id string is not looked up."""
-    if not isinstance(system, TonnetzSystem):
-        raise ValueError(f"a lattice system must be a TonnetzSystem, not {type(system).__name__}")
-
-
 class Triad(_Record):
     """A major or minor triangle: system, root and quality."""
 
@@ -82,7 +66,7 @@ class Triad(_Record):
 
     def __init__(self, system: TonnetzSystem, root: FreqRatio | int,
                  quality: ChordQuality) -> None:
-        _check_system(system)
+        _check_type(system, TonnetzSystem, "a lattice system must be")    # no id string
         if quality not in (_MAJOR, _MINOR):
             raise ValueError("a lattice triad is major or minor")
         system.check_note(root)
@@ -118,21 +102,20 @@ def minor_triad(root, system: TonnetzSystem = TONNETZ_234) -> Triad:
 
 
 def triad_from_chord(c: Chord) -> Triad:
-    _check_chord(c, "triad_from_chord")
+    _check_type(c, Chord, "triad_from_chord takes")
     quality = classify(c)
     if quality not in (_MAJOR, _MINOR):
-        raise ValueError(f"P/L/R moves need a major or minor triad, not "
-                         f"{notation._quote(str(c))} ({quality})")
+        raise ValueError(f"P/L/R moves need a major or minor triad, not {_shown(str(c))} "
+                         f"({quality})")
     return Triad(c.system, c.notes[0], quality)
 
 
 def apply_plr(t: Triad, move: str) -> Triad:
     """One parallel / relative / leading-tone exchange; an involution."""
-    if not isinstance(t, Triad):
-        raise ValueError(f"apply_plr takes a Triad, not {type(t).__name__}")
+    _check_type(t, Triad, "apply_plr takes")
     move = move.upper() if isinstance(move, str) else move
     if move not in ("P", "L", "R"):
-        raise ValueError(f"move must be P, L or R, not {move!r}")
+        raise ValueError(f"move must be P, L or R, not {_shown(move)}")
     major, system = t.quality is _MAJOR, t.system
     diagonal, times = _PLR[move]
     root = system._move_root(t.root, getattr(system, diagonal), times if major else -times)
@@ -144,13 +127,13 @@ def _check_moves(moves: str) -> None:
     """Refuse a move string with a letter other than P, L or R, naming its place."""
     for place, move in enumerate(moves, start=1):
         if move.upper() not in _PLR:
-            raise ValueError(f"move {place} of {notation._quote(moves)} must be P, L or R, "
-                             f"not {notation._quote(move)}")
+            raise ValueError(f"move {place} of {_shown(moves)} must be P, L or R, "
+                             f"not {_shown(move)}")
 
 
 def apply_plr_sequence(t: Triad, moves: str) -> Triad:
     if not isinstance(moves, str):
-        raise ValueError(f"moves must be a string of P, L and R, not {moves!r}")
+        raise ValueError(f"moves must be a string of P, L and R, not {_shown(moves)}")
     _check_moves(moves)
     for move in moves:
         t = apply_plr(t, move)
@@ -164,7 +147,7 @@ def note_class(note, system: TonnetzSystem) -> str:
     2-adic harmonic degree modulo 19; the label is the fundamental-domain
     name of that class.
     """
-    _check_system(system)
+    _check_type(system, TonnetzSystem, "a lattice system must be")
     return system.class_name(note)
 
 
@@ -203,11 +186,12 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     path of the finite one lifts to a path from the start: each level holds
     exactly the classes the infinite search reaches.
     """
-    if not isinstance(start, Triad):
-        raise ValueError(f"start must be a Triad, not {type(start).__name__} {start}")
+    if not isinstance(start, Triad):    # a chord by its name, which is bounded
+        shown = start if isinstance(start, Chord) else _shown(start)
+        raise ValueError(f"start must be a Triad, not {type(start).__name__} {shown}")
     _check_int(max_moves, "max_moves")
     if not 0 <= max_moves <= 12:
-        raise ValueError(f"max_moves must be in [0, 12], not {max_moves!r}")
+        raise ValueError(f"max_moves must be in [0, 12], not {_shown(max_moves)}")
     system = start.system
     table = system._class_table
     n = len(table)
@@ -230,7 +214,7 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
 
 def note_coordinates(ratio: FreqRatio) -> tuple[int, int]:
     """Plane embedding of a 2:3:4 note: octave (+2, 0), fifth (+1, +1)."""
-    _check_ratio(ratio)
+    _check_type(ratio, FreqRatio, "a note must be")
     return (2 * ratio.u + 3 * ratio.v, ratio.v)
 
 
@@ -240,8 +224,7 @@ def lattice_coordinates(t: Triad) -> tuple[tuple[int, int], ...]:
     Major triads point up, minor triads down; the base is always two units
     wide (one octave) with the middle vertex one unit off the base line.
     """
-    if not isinstance(t, Triad):
-        raise ValueError(f"lattice_coordinates takes a Triad, not {type(t).__name__}")
+    _check_type(t, Triad, "lattice_coordinates takes")
     if t.system != TONNETZ_234:
         raise ValueError("lattice coordinates are defined for the 2:3:4 system")
     return tuple(note_coordinates(n) for n in t.notes())

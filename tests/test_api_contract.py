@@ -5,7 +5,9 @@ each public record class and `FreqRatio`'s ``*``, ``/`` and ``**`` start from
 one valid call each (`CALLS`).  Then each argument position in turn takes
 each value of `WRONG`, the other arguments kept, and every such call must
 return or raise `ValueError`: never `TypeError`, `AttributeError` or any
-other exception.  The counterpart of `tests/test_cli_fuzz.py` for the library;
+other exception.  A `ValueError`'s message is one line of at most
+`MAX_MESSAGE` characters, and never Python's own refusal to write an int
+past 4300 digits.  The counterpart of `tests/test_cli_fuzz.py` for the library;
 it is deterministic and makes each call once.
 """
 
@@ -17,10 +19,15 @@ import tritave
 from tritave import (COMMA, EDO12, FIFTH, OCTAVE, ONE, PYTH2, PYTH3, TONNETZ_234, TONNETZ_456,
                      ChordQuality, Convergent, FreqRatio, KeyLabel, NoteName, ReachLevel,
                      ScaleRow, Triad, VerifyReport)
-from tritave.ratios import _Record
+from tritave.ratios import _Record, _shown
 
-#: The wrong values each argument position takes in turn.
-WRONG = [None, "x", 1.5, True, -1, 10**30, 2**64, math.nan, (), FreqRatio(3, -2), [], object()]
+#: The wrong values each argument position takes in turn: the last four are
+#: an int past `str`'s 4300 digits either way, a long str and a long tuple.
+WRONG = [None, "x", 1.5, True, -1, 10**30, 2**64, math.nan, (), FreqRatio(3, -2), [], object(),
+         10**5000, -10**5000, "x" * 10**5, tuple(range(10**5))]
+
+#: Most characters a refusal's message may have: it quotes the caller's value cut short.
+MAX_MESSAGE = 300
 
 #: Names in `tritave.__all__` that are not fuzzed, each with its reason.
 EXCLUDED = {
@@ -199,8 +206,11 @@ def test_a_call_returns_or_raises_value_error(name):
     for place, wrong, args in _wrong_calls(CALLS[name]):
         try:
             call(*args)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            message = str(exc)
+            if "\n" in message or len(message) > MAX_MESSAGE or "Exceeds the limit" in message:
+                broken.append(f"argument {place + 1} = {_shown(wrong)}: {_shown(message)}")
         except Exception as exc:        # noqa: BLE001 -- any other type breaks the contract
-            broken.append(f"argument {place + 1} = {wrong!r}: {type(exc).__name__}: {exc}")
+            broken.append(f"argument {place + 1} = {_shown(wrong)}: {type(exc).__name__}: "
+                          f"{_shown(str(exc))}")
     assert not broken, f"{name}:\n" + "\n".join(broken)

@@ -32,7 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 from tritave import harmony, notation, scales
 from tritave.harmony import (TONNETZ_234, TONNETZ_456, ChordQuality, PurityReport, chord_456,
                              classify, invert)
-from tritave.ratios import ONE, TRITAVE, FreqRatio, _strip
+from tritave.ratios import ONE, TRITAVE, FreqRatio, _shown, _strip
 from tritave.tonnetz import ReachLevel, Triad, apply_plr, reachable_note_classes
 
 
@@ -86,7 +86,7 @@ def fraction_just_frequencies(c):
         return [n.as_fraction() for n in c.notes]
     s1, s2 = harmony._steps(c)
     if s1 not in JUST_STEP or s2 not in JUST_STEP:
-        raise ValueError(f"no just interpretation of {notation._quote(str(c))}: a step of "
+        raise ValueError(f"no just interpretation of {_shown(str(c))}: a step of "
                          f"{s1 if s1 not in JUST_STEP else s2} semitones "
                          "(4:5:6 purity takes 1 to 11)")
     pc = c.notes[0] % 12

@@ -319,6 +319,46 @@ def test_purity_of_a_chord_too_large_to_write_is_refused_at_once(notes, message)
     assert str(excinfo.value) == message
 
 
+# 4:5:6 notes too far out to spell: a chord shows them by semitone number,
+# which past 20 digits is its size in bits.
+@pytest.mark.parametrize("notes, label", [
+    ((0, 4, 12 * 10**7), "C-E-120000000"),
+    ((0, 4, 10**20), "C-E-of 67 bits"),
+    ((0, 3, 10**5000), "C-Eb-of 16610 bits"),
+    ((-10**5000, 0, 4), "of 16610 bits-C-E"),
+], ids=["1e7-octaves", "20-digits", "5001-digits", "5001-digits-down"])
+def test_a_far_456_note_is_labelled_by_its_semitone(notes, label):
+    assert str(harmony.chord_456(notes)) == label
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: harmony.purity(harmony.chord_456((0, 4, 10**20))),
+     "no just interpretation of 'C-E-of 67 bits': a step of 99999999999999999996 semitones "
+     "(4:5:6 purity takes 1 to 11)"),
+    (lambda: harmony.purity(harmony.chord_456((0, 3, 10**5000))),
+     "no just interpretation of 'C-Eb-of 16610 bits': a step of 16610 bits "
+     "(4:5:6 purity takes 1 to 11)"),
+    (lambda: harmony.basic_sequence(harmony.chord_456((0, 3, 10**20))),
+     "basic sequence needs a major tonic, not 'C-Eb-of 67 bits' (other)"),
+    (lambda: harmony.cadence_sequence(harmony.chord_456((0, 3, 10**5000))),
+     "cadence sequence needs a major tonic, not 'C-Eb-of 16610 bits' (other)"),
+    (lambda: notation.edo12_name(10**5000),
+     "cannot spell a shift of 16607 bits: more than 1000000 marks"),
+    (lambda: notation.edo12_name(-10**5000),
+     "cannot spell a shift of 16607 bits: more than 1000000 marks"),
+    (lambda: str(notation.NoteName("C", 10**20)),
+     "cannot spell a shift of 67 bits: more than 1000000 marks"),
+    (lambda: str(notation.NoteName("C", 10**20 - 1)),
+     "cannot spell a shift of 99999999999999999999 periods: more than 1000000 marks"),
+], ids=["purity-20-digits", "purity-5001-digits", "basic-20-digits", "cadence-5001-digits",
+        "edo12-5001-digits", "edo12-5001-digits-down", "note-name-21-digits",
+        "note-name-20-digits"])
+def test_a_note_too_far_out_to_spell_is_refused_by_its_own_fault(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("base, message", [
     ("x" * 10**5, "unknown base name 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"),
     ([1] * 10**5, "a base name must be a str, not list [1, 1, 1, 1, 1, 1, 1..."),

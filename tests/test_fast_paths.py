@@ -690,7 +690,7 @@ def test_a_trusted_move_image_is_the_triad_the_checked_constructor_builds(triad,
     assert tonnetz.apply_plr(image, move) == triad
 
 
-def reference_differences(degree_lo, degree_hi):
+def per_key_differences(degree_lo, degree_hi):
     """Every key of the range built from its exponents, then kept where
     reducing the PYTH3 note to PYTH2's range takes a comma."""
     out = []
@@ -709,7 +709,7 @@ def reference_differences(degree_lo, degree_hi):
 ], ids=["piano", "300", "agreeing-span", "empty", "one-key", "max-low", "max-high"])
 def test_the_differences_are_those_of_the_per_key_build(bounds):
     got = scales.pyth2_pyth3_differences(*bounds)
-    assert got == reference_differences(*bounds)
+    assert got == per_key_differences(*bounds)
     assert (got == []) == (bounds in ((0, 5), (3, 3)))
 
 

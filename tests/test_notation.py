@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritave.ratios import OCTAVE, FreqRatio, TRITAVE
+from tritave.ratios import OCTAVE, FreqRatio, TRITAVE, _shown
 from tritave.scales import (
     PIANO_DEGREE_HI,
     PIANO_DEGREE_LO,
@@ -27,7 +27,6 @@ from tritave.notation import (
     parse_note,
     parse_pyth2_note,
     pyth2_name_of,
-    _quote,
 )
 
 
@@ -191,17 +190,17 @@ def test_names_beyond_the_mark_bound_fail_fast_naming_the_shift(scheme, shift):
 
 # The parsers as they read names before the prefix lookup and the str.count
 # mark check: a longest-first startswith scan, and set() over the marks.  The
-# messages quote names through the same rule, `_quote`.
+# messages quote names through the same rule, `_shown`.
 def _oracle_split(text, bases):
     for base in sorted(bases, key=len, reverse=True):
         if text.startswith(base):
             return base, text[len(base):]
-    raise ValueError(f"unknown note name {_quote(text)}")
+    raise ValueError(f"unknown note name {_shown(text)}")
 
 
 def _oracle_shift(text, marks, up, down, kind):
     if marks and set(marks) not in ({up}, {down}):
-        raise ValueError(f"bad {kind} marks in {_quote(text)}: use only {up!r} or only {down!r}")
+        raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
 
@@ -209,7 +208,7 @@ def _oracle_parse_note(text):
     base, marks = _oracle_split(text, BASE_NAMES_PYTH3)
     if marks and set(marks) in ({"'"}, {","}):
         raise ValueError(
-            f"{_quote(text)} uses octave-system marks; in the tritave system write "
+            f"{_shown(text)} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
     return NoteName(base, _oracle_shift(text, marks, "^", "v", "shift")).ratio()
