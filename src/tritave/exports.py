@@ -13,7 +13,7 @@ import itertools
 import math
 
 from . import harmony, notation, scales, tonnetz
-from .ratios import FreqRatio, _check_type, _parts, _shown
+from .ratios import MAX_STR_DIGITS, FreqRatio, _check_type, _parts, _shown
 
 __all__ = [
     "ProgressionError",
@@ -80,6 +80,8 @@ def _scl_cents(token: str) -> float:
             raise ValueError("cents are written in the ASCII digits 0-9, one '.' and a sign only")
         return cents
     num_text, _, den_text = token.partition("/")
+    if max(len(num_text), len(den_text)) > MAX_STR_DIGITS:    # before `int` refuses it
+        raise ValueError(f"a ratio's integers have at most {MAX_STR_DIGITS} digits")
     num, den = int(num_text), int(den_text or 1)
     if num <= 0 or den <= 0:
         raise ValueError("a ratio needs a positive numerator and denominator")
@@ -103,6 +105,9 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
     text = lines[1].strip()
     if not _digits(text):
         raise ValueError(f"bad .scl count line {_shown(text)}: must be a note count")
+    if len(text) > MAX_STR_DIGITS:
+        raise ValueError(f"bad .scl count line {_shown(text)}: a note count has at most "
+                         f"{MAX_STR_DIGITS} digits")
     count = int(text)
     pitches = []
     for raw in lines[2:]:
@@ -112,7 +117,7 @@ def parse_scl(text: str) -> tuple[str, list[float]]:
         try:
             pitches.append(_scl_cents(token))
         except ValueError as exc:
-            raise ValueError(f"bad .scl pitch line {raw.strip()!r}: {exc}") from None
+            raise ValueError(f"bad .scl pitch line {_shown(raw.strip())}: {exc}") from None
     if len(pitches) != count:
         raise ValueError(f"expected {count} pitches, found {len(pitches)}")
     return description, pitches

@@ -34,10 +34,10 @@ spelled by `notation`.
 All of that but the lowest note's vector depends only on the chord's two
 steps, so `purity` reads the rest off two memos of the last 16 shapes.
 The first holds the base note and the overtone as vectors over the lowest
-note, once the integers built from them have passed their size check; a
-call adds the lowest note's vector to those two and names them.  Only
-then does the second build or hand back a:b:c, the overtone distance and
-``lcm(a,b,c)``, so a chord refused by name leaves no big integer behind.
+note, and the size-checked exponents of a, b, c and ``lcm(a,b,c)`` over
+the base; a call adds the lowest note's vector to the first two and names
+them.  Only then does the second build those integers from the exponents
+or hand them back, so a chord refused by name leaves no big integer behind.
 Last come the base frequency and the overtone, the base times the lcm.
 Sequences move the same way: every major tonic of a system has one shape,
 so its subdominant, dominant and second dominant are worked out once, on
@@ -523,17 +523,6 @@ class PurityReport(_Record):
  _set_overtone_names) = PurityReport._setters
 
 
-def _whole(monzo, low) -> int:
-    """The integer ``monzo / low`` for a ``low`` at or below it in every prime.
-
-    Its 2-and-3 part is checked against `MAX_POWER_BITS` before it is built;
-    the 5-exponents of the just tables stay small.
-    """
-    two, three, five = map(operator.sub, monzo, low)
-    a, b = _part(two, three, "numerator")
-    return (3 ** b << a) * 5 ** five
-
-
 def _fractions(monzo, lcm: int) -> tuple[Fraction, Fraction]:
     """The exact value of a monzo and ``lcm`` times it; `_parts` checks the sizes."""
     Fraction = _fraction_type()
@@ -545,18 +534,17 @@ def _fractions(monzo, lcm: int) -> tuple[Fraction, Fraction]:
 
 @functools.lru_cache(maxsize=16)
 def _shape(system_id: str, steps: tuple) -> tuple:
-    """The notes, the base note and the first common overtone of the chord
-    with these steps, as monzos over its lowest note.
-
-    Each integer `_purity_shape` builds from them has passed its size
-    check, and nothing big is built here.  Errors are not kept.
+    """The base note and the first common overtone of the chord with these
+    steps, as monzos over its lowest note, and the ``(two, three, five)``
+    exponents of a, b, c and ``lcm(a,b,c)`` over the base note, each 2-and-3
+    part checked once by `_part`, in that order (the 5-exponents of the just
+    tables stay small).  Nothing big is built here; errors are not kept.
     """
     first, second = map(_SYSTEMS[system_id]._step_monzo, steps)
     notes = ((0, 0, 0), first, tuple(map(operator.add, first, second)))
     low, high = tuple(map(min, *notes)), tuple(map(max, *notes))
-    for monzo in (*notes, high):    # `_whole`'s size check, in its order
-        _part(monzo[0] - low[0], monzo[1] - low[1], "numerator")
-    return notes, low, high
+    return low, high, tuple((*_part(two - low[0], three - low[1], "numerator"), five - low[2])
+                            for two, three, five in (*notes, high))
 
 
 @functools.lru_cache(maxsize=16)
@@ -564,13 +552,12 @@ def _purity_shape(system_id: str, steps: tuple) -> tuple:
     """The integers of `purity` that every transposition of a chord shares.
 
     a:b:c, the overtone distance and ``lcm(a,b,c)`` for the chord with these
-    steps.  `purity` calls this only once the chord's names are spelled, so
-    the memo keeps no shape of a refused chord; it is bounded at 16 shapes,
-    each under `MAX_POWER_BITS`.
+    steps, built from `_shape`'s checked exponents.  `purity` calls this only
+    once the chord's names are spelled, so the memo keeps no shape of a
+    refused chord; it is bounded at 16 shapes, each under `MAX_POWER_BITS`.
     """
-    notes, low, high = _shape(system_id, steps)
-    a, b, top = (_whole(n, low) for n in notes)
-    lcm = _whole(high, low)
+    a, b, top, lcm = ((3 ** three << two) * 5 ** five
+                      for two, three, five in _shape(system_id, steps)[2])
     return (a, b, top), lcm // top, lcm
 
 
@@ -579,7 +566,7 @@ def purity(c: Chord) -> PurityReport:
     _check_type(c, Chord, "purity takes")
     system, steps = c.system, _steps(c)
     try:
-        _, (b2, b3, b5), (o2, o3, o5) = _shape(system.id, steps)
+        (b2, b3, b5), (o2, o3, o5), _ = _shape(system.id, steps)
     except KeyError as key:     # a 4:5:6 step of 12 semitones or more
         step = key.args[0]
         step = f"of {step} semitones" if step < _SHOWN_BELOW else _shown(step)

@@ -61,24 +61,25 @@ class ScaleSystem(_Record):
     def __init__(self, id: str, period: FreqRatio, notes_per_period: int,
                  harmonic_range: tuple[int, int], degree_multiplier: int,
                  degree_multiplier_inv: int, just: bool) -> None:
-        _check_type(id, str, "a scale id must be")     # each message below names it
+        _check_type(id, str, "a scale id must be")
+        scale = f"scale {id if len(id) <= 40 else _shown(id)}"   # each message below names it
         if type(harmonic_range) is not tuple or list(map(type, harmonic_range)) != [int, int]:
-            raise ValueError(f"scale {id}: harmonic_range must be two ints, "
+            raise ValueError(f"{scale}: harmonic_range must be two ints, "
                              f"not {_shown(harmonic_range)}")
         lo, hi = harmonic_range
         n, b, b_inv = notes_per_period, degree_multiplier, degree_multiplier_inv
         for name, value in (("notes_per_period", n), ("degree_multiplier", b),
                             ("degree_multiplier_inv", b_inv)):
-            _check_int(value, f"scale {id}: {name}")
+            _check_int(value, f"{scale}: {name}")
         # The fundamental domains are centred for these two only.
         if period not in (OCTAVE, TRITAVE):
-            raise ValueError(f"scale {id}: period {_shown(period)} is not OCTAVE or TRITAVE")
+            raise ValueError(f"{scale}: period {_shown(period)} is not OCTAVE or TRITAVE")
         if not 0 < n == hi - lo + 1:
             held = f"{n} notes" if abs(n) < _SHOWN_BELOW else f"notes_per_period {_shown(n)}"
-            raise ValueError(f"scale {id}: harmonic range {_shown(harmonic_range)} does not hold "
+            raise ValueError(f"{scale}: harmonic range {_shown(harmonic_range)} does not hold "
                              f"{held}")
         if b * b_inv % n != 1:
-            raise ValueError(f"scale {id}: multipliers {_shown(b)}, {_shown(b_inv)} not inverse "
+            raise ValueError(f"{scale}: multipliers {_shown(b)}, {_shown(b_inv)} not inverse "
                              f"modulo {_shown(n)}")
         self._set(id, period, n, harmonic_range, b, b_inv, just)
 

@@ -17,9 +17,7 @@ calls to exact arithmetic; no power of 2 or 3 is ever built.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ratios import Cents, FreqRatio, _check_int, _floor_log, _Record, _shown
+from .ratios import Cents, FreqRatio, _check_int, _floor_log, _fraction_type, _Record, _shown
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
@@ -55,7 +53,7 @@ class Convergent(_Record):
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
+        return _fraction_type()(self.p, self.q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"

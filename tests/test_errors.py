@@ -70,12 +70,18 @@ def scale_system(place, value):
      "scale pyth2: harmonic_range must be two ints, not (-5, 6.0)"),
     (lambda: scale_system(4, None), "scale pyth2: degree_multiplier must be an int, not None"),
     (lambda: scale_system(5, "x"), "scale pyth2: degree_multiplier_inv must be an int, not 'x'"),
+    (lambda: scales.ScaleSystem("y" * 40, ratios.OCTAVE, 12, (-5, 5), 7, 7, True),
+     f"scale {'y' * 40}: harmonic range (-5, 5) does not hold 12 notes"),
+    (lambda: scales.ScaleSystem("y" * 10**5, ratios.OCTAVE, 12, (-5, 5), 7, 7, True),
+     "scale 'yyyyyyyyyyyyyyyyyyyy'... (100000 characters): harmonic range (-5, 5) does not "
+     "hold 12 notes"),
 ], ids=["max_moves", "midi-range", "chord-size", "ascending-234", "ascending-456",
         "degree-range", "comma-p", "comma-q", "basic-sequence", "cadence-sequence", "plr-triad",
         "scl-scale", "path-456", "deviation-pair", "reduce-456", "repeated-name",
         "repeated-name-456-long", "far-sequence-tonic", "far-plr-triad", "abstract-system",
         "class-name", "power-none", "power-bool", "scale-count", "scale-range",
-        "scale-range-float", "scale-multiplier", "scale-inverse"])
+        "scale-range-float", "scale-multiplier", "scale-inverse", "scale-id-40-characters",
+        "scale-id-1e5-characters"])
 def test_error_names_the_failing_value(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
@@ -411,8 +417,11 @@ def test_chord_builders_check_each_note_before_the_sort(make, message):
     (["purity", "C", "E", "G'", "--system", "456"],
      "no just interpretation of \"C-E-G'\": a step of 15 semitones "
      "(4:5:6 purity takes 1 to 11)"),
+    # neither grammar reads the name: the tritave grammar's refusal stands
+    (["name", "H"], "unknown note name 'H'"),
+    (["reduce", "Q'", "--system", "pyth2"], "unknown note name \"Q'\""),
 ], ids=["purity-repeated-name", "sequence-repeated-name-456", "plr-move-2", "plr-move-3-456",
-        "plr-move-51", "purity-no-just-step-456"])
+        "plr-move-51", "purity-no-just-step-456", "name-unknown", "reduce-unknown-pyth2"])
 def test_cli_errors_name_the_input_as_typed(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -434,6 +443,10 @@ def test_an_equal_pitch_past_float_range_is_refused_by_its_degree(degree, messag
 def test_an_equal_pitch_just_inside_float_range_is_finite():
     assert scales.note_at_scale_degree(10**306, scales.EDO12) == 10**306 / 12 * 1200.0
     assert scales.note_at_scale_degree(-10**306, scales.EDT19, "equal") < 0
+
+
+def test_a_value_whose_repr_cannot_be_written_is_named_by_its_type():
+    assert ratios._shown((10**5000,)) == "a tuple too long to write"
 
 
 def test_a_negative_scl_count_is_refused_as_a_bad_count_line():
@@ -462,8 +475,8 @@ CENTS_FORM = "cents are written in the ASCII digits 0-9, one '.' and a sign only
     ("x\n1\n+1", "bad .scl pitch line '+1': a ratio is written in the ASCII digits 0-9 only"),
     ("x\n1\n١٢", "bad .scl pitch line '١٢': a ratio is written in the ASCII digits 0-9 only"),
     ("x\n1\n1.e999", "bad .scl pitch line '1.e999': cents must be a finite number"),
-    ("x\n1\n-" + "9" * 400 + ".", "bad .scl pitch line '-" + "9" * 400 + ".': "
-     "cents must be a finite number"),
+    ("x\n1\n-" + "9" * 400 + ".", "bad .scl pitch line '-" + "9" * 19 + "'... "
+     "(402 characters): cents must be a finite number"),
     ("x\n1\n1_0.5", "bad .scl pitch line '1_0.5': " + CENTS_FORM),
     ("x\n1\n1.5e3", "bad .scl pitch line '1.5e3': " + CENTS_FORM),
     ("x\n1\n١.٥", "bad .scl pitch line '١.٥': " + CENTS_FORM),
@@ -471,10 +484,20 @@ CENTS_FORM = "cents are written in the ASCII digits 0-9, one '.' and a sign only
     ("x\n1\n-3/2",
      "bad .scl pitch line '-3/2': a ratio needs a positive numerator and denominator"),
     ("x\n1\nabc", "bad .scl pitch line 'abc': invalid literal for int() with base 10: 'abc'"),
+    # digits counted before `int`, which past 4300 raises a limit text naming no line
+    ("x\n1\n" + "9" * 5000, "bad .scl pitch line '" + "9" * 20 + "'... (5000 characters): "
+     "a ratio's integers have at most 4300 digits"),
+    ("x\n1\n3/" + "9" * 5000, "bad .scl pitch line '3/" + "9" * 18 + "'... (5002 characters): "
+     "a ratio's integers have at most 4300 digits"),
+    ("x\n" + "9" * 5000, "bad .scl count line '" + "9" * 20 + "'... (5000 characters): "
+     "a note count has at most 4300 digits"),
+    ("x\n1\n1.5x " + "c" * 10**5, "bad .scl pitch line '1.5x " + "c" * 15 + "'... "
+     "(100005 characters): could not convert string to float: '1.5x'"),
 ], ids=["count-underscore", "count-plus", "count-arabic-indic", "numerator-underscore",
         "denominator-underscore", "ratio-plus", "ratio-arabic-indic", "cents-overflow",
         "cents-long-overflow", "cents-underscore", "cents-exponent", "cents-arabic-indic",
-        "ratio-negative", "ratio-letters"])
+        "ratio-negative", "ratio-letters", "ratio-digits", "denominator-digits", "count-digits",
+        "long-pitch-line"])
 def test_an_scl_file_is_read_in_its_own_forms_only(text, message):
     with pytest.raises(ValueError) as excinfo:
         exports.parse_scl(text)
@@ -484,4 +507,5 @@ def test_an_scl_file_is_read_in_its_own_forms_only(text, message):
 def test_the_scl_forms_still_read():
     assert exports.parse_scl("x\n 4 \n-5.0\n100.\n+.5\n 3/ foo\n")[1] == [
         -5.0, 100.0, 0.5, 1200 * math.log2(3)]
+    assert exports.parse_scl("x\n1\n1" + "0" * 4299)[1] == [1200 * math.log2(10**4299)]
 

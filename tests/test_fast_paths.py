@@ -8,13 +8,12 @@ the two just scales differ by the comma power that reduces one to the
 other, skipping the keys where they agree, and builds each deviation
 row's just note from its exponents; `notation` reads a note's base name
 and period shift off its key, testing each just scale's window once for
-purity's names, and builds the `NoteName` unchecked; `exports` writes
-table JSON without the indenting encoder; chord parsing sorts the notes
-with their places; and the walk primitives build their chords and P/L/R
-images through `harmony._chord` and `tonnetz._triad`, which check
-nothing.  Each is compared here with the path it replaced: the public
-`FreqRatio`, `NoteName`, `Chord` and `Triad` constructors, `Fraction`
-powers, the step-at-a-time period reduction of ``6**h``, the two-sided
+purity's names; `exports` writes table JSON without the indenting
+encoder; chord parsing sorts the notes with their places; and the walk
+primitives build their chords and P/L/R images through `harmony._chord`
+and `tonnetz._triad`, which check nothing.  Each is compared here with
+the path it replaced: the public `FreqRatio`, `Chord` and `Triad`
+constructors, `Fraction` powers, the step-at-a-time period reduction of ``6**h``, the two-sided
 test on the squared domain bounds, the shift of `scales.period_reduce`,
 the per-row `FreqRatio` product and `Fraction` of the deviation rows,
 the per-key difference build, the per-scale spelling, the messages of

@@ -91,6 +91,11 @@ def test_chord_commands_load_no_fractions(argv):
     assert loaded_after(*argv) & FRACTIONS == set()
 
 
+def test_convergents_load_no_fractions():
+    # Only `Convergent.value` builds a `Fraction`; the command prints p/q.
+    assert loaded_after("convergents") & FRACTIONS == set()
+
+
 def test_purity_loads_fractions_for_its_report_frequencies():
     assert loaded_after("purity", "--system", "456", "C", "E", "G") >= FRACTIONS
     assert loaded_after("purity", "A", "E", "A'") >= FRACTIONS
