@@ -70,23 +70,33 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+_CENTS_FORM = "cents are written in the ASCII digits 0-9, one '.' and a sign only"
+_RATIO_FORM = "a ratio is written in the ASCII digits 0-9 only"
+
+
 def _scl_cents(token: str) -> float:
     """One .scl pitch: cents when it holds a '.', else a ratio ``N/D`` or ``N``."""
     if "." in token and "/" not in token:
-        cents = float(token)
+        try:
+            cents = float(token)
+        except ValueError:      # refused by its form: Python's text repeats the token
+            raise ValueError(_CENTS_FORM) from None
         if not math.isfinite(cents):
             raise ValueError("cents must be a finite number")
         if not _digits(token.lstrip("+-").replace(".", "", 1)):
-            raise ValueError("cents are written in the ASCII digits 0-9, one '.' and a sign only")
+            raise ValueError(_CENTS_FORM)
         return cents
     num_text, _, den_text = token.partition("/")
     if max(len(num_text), len(den_text)) > MAX_STR_DIGITS:    # before `int` refuses it
         raise ValueError(f"a ratio's integers have at most {MAX_STR_DIGITS} digits")
-    num, den = int(num_text), int(den_text or 1)
+    try:
+        num, den = int(num_text), int(den_text or 1)
+    except ValueError:
+        raise ValueError(_RATIO_FORM) from None
     if num <= 0 or den <= 0:
         raise ValueError("a ratio needs a positive numerator and denominator")
     if not _digits(num_text + den_text):
-        raise ValueError("a ratio is written in the ASCII digits 0-9 only")
+        raise ValueError(_RATIO_FORM)
     # Logs of the integers, not of their quotient, which can leave float range.
     return 1200.0 * (math.log2(num) - math.log2(den))
 

@@ -15,7 +15,10 @@ Octave-based names instead repeat ``"'"`` and ``","`` for whole octaves
 (``G,`` in that spelling is reserved for the octave system; the same
 frequency is written ``C^`` here).  Everything is plain ASCII so files
 and CLI output are byte-stable; `NoteName.render` offers the pretty
-unicode marks for display.
+unicode marks for display.  A name is read with one lookup, of its first
+four characters less their period marks, and its marks as one run of one
+mark; only a refused name is searched again for its longest base prefix,
+which words the refusal.
 
 This module owns every spelling: note names, the 2:3:4 class names and the
 4:5:6 just names (as 12-EDO names).  Names are read off the piano keyboard:
@@ -97,7 +100,9 @@ def _base_at(key: int, system: scales.ScaleSystem) -> tuple[str, int]:
     return names[(key - lo) % n], (key - lo) // n
 
 
-_TRITAVE_BASES = _BASES[scales.PYTH3.id][3]
+_TRITAVE_BASES, _OCTAVE_BASES = _BASES[scales.PYTH3.id][3], _BASES[scales.PYTH2.id][3]
+# The plain B is the semitone below the plain C.
+_EDO12_SEMITONES = {name: pc - 12 if pc == 11 else pc for pc, name in enumerate(NAMES_EDO12)}
 # 2:3:4 note classes by u mod 19: tritaves keep the 2-exponent and a comma
 # moves it by 19, so the class of u is the base name on key 12*u.
 _TRITAVE_CLASSES = tuple(_base_at(12 * u, scales.PYTH3)[0]
@@ -206,34 +211,31 @@ def note_name_at_degree(degree: int) -> NoteName:
     return NoteName(*_base_at(degree, scales.PYTH3))
 
 
-def _split_marks(text: str, bases) -> tuple[str, str]:
+def _read(text: str, bases: dict, up: str, down: str, kind: str) -> tuple:
+    """A name's base value and signed mark count: +1 per ``up``, -1 per ``down``."""
     _check_type(text, str, "a note name must be")
-    # The longest base name has 3 characters ("F#,", "Bb'"), so the longest
-    # match is the first of three prefix lookups.
-    for k in (3, 2, 1):
-        if text[:k] in bases:
-            return text[:k], text[k:]
-    raise ValueError(f"unknown note name {_shown(text)}")
-
-
-def _mark_shift(text: str, marks: str, up: str, down: str, kind: str) -> int:
-    """Signed count of the marks after a base name: +1 per ``up``, -1 per ``down``."""
-    # A run is its first mark repeated: one C fill and one compare check it.
-    if marks and (marks[0] not in (up, down) or marks != marks[0] * len(marks)):
-        raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
-    return len(marks) if marks.startswith(up) else -len(marks)
+    # No base is longer than 3 characters or ends in one of its own marks, so
+    # the base is the first four characters less their marks; the rest must be
+    # one run, and a run is its last mark repeated: one C fill and one compare.
+    base = text[:4].rstrip(up + down)
+    value, n = bases.get(base), len(text) - len(base)
+    if value is not None and text.endswith(text[-1] * n):
+        return value, n if text[-1] == up else -n
+    # Refused: worded by the longest base prefix.
+    k = next((k for k in (3, 2, 1) if text[:k] in bases), 0)
+    if not k:
+        raise ValueError(f"unknown note name {_shown(text)}")
+    marks = text[k:]
+    if up == "^" and marks[0] in "'," and marks == marks[0] * len(marks):
+        raise ValueError(f"{_shown(text)} uses octave-system marks; in the tritave system "
+                         "write whole-tritave shifts with '^' and 'v'")
+    raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
 
 
 def parse_note(text: str) -> FreqRatio:
     """Parse a tritave-system name (inverse of :func:`name_of`)."""
-    base, marks = _split_marks(text, _TRITAVE_BASES)
-    if marks and marks[0] in "'," and marks == marks[0] * len(marks):
-        raise ValueError(
-            f"{_shown(text)} uses octave-system marks; in the tritave system write "
-            "whole-tritave shifts with '^' and 'v'"
-        )
-    note = _TRITAVE_BASES[base]
-    return _ratio(note.u, note.v + _mark_shift(text, marks, "^", "v", "shift"))
+    note, shift = _read(text, _TRITAVE_BASES, "^", "v", "shift")
+    return _ratio(note.u, note.v + shift)
 
 
 def pyth2_name_of(ratio: FreqRatio) -> str:
@@ -243,10 +245,8 @@ def pyth2_name_of(ratio: FreqRatio) -> str:
 
 
 def parse_pyth2_note(text: str) -> FreqRatio:
-    ratio = _BASES[scales.PYTH2.id][3]
-    base, marks = _split_marks(text, ratio)
-    note = ratio[base]
-    return _ratio(note.u + _mark_shift(text, marks, "'", ",", "octave"), note.v)
+    note, shift = _read(text, _OCTAVE_BASES, "'", ",", "octave")
+    return _ratio(note.u + shift, note.v)
 
 
 def edo12_name(semitone: int) -> str:
@@ -257,10 +257,8 @@ def edo12_name(semitone: int) -> str:
 
 
 def parse_edo12_note(text: str) -> int:
-    base, marks = _split_marks(text, NAMES_EDO12)
-    shift = _mark_shift(text, marks, "'", ",", "octave")
-    pc = NAMES_EDO12.index(base)
-    return (pc - 12 if pc == 11 else pc) + 12 * shift
+    semitone, shift = _read(text, _EDO12_SEMITONES, "'", ",", "octave")
+    return semitone + 12 * shift
 
 
 class KeyLabel(_Record):

@@ -8,16 +8,18 @@ the two just scales differ by the comma power that reduces one to the
 other, skipping the keys where they agree, and builds each deviation
 row's just note from its exponents; `notation` reads a note's base name
 and period shift off its key, testing each just scale's window once for
-purity's names; `exports` writes table JSON without the indenting
-encoder; chord parsing sorts the notes with their places; and the walk
-primitives build their chords and P/L/R images through `harmony._chord`
-and `tonnetz._triad`, which check nothing.  Each is compared here with
-the path it replaced: the public `FreqRatio`, `Chord` and `Triad`
-constructors, `Fraction` powers, the step-at-a-time period reduction of ``6**h``, the two-sided
-test on the squared domain bounds, the shift of `scales.period_reduce`,
-the per-row `FreqRatio` product and `Fraction` of the deviation rows,
-the per-key difference build, the per-scale spelling, the messages of
-the dict-keyed chord parse, and `json.dumps` with an indent.
+purity's names, and reads a name's base by one lookup; `exports` writes
+table JSON without the indenting encoder; chord parsing sorts the notes
+with their places; and the walk primitives build their chords and P/L/R
+images through `harmony._chord` and `tonnetz._triad`, which check
+nothing.  Each is compared here with the path it replaced: the public
+`FreqRatio`, `Chord` and `Triad` constructors, `Fraction` powers, the
+step-at-a-time period reduction of ``6**h``, the two-sided test on the
+squared domain bounds, the shift of `scales.period_reduce`, the per-row
+`FreqRatio` product and `Fraction` of the deviation rows, the per-key
+difference build, the per-scale spelling, the longest-prefix name
+reader, the messages of the dict-keyed chord parse, and `json.dumps`
+with an indent.
 """
 
 import itertools
@@ -31,7 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tritave import exports, harmony, notation, scales, tonnetz
 from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_STR_DIGITS, OCTAVE,
-                           TRITAVE, FreqRatio, _floor_log)
+                           TRITAVE, FreqRatio, _floor_log, _shown)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -382,6 +384,76 @@ def test_a_tritave_class_is_the_base_name_of_its_fundamental_note():
     for u in range(PYTH3.notes_per_period):
         note = scales.fundamental_note(scales._window(u, PYTH3), PYTH3)
         assert notation._TRITAVE_CLASSES[u] == reference_spelling(note, PYTH3)
+
+
+# --- reading a name by one lookup ------------------------------------------------
+
+def reference_read(text, names, up, down, kind):
+    """Base name and signed mark count by the longest of three prefix lookups,
+    then a check of the marks after it: the reader the one lookup replaced."""
+    base = next((text[:k] for k in (3, 2, 1) if text[:k] in names), None)
+    if base is None:
+        raise ValueError(f"unknown note name {_shown(text)}")
+    marks = text[len(base):]
+    if up == "^" and marks and marks[0] in "'," and marks == marks[0] * len(marks):
+        raise ValueError(f"{_shown(text)} uses octave-system marks; in the tritave system "
+                         "write whole-tritave shifts with '^' and 'v'")
+    if marks and (marks[0] not in (up, down) or marks != marks[0] * len(marks)):
+        raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
+    return base, len(marks) if marks.startswith(up) else -len(marks)
+
+
+def reference_parse_note(text):
+    base, shift = reference_read(text, notation.BASE_NAMES_PYTH3, "^", "v", "shift")
+    return notation.NoteName(base, shift).ratio()
+
+
+def reference_parse_pyth2_note(text):
+    base, shift = reference_read(text, notation.BASE_NAMES_PYTH2, "'", ",", "octave")
+    degree = PYTH2.harmonic_range[0] + notation.BASE_NAMES_PYTH2.index(base)
+    return scales.note_at_scale_degree(degree, PYTH2) * OCTAVE ** shift
+
+
+def reference_parse_edo12_note(text):
+    base, shift = reference_read(text, notation.NAMES_EDO12, "'", ",", "octave")
+    pc = notation.NAMES_EDO12.index(base)
+    return (pc - 12 if pc == 11 else pc) + 12 * shift
+
+
+def read_outcome(parse, text):
+    """The note read (exponents or semitone), or the message of the ValueError raised."""
+    try:
+        note = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return note if type(note) is int else (note.u, note.v)
+
+
+ALL_BASES = sorted({*notation.BASE_NAMES_PYTH3, *notation.BASE_NAMES_PYTH2,
+                    *notation.NAMES_EDO12})
+MARKS = "^v',"
+# The base names' characters, the four marks and one foreign character.
+name_chars = sorted({*"".join(ALL_BASES), *MARKS, "x"})
+short_names = st.text(st.sampled_from(name_chars), max_size=8)
+# A base, a run of up to 10**4 of one mark, and maybe one more character.
+long_names = st.builds(lambda base, mark, n, tail: base + mark * n + tail,
+                       st.sampled_from(ALL_BASES), st.sampled_from(MARKS),
+                       st.integers(0, 10**4), st.sampled_from(["", *MARKS, "x"]))
+
+
+@EXACT
+@given(short_names | long_names)
+@example("")
+@example("Ab^x")
+@example("F#,,")
+@example("Bb'^^")
+@example("A'''")
+@example("B" + "'" * 10**4)
+def test_a_name_is_read_as_the_longest_prefix_reader_reads_it(text):
+    for parse, reference in ((notation.parse_note, reference_parse_note),
+                             (notation.parse_pyth2_note, reference_parse_pyth2_note),
+                             (notation.parse_edo12_note, reference_parse_edo12_note)):
+        assert read_outcome(parse, text) == read_outcome(reference, text), text[:20]
 
 
 # --- table JSON written without the indenting encoder --------------------------
