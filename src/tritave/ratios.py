@@ -153,7 +153,8 @@ def _log_sign(du: int, dv: int) -> int:
     19/12, 84/53, ... of log2(3) with exponents beyond about 1e7.  Then the
     sign of ``du*log(2)/log(3) + dv`` is read off a rational enclosure of
     log(2)/log(3), refined until it excludes 0; no power of 2 or 3 is built.
-    `FreqRatio.__lt__` runs the same float test inline, under the same bound.
+    `FreqRatio.__lt__` and `_floor_log` run the same float test inline, under
+    the same bound.
     """
     if not dv:  # exact, and the only way to get 0
         return (du > 0) - (du < 0)
@@ -175,15 +176,18 @@ def _floor_log(u: int, v: int, pu: int, pv: int) -> int:
     """``floor(log(2**u * 3**v) / log(2**pu * 3**pv))`` for a base above 1, exactly.
 
     That is the largest ``n`` with ``base**n <= 2**u * 3**v``.  A float
-    proposes ``n`` and two sign tests confirm it.  Where the proposal is
+    proposes ``n`` and two sign tests confirm it, `_log_sign`'s float test
+    inline for both and a close call by `_log_sign`.  Where the proposal is
     wrong (an exact integer quotient rounded down, or exponents beyond
     about 2**48) the search widens in doubling steps and bisects; it starts
     at 0 for a base too close to 1 for its float log to clear the bound.
     """
     base = pu + pv * LOG2_3
     lo = math.floor((u + v * LOG2_3) / base) if base > (abs(pu) + abs(pv)) * _FLOAT_ERROR else 0
-    if (_log_sign(u - lo * pu, v - lo * pv) >= 0
-            and _log_sign(u - (lo + 1) * pu, v - (lo + 1) * pv) < 0):
+    du, dv = u - lo * pu, v - lo * pv
+    x, y = du + dv * LOG2_3, du - pu + (dv - pv) * LOG2_3
+    if (x > (abs(du) + abs(dv)) * _FLOAT_ERROR and -y > (abs(du - pu) + abs(dv - pv)) * _FLOAT_ERROR
+            or _log_sign(du, dv) >= 0 and _log_sign(du - pu, dv - pv) < 0):
         return lo
 
     def fits(n: int) -> bool:

@@ -11,6 +11,10 @@ Two just scales are generated inside the group of 3-smooth ratios:
 equal divisions of the octave, nineteen of the tritave).  The window
 sizes 12 and 19 both come from the Pythagorean comma 3**12/2**19: reducing
 a harmonic degree modulo the comma is what makes the scales finite.
+
+Just pitches are read off the key ``12*u + 19*v`` of ``2**u * 3**v``, and
+so is the period shift of a note whose harmonic degree lies in its
+period's window; outside it the shift is the exact `ratios._floor_log`.
 """
 
 from __future__ import annotations
@@ -93,9 +97,13 @@ _SYSTEMS = {s.id: s for s in (PYTH2, PYTH3, EDO12, EDT19)}
 
 # Fundamental domain of each period P: (c/sqrt(P), c*sqrt(P)] around a centre
 # c, 1 for the tritave scales and the comma for the octave ones.  Squared, its
-# bounds are rational, the lower one P**2 under the upper c**2*P.  The
-# exponents of c**2*P by the period's 2-exponent (TRITAVE 0, OCTAVE 1).
-_UPPER_SQ = ((0, 1), (2 * COMMA.u + 1, 2 * COMMA.v))
+# bounds are rational, the lower one P**2 under the upper c**2*P.  By the
+# period's 2-exponent (TRITAVE 0, OCTAVE 1): the window of harmonic degrees
+# whose notes on the window's keys fill the domain (PYTH3's or PYTH2's range
+# and notes per period, whatever range a `ScaleSystem` carries), then the
+# exponents of c**2*P.
+_PERIOD_DOMAIN = ((*PYTH3.harmonic_range, PYTH3.notes_per_period, 0, 1),
+                  (*PYTH2.harmonic_range, PYTH2.notes_per_period, 2 * COMMA.u + 1, 2 * COMMA.v))
 
 # On the keyboard the note 2**u * 3**v sits 12*u + 19*v keys up in both
 # just scales (a comma sits 0 keys up), so 6**h sits 31*h keys up.
@@ -157,17 +165,25 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
 
     Returns ``(rep, shift)`` with ``rep == ratio * period**(-shift)``, i.e.
     the input sits ``shift`` periods above its class representative.  The
-    harmonic degree is untouched.  The shift is the least one that puts
-    ``rep**2`` at or under the domain's upper bound,
+    harmonic degree is untouched.  In the period's window of harmonic
+    degrees ``lo .. lo + n - 1`` the shift is read off the key ``12*u +
+    19*v``: a period moves the key by ``n`` and keeps the degree, and the
+    window notes, on keys ``lo .. lo + n - 1``, are the fundamental interval
+    (`fundamental_note` reads them there), so the note is the window note of
+    its degree times ``period**((key - lo) // n)``.  Outside it the shift is
+    the least one that puts ``rep**2`` at or under the domain's upper bound,
     ``ceil(log(ratio**2 / upper) / log(period**2))``; ``rep**2`` is then
     above the lower bound, which sits one ``period**2`` further down.
     """
     _check_type(ratio, FreqRatio, "a note must be")
     _check_type(system, ScaleSystem, "a scale system must be")
-    period = system.period
-    upper_u, upper_v = _UPPER_SQ[period.u]
-    shift = -_floor_log(upper_u - 2 * ratio.u, upper_v - 2 * ratio.v, 2 * period.u, 2 * period.v)
-    return _ratio(ratio.u - shift * period.u, ratio.v - shift * period.v), shift
+    period, u, v = system.period, ratio.u, ratio.v
+    lo, hi, n, upper_u, upper_v = _PERIOD_DOMAIN[period.u]
+    if lo <= (v if period.u else u) <= hi:
+        shift = (12 * u + 19 * v - lo) // n
+    else:
+        shift = -_floor_log(upper_u - 2 * u, upper_v - 2 * v, 2 * period.u, 2 * period.v)
+    return _ratio(u - shift * period.u, v - shift * period.v), shift
 
 
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
@@ -207,7 +223,8 @@ def note_at_scale_degree(
     Just intonation returns the :class:`FreqRatio` (the fundamental-domain
     note shifted by whole periods); equal intonation returns cents.
     ``intonation`` may be ``"just"`` or ``"equal"`` and defaults to the
-    system's own flavour.  A degree whose cents leave float range is refused.
+    system's own flavour.  A degree whose exponents leave [-2**63, 2**63),
+    or whose cents leave float range, is refused.
     """
     _check_int(degree, "degree")
     _check_type(system, ScaleSystem, "a scale system must be")
@@ -215,7 +232,11 @@ def note_at_scale_degree(
         raise ValueError(f"intonation must be 'just' or 'equal', not {_shown(intonation)}")
     just = system.just if intonation is None else intonation == "just"
     if just:
-        return _just_note(degree, system)
+        try:
+            return _just_note(degree, system)
+        except ValueError:      # an exponent past the int64 range
+            raise ValueError(f"degree {_shown(degree)} is too far out for {system.id} exponents "
+                             "in [-2**63, 2**63)") from None
     try:
         pitch = degree / system.notes_per_period * system.period.cents()
     except OverflowError:       # the quotient alone is past float range

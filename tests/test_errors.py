@@ -440,6 +440,27 @@ def test_an_equal_pitch_past_float_range_is_refused_by_its_degree(degree, messag
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("system", [scales.PYTH3, scales.PYTH2, scales.EDT19],
+                         ids=lambda s: s.id)
+def test_a_just_pitch_past_the_exponent_range_is_refused_by_its_degree(system):
+    # The degrees around both ends of the range: a note up to the end, then
+    # the degree and the system named, not the exponent.
+    ends = range(system.notes_per_period * (2**63 - 2), system.notes_per_period * (2**63 + 2))
+    held = set()
+    for degree in (*ends, *(-d for d in ends)):
+        u, v = scales._key_exponents(degree, system)
+        fits = -2**63 <= u < 2**63 and -2**63 <= v < 2**63
+        held.add(fits)
+        if fits:
+            assert scales.note_at_scale_degree(degree, system, "just") == FreqRatio(u, v)
+            continue
+        with pytest.raises(ValueError) as excinfo:
+            scales.note_at_scale_degree(degree, system, "just")
+        assert str(excinfo.value) == (f"degree of {abs(degree).bit_length()} bits is too far out "
+                                      f"for {system.id} exponents in [-2**63, 2**63)")
+    assert held == {True, False}
+
+
 def test_an_equal_pitch_just_inside_float_range_is_finite():
     assert scales.note_at_scale_degree(10**306, scales.EDO12) == 10**306 / 12 * 1200.0
     assert scales.note_at_scale_degree(-10**306, scales.EDT19, "equal") < 0

@@ -3,23 +3,26 @@
 Arithmetic builds its results through `ratios._ratio`, which checks only
 the exponent range; `numerator`, `denominator` and `str` build ``2**a``
 and ``3**b`` directly; `scales` reads just pitches off the keyboard's
-degree map, tests domain membership by the period shift and finds where
-the two just scales differ by the comma power that reduces one to the
-other, skipping the keys where they agree, and builds each deviation
-row's just note from its exponents; `notation` reads a note's base name
-and period shift off its key, testing each just scale's window once for
-purity's names, and reads a name's base by one lookup; `exports` writes
-table JSON without the indenting encoder; chord parsing sorts the notes
-with their places; and the walk primitives build their chords and P/L/R
-images through `harmony._chord` and `tonnetz._triad`, which check
-nothing.  Each is compared here with the path it replaced: the public
-`FreqRatio`, `Chord` and `Triad` constructors, `Fraction` powers, the
-step-at-a-time period reduction of ``6**h``, the two-sided test on the
-squared domain bounds, the shift of `scales.period_reduce`, the per-row
-`FreqRatio` product and `Fraction` of the deviation rows, the per-key
-difference build, the per-scale spelling, the longest-prefix name
-reader, the messages of the dict-keyed chord parse, and `json.dumps`
-with an indent.
+degree map, and the period shift too in the period's window of harmonic
+degrees, tests domain membership by that shift and finds where the two
+just scales differ by the comma power that reduces one to the other,
+skipping the keys where they agree, and builds each deviation row's just
+note from its exponents; `notation` reads a note's base name and period
+shift off its key, testing each just scale's window once for purity's
+names, and reads a name's base by one lookup; `exports` writes table JSON
+without the indenting encoder; chord parsing sorts the notes with their
+places; and the walk primitives build their chords and P/L/R images
+through `harmony._chord` and `tonnetz._triad`, which check nothing.  Each
+is compared here with the path it replaced or with an oracle that does
+not call it: the public `FreqRatio`, `Chord` and `Triad` constructors,
+`Fraction` powers, the step-at-a-time period reduction of ``6**h``, the
+two-sided test on the squared domain bounds, the period shift that
+`test_ordering.oracle_period_shift` finds by sign tests on those bounds
+(`tests/test_ordering.py` checks `period_reduce` against it too), the
+per-row `FreqRatio` product and `Fraction` of the deviation rows, the
+per-key difference build, the per-scale spelling, the startswith and
+``set()`` name reader of `tests/test_notation.py`, the messages of the
+dict-keyed chord parse, and `json.dumps` with an indent.
 """
 
 import itertools
@@ -33,8 +36,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from tritave import exports, harmony, notation, scales, tonnetz
 from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_STR_DIGITS, OCTAVE,
-                           TRITAVE, FreqRatio, _floor_log, _shown)
+                           TRITAVE, FreqRatio, _floor_log)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
+
+from test_notation import READERS, read_outcome
+from test_ordering import oracle_period_shift
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -118,7 +124,8 @@ def test_the_table_holds_the_reduced_sixes(system):
     for h in range(lo, hi + 1):
         note = scales.fundamental_note(h, system)
         assert note == reference_fundamental_note(h, system)
-        assert note == scales.period_reduce(FreqRatio(h, h), system)[0]
+        six = FreqRatio(h, h)
+        assert note == six / system.period ** oracle_period_shift(six, system.period)
         assert scales.in_fundamental_interval(note, system)
         assert scales.harmonic_degree(note, system) == h
 
@@ -303,18 +310,18 @@ SPELLINGS = {   # per just scale: base names, marks up and down, error hint
 
 
 def reference_spelling(ratio, system) -> str:
-    """A note's name with the shift taken from `scales.period_reduce`.
+    """A note's name with the shift taken from `oracle_period_shift`.
 
     The base name is that of the note's scale degree in the window; the
     shift is how many periods the note sits above its representative in
-    the fundamental interval.
+    the fundamental interval, found by sign tests on the squared bounds.
     """
     names, up, down, kind = SPELLINGS[system.id]
     h = scales.harmonic_degree(ratio, system)
     scales._check_harmonic(
         h, system, f": not {kind}-system note, reduce to the fundamental set first")
     base = names[scales.harmonic_to_scale_degree(h, system) - system.harmonic_range[0]]
-    return base + notation._marks(scales.period_reduce(ratio, system)[1], up, down)
+    return base + notation._marks(oracle_period_shift(ratio, system.period), up, down)
 
 
 def spelled(name, *args):
@@ -388,47 +395,6 @@ def test_a_tritave_class_is_the_base_name_of_its_fundamental_note():
 
 # --- reading a name by one lookup ------------------------------------------------
 
-def reference_read(text, names, up, down, kind):
-    """Base name and signed mark count by the longest of three prefix lookups,
-    then a check of the marks after it: the reader the one lookup replaced."""
-    base = next((text[:k] for k in (3, 2, 1) if text[:k] in names), None)
-    if base is None:
-        raise ValueError(f"unknown note name {_shown(text)}")
-    marks = text[len(base):]
-    if up == "^" and marks and marks[0] in "'," and marks == marks[0] * len(marks):
-        raise ValueError(f"{_shown(text)} uses octave-system marks; in the tritave system "
-                         "write whole-tritave shifts with '^' and 'v'")
-    if marks and (marks[0] not in (up, down) or marks != marks[0] * len(marks)):
-        raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
-    return base, len(marks) if marks.startswith(up) else -len(marks)
-
-
-def reference_parse_note(text):
-    base, shift = reference_read(text, notation.BASE_NAMES_PYTH3, "^", "v", "shift")
-    return notation.NoteName(base, shift).ratio()
-
-
-def reference_parse_pyth2_note(text):
-    base, shift = reference_read(text, notation.BASE_NAMES_PYTH2, "'", ",", "octave")
-    degree = PYTH2.harmonic_range[0] + notation.BASE_NAMES_PYTH2.index(base)
-    return scales.note_at_scale_degree(degree, PYTH2) * OCTAVE ** shift
-
-
-def reference_parse_edo12_note(text):
-    base, shift = reference_read(text, notation.NAMES_EDO12, "'", ",", "octave")
-    pc = notation.NAMES_EDO12.index(base)
-    return (pc - 12 if pc == 11 else pc) + 12 * shift
-
-
-def read_outcome(parse, text):
-    """The note read (exponents or semitone), or the message of the ValueError raised."""
-    try:
-        note = parse(text)
-    except ValueError as exc:
-        return str(exc)
-    return note if type(note) is int else (note.u, note.v)
-
-
 ALL_BASES = sorted({*notation.BASE_NAMES_PYTH3, *notation.BASE_NAMES_PYTH2,
                     *notation.NAMES_EDO12})
 MARKS = "^v',"
@@ -450,10 +416,8 @@ long_names = st.builds(lambda base, mark, n, tail: base + mark * n + tail,
 @example("A'''")
 @example("B" + "'" * 10**4)
 def test_a_name_is_read_as_the_longest_prefix_reader_reads_it(text):
-    for parse, reference in ((notation.parse_note, reference_parse_note),
-                             (notation.parse_pyth2_note, reference_parse_pyth2_note),
-                             (notation.parse_edo12_note, reference_parse_edo12_note)):
-        assert read_outcome(parse, text) == read_outcome(reference, text), text[:20]
+    for parse, oracle in READERS:
+        assert read_outcome(parse, text) == read_outcome(oracle, text), text[:20]
 
 
 # --- table JSON written without the indenting encoder --------------------------

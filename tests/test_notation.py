@@ -70,7 +70,7 @@ def test_parse_print_round_trip_exhaustive():
 
 
 def test_a_note_name_ratio_is_its_base_note_times_a_tritave_power():
-    # `_oracle_parse_note` reads `NoteName.ratio`, so this pins it on its own
+    # `oracle_parse_note` reads `NoteName.ratio`, so this pins it on its own
     for base in BASE_NAMES_PYTH3:
         for shift in (-10**6, -3, 0, 2, 10**6, 2**62):
             assert NoteName(base, shift).ratio() == parse_note(base) * TRITAVE ** shift
@@ -188,47 +188,53 @@ def test_names_beyond_the_mark_bound_fail_fast_naming_the_shift(scheme, shift):
     assert time.perf_counter() - start < 0.5
 
 
-# The parsers as they read names before the prefix lookup and the str.count
-# mark check: a longest-first startswith scan, and set() over the marks.  The
-# messages quote names through the same rule, `_shown`.
-def _oracle_split(text, bases):
+# The one oracle of the three name readers, which `tests/test_fast_paths.py`
+# imports too: the parsers as they read names before the prefix lookup and the
+# str.count mark check, a longest-first startswith scan and set() over the
+# marks.  The messages quote names through the same rule, `_shown`.
+def oracle_split(text, bases):
     for base in sorted(bases, key=len, reverse=True):
         if text.startswith(base):
             return base, text[len(base):]
     raise ValueError(f"unknown note name {_shown(text)}")
 
 
-def _oracle_shift(text, marks, up, down, kind):
+def oracle_shift(text, marks, up, down, kind):
     if marks and set(marks) not in ({up}, {down}):
         raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
     return len(marks) if marks.startswith(up) else -len(marks)
 
 
-def _oracle_parse_note(text):
-    base, marks = _oracle_split(text, BASE_NAMES_PYTH3)
+def oracle_parse_note(text):
+    base, marks = oracle_split(text, BASE_NAMES_PYTH3)
     if marks and set(marks) in ({"'"}, {","}):
         raise ValueError(
             f"{_shown(text)} uses octave-system marks; in the tritave system write "
             "whole-tritave shifts with '^' and 'v'"
         )
-    return NoteName(base, _oracle_shift(text, marks, "^", "v", "shift")).ratio()
+    return NoteName(base, oracle_shift(text, marks, "^", "v", "shift")).ratio()
 
 
-def _oracle_parse_pyth2_note(text):
-    base, marks = _oracle_split(text, BASE_NAMES_PYTH2)
+def oracle_parse_pyth2_note(text):
+    base, marks = oracle_split(text, BASE_NAMES_PYTH2)
     degree = PYTH2.harmonic_range[0] + BASE_NAMES_PYTH2.index(base)
     note = note_at_scale_degree(degree, PYTH2)
-    return note * OCTAVE ** _oracle_shift(text, marks, "'", ",", "octave")
+    return note * OCTAVE ** oracle_shift(text, marks, "'", ",", "octave")
 
 
-def _oracle_parse_edo12_note(text):
-    base, marks = _oracle_split(text, NAMES_EDO12)
-    shift = _oracle_shift(text, marks, "'", ",", "octave")
+def oracle_parse_edo12_note(text):
+    base, marks = oracle_split(text, NAMES_EDO12)
+    shift = oracle_shift(text, marks, "'", ",", "octave")
     pc = NAMES_EDO12.index(base)
     return (pc - 12 if pc == 11 else pc) + 12 * shift
 
 
-def _outcome(parse, text):
+#: Each parser with its oracle.
+READERS = ((parse_note, oracle_parse_note), (parse_pyth2_note, oracle_parse_pyth2_note),
+           (parse_edo12_note, oracle_parse_edo12_note))
+
+
+def read_outcome(parse, text):
     try:
         return parse(text)
     except Exception as exc:            # the exception type and message must match too
@@ -259,17 +265,14 @@ def _parser_inputs():
             yield from (base + run for run in _with_one_other(mark * 10**5, others))
     yield from ("", "H", "H^", "^", "'", ",", "v", "#", "b", "c", "d^", " D", "D ",
                 "F#,,", "F#,'", "F#x", "Bb''", "Bbb", "Bbx", "C##", "Ebb", "A'b",
-                "G#'^", "A''", "Ab'", "Bb'x", "F,x", "F#,,^")
+                "G#'^", "A''", "Ab'", "Bb'x", "F,x", "F#,,^", "Ab^x", "Bb'^^", "A'''",
+                "B" + "'" * 10**4)
 
 
-@pytest.mark.parametrize("parse, oracle", [
-    (parse_note, _oracle_parse_note),
-    (parse_pyth2_note, _oracle_parse_pyth2_note),
-    (parse_edo12_note, _oracle_parse_edo12_note),
-], ids=["tritave", "octave", "edo12"])
+@pytest.mark.parametrize("parse, oracle", READERS, ids=["tritave", "octave", "edo12"])
 def test_parsers_match_the_set_and_startswith_oracle(parse, oracle):
     for text in _parser_inputs():
-        assert _outcome(parse, text) == _outcome(oracle, text), text[:20]
+        assert read_outcome(parse, text) == read_outcome(oracle, text), text[:20]
 
 
 @pytest.mark.parametrize("parse", [parse_note, parse_pyth2_note, parse_edo12_note])

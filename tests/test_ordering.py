@@ -2,14 +2,16 @@
 
 `FreqRatio` ordering, `in_fundamental_interval`, `period_reduce`,
 `reduce_chord_to_domain` and the floor-log behind them all decide the sign
-of ``du + dv*log2(3)`` without building ``2**u * 3**v``.  Here each is
-checked against the sign of
+of ``du + dv*log2(3)`` without building ``2**u * 3**v``; in the period's
+window of harmonic degrees `period_reduce` reads its shift off the key
+instead.  Here each is checked against the sign of
 ``2**du * 3**dv - 1`` as a big-integer `Fraction` where that is affordable,
 and against 100-digit `decimal` logarithms for exponents near 2**53 and
 2**62, where the float test cannot decide and the rational enclosure must.
 """
 
 import decimal
+import math
 import time
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from tritave import notation
 from tritave.harmony import chord_234, reduce_chord_to_domain
 from tritave.ratios import (
     LOG2_3,
+    OCTAVE,
     ONE,
     TRITAVE,
     FreqRatio,
@@ -27,7 +30,8 @@ from tritave.ratios import (
     _log_ratio_bounds,
     _log_sign,
 )
-from tritave.scales import PYTH2, PYTH3, in_fundamental_interval, period_reduce
+from tritave.scales import (EDO12, EDT19, PYTH2, PYTH3, ScaleSystem, in_fundamental_interval,
+                            period_reduce)
 
 # Reproducible in CI: the examples depend only on the test code.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -160,14 +164,14 @@ def test_floor_log_matches_the_oracle(pair, base):
     assert oracle_sign(u - (n + 1) * pu, v - (n + 1) * pv) < 0
 
 
-# Squared fundamental-domain bounds, written out independently of `scales`:
-# (1/3, 3] for the tritave scales, (c**2/2, 2*c**2] with c the comma for
-# the octave scales.
-_BOUNDS = {PYTH3: ((0, -1), (0, 1)), PYTH2: ((-39, 24), (-37, 24))}
+# Squared fundamental-domain bounds by period, written out independently of
+# `scales`: (1/3, 3] for the tritave scales, (c**2/2, 2*c**2] with c the comma
+# for the octave scales.
+_BOUNDS = {TRITAVE: ((0, -1), (0, 1)), OCTAVE: ((-39, 24), (-37, 24))}
 
 
 def oracle_in_domain(ratio: FreqRatio, system) -> bool:
-    (lu, lv), (hu, hv) = _BOUNDS[system]
+    (lu, lv), (hu, hv) = _BOUNDS[system.period]
     u, v = 2 * ratio.u, 2 * ratio.v
     return oracle_sign(u - lu, v - lv) > 0 and oracle_sign(hu - u, hv - v) >= 0
 
@@ -201,6 +205,80 @@ def test_period_reduce_lands_in_the_domain_by_whole_periods(probe):
     assert rep == ratio / system.period ** shift
     assert oracle_in_domain(rep, system)
     assert period_reduce(rep, system) == (rep, 0)
+
+
+def oracle_period_shift(ratio: FreqRatio, period: FreqRatio) -> int:
+    """How many periods a note sits above its class's note in the fundamental
+    interval: the least s with ``(ratio / period**s)**2`` at or under the upper
+    squared bound, searched from a float guess by `oracle_sign` alone."""
+    (lu, lv), (hu, hv) = _BOUNDS[period]
+    pu, pv = period.u, period.v
+
+    def fits(s: int) -> bool:
+        return oracle_sign(hu - 2 * (ratio.u - s * pu), hv - 2 * (ratio.v - s * pv)) >= 0
+
+    log2_3 = math.log2(3)
+    lo = hi = math.ceil(((2 * ratio.u - hu) + (2 * ratio.v - hv) * log2_3)
+                        / (2 * (pu + pv * log2_3)))
+    step = 1
+    while not fits(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while fits(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    # One squared period under the upper bound is the lower one: the note is inside.
+    assert oracle_sign(2 * (ratio.u - hi * pu) - lu, 2 * (ratio.v - hi * pv) - lv) > 0
+    return hi
+
+
+def outcome(call, *args):
+    """What a call returns, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Systems whose harmonic ranges are not their period's window: a note's
+# reduction by whole periods depends on the period alone.
+OTHER_RANGES = (ScaleSystem("octave-0", OCTAVE, 12, (0, 11), 7, 7, True),
+                ScaleSystem("octave-11", OCTAVE, 12, (-11, 0), 7, 7, False),
+                ScaleSystem("tritave-0", TRITAVE, 19, (0, 18), 12, 8, True),
+                ScaleSystem("tritave-18", TRITAVE, 19, (-18, 0), 12, 8, False))
+INT64_ENDS = st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1])
+
+
+@st.composite
+def period_probes(draw):
+    """A system and a note whose harmonic degree lies in or up to two past the
+    window of the system's period, or far out; the other exponent up to 2**62
+    either way or at the ends of the exponent range."""
+    system = draw(st.sampled_from([PYTH2, PYTH3, EDO12, EDT19, *OTHER_RANGES]))
+    lo, hi = (PYTH2 if system.period == OCTAVE else PYTH3).harmonic_range
+    h = draw(st.integers(lo - 2, hi + 2) | st.integers(-(2**62), 2**62) | INT64_ENDS)
+    other = draw(st.integers(-300, 300) | st.integers(-(2**62), 2**62) | INT64_ENDS)
+    return FreqRatio(other, h) if system.period == OCTAVE else FreqRatio(h, other), system
+
+
+@EXACT
+@given(period_probes())
+@example((FreqRatio(-2**63, 8), OTHER_RANGES[0]))
+@example((FreqRatio(2**63 - 1, -11), OTHER_RANGES[1]))
+@example((FreqRatio(18, -2**63), OTHER_RANGES[2]))
+@example((FreqRatio(-11, 2**63 - 1), OTHER_RANGES[3]))
+@example((FreqRatio(0, 2**63 - 1), PYTH2))
+def test_period_reduce_and_the_domain_test_are_those_of_the_sign_oracle(probe):
+    ratio, system = probe
+    shift = oracle_period_shift(ratio, system.period)
+    rep = outcome(FreqRatio, ratio.u - shift * system.period.u, ratio.v - shift * system.period.v)
+    want = rep if isinstance(rep, str) else (rep, shift)
+    got = outcome(period_reduce, ratio, system)
+    assert got == want
+    assert outcome(in_fundamental_interval, ratio, system) == (
+        want if isinstance(want, str) else shift == 0)
+    assert got == outcome(period_reduce, ratio, PYTH2 if system.period == OCTAVE else PYTH3)
 
 
 def oracle_in_tritave_above(note: FreqRatio, root: FreqRatio) -> bool:

@@ -19,7 +19,7 @@ from tritave.ratios import (
     NotThreeSmoothError,
     cents,
 )
-from tritave.scales import PYTH3, note_at_scale_degree
+from tritave.scales import PYTH2, PYTH3, note_at_scale_degree
 
 
 def test_from_fraction_examples():
@@ -97,8 +97,14 @@ def test_exponent_overflow_signalled():
     (lambda: OCTAVE ** 2**63, "exponent 9223372036854775808 is outside"),
     (lambda: FreqRatio(10**5000, 0), "exponent of 16610 bits is outside"),
     (lambda: FreqRatio(0, -10**5000), "negative exponent of 16610 bits is outside"),
-    (lambda: note_at_scale_degree(10**30, PYTH3), "exponent of 96 bits is outside"),
-], ids=["v-below", "v-above", "octave-power", "5000-digits", "negative-5000-digits", "degree-1e30"])
+    (lambda: note_at_scale_degree(10**30, PYTH3), "degree of 100 bits is too far out for pyth3 "
+     "exponents in"),
+    (lambda: note_at_scale_degree(10**30, PYTH2), "degree of 100 bits is too far out for pyth2 "
+     "exponents in"),
+    (lambda: note_at_scale_degree(-10**30, PYTH3), "degree of 100 bits is too far out for pyth3 "
+     "exponents in"),
+], ids=["v-below", "v-above", "octave-power", "5000-digits", "negative-5000-digits", "degree-1e30",
+        "degree-1e30-pyth2", "degree-minus-1e30"])
 def test_exponent_out_of_range_is_a_value_error_naming_it(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message + ' [-2**63, 2**63)')}$"):
         make()
