@@ -90,6 +90,12 @@ def _check_type(value, kind: type, what: str) -> None:
         raise ValueError(f"{what} a {kind.__name__}, not {type(value).__name__}")
 
 
+def _named(noun: str, value: int) -> str:
+    """``noun`` and an int as `_shown` writes it, with ``negative`` in front where
+    `_shown` writes it by its bit count alone: ``negative degree of 100 bits``."""
+    return f"{'negative ' if value <= -_SHOWN_BELOW else ''}{noun} {_shown(value)}"
+
+
 def _check_int(value, name: str) -> None:
     if type(value) is not int:      # no bool either
         raise ValueError(f"{name} must be an int, not {_shown(value)}")
@@ -280,15 +286,24 @@ class FreqRatio(_Record):
         if type(u) is not int or type(v) is not int:    # no bool either
             raise ValueError(f"exponent {_shown(v if type(u) is int else u)} is not an integer")
         if not (-_INT64 <= u < _INT64 and -_INT64 <= v < _INT64):
-            e = v if -_INT64 <= u < _INT64 else u
-            sign = "negative " if e <= -_SHOWN_BELOW else ""    # `_shown` writes no sign there
-            raise ValueError(f"{sign}exponent {_shown(e)} is outside [-2**63, 2**63)")
+            raise ValueError(f"{_named('exponent', v if -_INT64 <= u < _INT64 else u)} is "
+                             "outside [-2**63, 2**63)")
         _set_u(self, u)
         _set_v(self, v)
 
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int = 1) -> FreqRatio:
         """Factor a positive fraction into powers of 2 and 3.
+
+        Each part's exponents are read off its bits.  The 2-exponent is the
+        index of the lowest set bit.  ``3**b`` has ``floor(b*log2(3)) + 1``
+        bits, so the odd rest's 3-exponent is proposed as ``ceil((bits - 1) /
+        log2(3))`` and confirmed by one ``3**b == rest``: the float only
+        proposes.  When both parts are confirmed, the ratio is the difference
+        of their exponents, where common factors cancel with no gcd.  Anything
+        else, a cancelling pair such as 42/7 or a part with another prime,
+        takes the gcd and the repeated divisions, so a refusal still runs the
+        gcd path and is worded off the reduced fraction.
 
         Raises :class:`NotThreeSmoothError` if the reduced fraction has any
         other prime factor.
@@ -298,6 +313,13 @@ class FreqRatio(_Record):
         if numerator < 1 or denominator < 1:
             raise ValueError("numerator and denominator must be positive integers, "
                              f"not {_shown(numerator)}/{_shown(denominator)}")
+        a = (numerator & -numerator).bit_length() - 1
+        c = (denominator & -denominator).bit_length() - 1
+        num, den = numerator >> a, denominator >> c
+        b = math.ceil((num.bit_length() - 1) / LOG2_3)
+        d = math.ceil((den.bit_length() - 1) / LOG2_3)
+        if 3 ** b == num and 3 ** d == den:
+            return _ratio(a - c, b - d)
         g = math.gcd(numerator, denominator)
         numerator, denominator = numerator // g, denominator // g
         num, nu = _strip(numerator, 2)
@@ -308,7 +330,7 @@ class FreqRatio(_Record):
             raise NotThreeSmoothError(f"not 3-smooth: numerator {_shown(numerator)} and "
                                       f"denominator {_shown(denominator)} keep the factor "
                                       f"{_shown(num * den)}")
-        return cls(nu - du, nv - dv)
+        return _ratio(nu - du, nv - dv)
 
     def __mul__(self, other: FreqRatio) -> FreqRatio:
         _check_type(other, FreqRatio, "a note must be")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_type, _floor_log,
-                     _fraction_type, _ratio, _Record, _shown, _SHOWN_BELOW, cents)
+                     _fraction_type, _named, _ratio, _Record, _shown, _SHOWN_BELOW, cents)
 
 __all__ = [
     "ScaleSystem",
@@ -156,8 +156,17 @@ def reduce_to_fundamental(
 
 
 def in_fundamental_interval(ratio: FreqRatio, system: ScaleSystem) -> bool:
-    """Whether the note is its own class representative: no period moves it."""
-    return period_reduce(ratio, system)[1] == 0
+    """Whether the note is its own class representative: no period moves it.
+    The shift is tested as `period_reduce` reads it, and no representative is
+    built, so a note whose representative would leave the exponent range is
+    simply not in the interval."""
+    _check_type(ratio, FreqRatio, "a note must be")
+    _check_type(system, ScaleSystem, "a scale system must be")
+    period, u, v = system.period, ratio.u, ratio.v
+    lo, hi, n, upper_u, upper_v = _PERIOD_DOMAIN[period.u]
+    if lo <= (v if period.u else u) <= hi:
+        return lo <= 12 * u + 19 * v < lo + n
+    return _floor_log(upper_u - 2 * u, upper_v - 2 * v, 2 * period.u, 2 * period.v) == 0
 
 
 def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int]:
@@ -173,7 +182,9 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
     its degree times ``period**((key - lo) // n)``.  Outside it the shift is
     the least one that puts ``rep**2`` at or under the domain's upper bound,
     ``ceil(log(ratio**2 / upper) / log(period**2))``; ``rep**2`` is then
-    above the lower bound, which sits one ``period**2`` further down.
+    above the lower bound, which sits one ``period**2`` further down.  A note
+    whose representative leaves the exponent range is refused by the note
+    and the system.
     """
     _check_type(ratio, FreqRatio, "a note must be")
     _check_type(system, ScaleSystem, "a scale system must be")
@@ -183,7 +194,11 @@ def period_reduce(ratio: FreqRatio, system: ScaleSystem) -> tuple[FreqRatio, int
         shift = (12 * u + 19 * v - lo) // n
     else:
         shift = -_floor_log(upper_u - 2 * u, upper_v - 2 * v, 2 * period.u, 2 * period.v)
-    return _ratio(u - shift * period.u, v - shift * period.v), shift
+    try:
+        return _ratio(u - shift * period.u, v - shift * period.v), shift
+    except ValueError:      # the representative's period exponent leaves int64
+        raise ValueError(f"{_shown(ratio)} is too far out to reduce by whole {system.id} "
+                         "periods: its representative's exponents leave [-2**63, 2**63)") from None
 
 
 def scale_to_harmonic(degree: int, system: ScaleSystem) -> int:
@@ -235,14 +250,14 @@ def note_at_scale_degree(
         try:
             return _just_note(degree, system)
         except ValueError:      # an exponent past the int64 range
-            raise ValueError(f"degree {_shown(degree)} is too far out for {system.id} exponents "
-                             "in [-2**63, 2**63)") from None
+            raise ValueError(f"{_named('degree', degree)} is too far out for {system.id} "
+                             "exponents in [-2**63, 2**63)") from None
     try:
         pitch = degree / system.notes_per_period * system.period.cents()
     except OverflowError:       # the quotient alone is past float range
         pitch = math.inf
     if math.isinf(pitch):
-        raise ValueError(f"degree {_shown(degree)} is too far out for {system.id} cents in "
+        raise ValueError(f"{_named('degree', degree)} is too far out for {system.id} cents in "
                          "float range")
     return pitch
 

@@ -432,7 +432,7 @@ def test_cli_errors_name_the_input_as_typed(capsys, argv, message):
 @pytest.mark.parametrize("degree, message", [
     (10**308, "degree of 1024 bits is too far out for edo12 cents in float range"),
     (2**1030, "degree of 1031 bits is too far out for edo12 cents in float range"),
-    (-2**1030, "degree of 1031 bits is too far out for edo12 cents in float range"),
+    (-2**1030, "negative degree of 1031 bits is too far out for edo12 cents in float range"),
 ], ids=["cents-overflow", "quotient-overflow", "quotient-overflow-down"])
 def test_an_equal_pitch_past_float_range_is_refused_by_its_degree(degree, message):
     with pytest.raises(ValueError) as excinfo:
@@ -456,8 +456,9 @@ def test_a_just_pitch_past_the_exponent_range_is_refused_by_its_degree(system):
             continue
         with pytest.raises(ValueError) as excinfo:
             scales.note_at_scale_degree(degree, system, "just")
-        assert str(excinfo.value) == (f"degree of {abs(degree).bit_length()} bits is too far out "
-                                      f"for {system.id} exponents in [-2**63, 2**63)")
+        sign = "negative " if degree < 0 else ""
+        assert str(excinfo.value) == (f"{sign}degree of {abs(degree).bit_length()} bits is too "
+                                      f"far out for {system.id} exponents in [-2**63, 2**63)")
     assert held == {True, False}
 
 

@@ -2,7 +2,8 @@
 
 Arithmetic builds its results through `ratios._ratio`, which checks only
 the exponent range; `numerator`, `denominator` and `str` build ``2**a``
-and ``3**b`` directly; `scales` reads just pitches off the keyboard's
+and ``3**b`` directly, and `from_fraction` reads a 3-smooth fraction's
+exponents off its parts' bits; `scales` reads just pitches off the keyboard's
 degree map, and the period shift too in the period's window of harmonic
 degrees, tests domain membership by that shift and finds where the two
 just scales differ by the comma power that reduces one to the other,
@@ -15,14 +16,16 @@ places; and the walk primitives build their chords and P/L/R images
 through `harmony._chord` and `tonnetz._triad`, which check nothing.  Each
 is compared here with the path it replaced or with an oracle that does
 not call it: the public `FreqRatio`, `Chord` and `Triad` constructors,
-`Fraction` powers, the step-at-a-time period reduction of ``6**h``, the
-two-sided test on the squared domain bounds, the period shift that
-`test_ordering.oracle_period_shift` finds by sign tests on those bounds
-(`tests/test_ordering.py` checks `period_reduce` against it too), the
-per-row `FreqRatio` product and `Fraction` of the deviation rows, the
-per-key difference build, the per-scale spelling, the startswith and
-``set()`` name reader of `tests/test_notation.py`, the messages of the
-dict-keyed chord parse, and `json.dumps` with an indent.
+`Fraction` powers, the trial division of `oracles.oracle_from_fraction`,
+the step-at-a-time period reduction of ``6**h``, the two-sided test on the
+squared domain bounds, the period shift that `oracles.oracle_period_shift`
+finds by sign tests on those bounds (`tests/test_ordering.py` checks
+`period_reduce` against it too), the per-row `FreqRatio` product and
+`Fraction` of the deviation rows, the per-key difference build, the
+per-scale spelling, the startswith and ``set()`` name reader of
+`oracles.READERS` (`tests/test_notation.py` checks the parsers against it
+too), the messages of the dict-keyed chord parse, and `json.dumps` with an
+indent.
 """
 
 import itertools
@@ -39,8 +42,7 @@ from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_ST
                            TRITAVE, FreqRatio, _floor_log)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 
-from test_notation import READERS, read_outcome
-from test_ordering import oracle_period_shift
+from oracles import READERS, oracle_from_fraction, oracle_period_shift, read_outcome
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -84,6 +86,43 @@ def test_parts_and_text_are_those_of_the_fraction(u, v):
     else:
         with pytest.raises(ValueError, match=r"^cannot write FreqRatio\("):
             str(ratio)
+
+
+# --- from_fraction's exponents read off the bits ----------------------------------
+
+# Exponents of parts up to about 10**4 bits: 2**5000 * 3**3000 has 9755.
+twos = st.integers(0, 20) | st.integers(0, 5000)
+threes = st.integers(0, 20) | st.integers(0, 3000)
+smooth_parts = st.just(1) | st.builds(lambda a, b: 2**a * 3**b, twos, threes)
+# Just off a power of 3: past the bit-length proposal, or its confirmation.
+near_threes = (st.builds(lambda b, d: 3**b + d, threes, st.sampled_from([-1, 1]))
+               | st.builds(lambda b: 3**b * 5, threes)
+               | st.builds(lambda a, b: 2**a * 3**b * 7, twos, threes))
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two 3-smooth parts, maybe one of them replaced by a part just off a
+    power of 3 or one that is not positive, times a common factor: 3-smooth,
+    which cancels in the exponents, or not, which makes a cancelling pair such
+    as 42/7."""
+    parts = [draw(smooth_parts), draw(smooth_parts)]
+    if draw(st.booleans()):
+        parts[draw(st.integers(0, 1))] = draw(near_threes | st.integers(-2, 0))
+    common = draw(smooth_parts | smooth_parts | near_threes | st.sampled_from([5, 7, 35]))
+    return parts[0] * common, parts[1] * common
+
+
+@EXACT
+@given(fraction_pairs())
+@example((42, 7))
+@example((7, 42))
+@example((1, 3**3000 + 1))
+@example((3**6300, 2**5))
+@example((6**3000 * 5, 6**2999))
+@example((0, 0))
+def test_from_fraction_is_the_trial_division_oracle(pair):
+    assert read_outcome(FreqRatio.from_fraction, *pair) == read_outcome(oracle_from_fraction, *pair)
 
 
 def reference_domain(system):

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tritave.ratios import OCTAVE, FreqRatio, TRITAVE, _shown
+from tritave.ratios import OCTAVE, FreqRatio, TRITAVE
 from tritave.scales import (
     PIANO_DEGREE_HI,
     PIANO_DEGREE_LO,
@@ -28,6 +28,8 @@ from tritave.notation import (
     parse_pyth2_note,
     pyth2_name_of,
 )
+
+from oracles import READERS, read_outcome
 
 
 def test_name_of_examples():
@@ -186,59 +188,6 @@ def test_names_beyond_the_mark_bound_fail_fast_naming_the_shift(scheme, shift):
     with pytest.raises(ValueError, match=f"shift of {shift} periods"):
         spell(shift)
     assert time.perf_counter() - start < 0.5
-
-
-# The one oracle of the three name readers, which `tests/test_fast_paths.py`
-# imports too: the parsers as they read names before the prefix lookup and the
-# str.count mark check, a longest-first startswith scan and set() over the
-# marks.  The messages quote names through the same rule, `_shown`.
-def oracle_split(text, bases):
-    for base in sorted(bases, key=len, reverse=True):
-        if text.startswith(base):
-            return base, text[len(base):]
-    raise ValueError(f"unknown note name {_shown(text)}")
-
-
-def oracle_shift(text, marks, up, down, kind):
-    if marks and set(marks) not in ({up}, {down}):
-        raise ValueError(f"bad {kind} marks in {_shown(text)}: use only {up!r} or only {down!r}")
-    return len(marks) if marks.startswith(up) else -len(marks)
-
-
-def oracle_parse_note(text):
-    base, marks = oracle_split(text, BASE_NAMES_PYTH3)
-    if marks and set(marks) in ({"'"}, {","}):
-        raise ValueError(
-            f"{_shown(text)} uses octave-system marks; in the tritave system write "
-            "whole-tritave shifts with '^' and 'v'"
-        )
-    return NoteName(base, oracle_shift(text, marks, "^", "v", "shift")).ratio()
-
-
-def oracle_parse_pyth2_note(text):
-    base, marks = oracle_split(text, BASE_NAMES_PYTH2)
-    degree = PYTH2.harmonic_range[0] + BASE_NAMES_PYTH2.index(base)
-    note = note_at_scale_degree(degree, PYTH2)
-    return note * OCTAVE ** oracle_shift(text, marks, "'", ",", "octave")
-
-
-def oracle_parse_edo12_note(text):
-    base, marks = oracle_split(text, NAMES_EDO12)
-    shift = oracle_shift(text, marks, "'", ",", "octave")
-    pc = NAMES_EDO12.index(base)
-    return (pc - 12 if pc == 11 else pc) + 12 * shift
-
-
-#: Each parser with its oracle.
-READERS = ((parse_note, oracle_parse_note), (parse_pyth2_note, oracle_parse_pyth2_note),
-           (parse_edo12_note, oracle_parse_edo12_note))
-
-
-def read_outcome(parse, text):
-    try:
-        return parse(text)
-    except Exception as exc:            # the exception type and message must match too
-        return type(exc), str(exc)
 
 
 def _with_one_other(run, others):

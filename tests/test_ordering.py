@@ -4,14 +4,15 @@
 `reduce_chord_to_domain` and the floor-log behind them all decide the sign
 of ``du + dv*log2(3)`` without building ``2**u * 3**v``; in the period's
 window of harmonic degrees `period_reduce` reads its shift off the key
-instead.  Here each is checked against the sign of
+instead.  Here each is checked against `oracles.oracle_sign`, the sign of
 ``2**du * 3**dv - 1`` as a big-integer `Fraction` where that is affordable,
-and against 100-digit `decimal` logarithms for exponents near 2**53 and
-2**62, where the float test cannot decide and the rational enclosure must.
+and of 100-digit `decimal` logarithms for exponents near 2**53 and 2**62,
+where the float test cannot decide and the rational enclosure must;
+`period_reduce` against `oracles.oracle_period_shift`, which searches the
+shift by that sign alone.
 """
 
 import decimal
-import math
 import time
 from fractions import Fraction
 
@@ -33,31 +34,14 @@ from tritave.ratios import (
 from tritave.scales import (EDO12, EDT19, PYTH2, PYTH3, ScaleSystem, in_fundamental_interval,
                             period_reduce)
 
+from oracles import CTX, DEC_LOG2_3, DOMAIN_BOUNDS, oracle_period_shift, oracle_sign
+
 # Reproducible in CI: the examples depend only on the test code.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
-_CTX = decimal.Context(prec=100)
-_DEC_LOG2_3 = _CTX.divide(decimal.Decimal(3).ln(_CTX), decimal.Decimal(2).ln(_CTX))
-
-# Exponents up to this size are cheap enough for the Fraction oracle.
-_FRACTION_LIMIT = 20_000
-
-
-def oracle_sign(du: int, dv: int) -> int:
-    """Sign of log(2**du * 3**dv), from Fractions or 100-digit decimals."""
-    if max(abs(du), abs(dv)) <= _FRACTION_LIMIT:
-        x = Fraction(2) ** du * Fraction(3) ** dv - 1
-    else:
-        x = _CTX.add(du, _CTX.multiply(dv, _DEC_LOG2_3))
-        # |du + dv*log2(3)| exceeds 1e-40 for every exponent below 2**66
-        # (continued-fraction bound); 100 digits leave no doubt.
-        assert abs(x) > decimal.Decimal("1e-40")
-    return (x > 0) - (x < 0)
-
-
 def nearest_multiple(dv: int) -> int:
     """The integer nearest to dv*log2(3)."""
-    return int(_CTX.multiply(dv, _DEC_LOG2_3).to_integral_value())
+    return int(CTX.multiply(dv, DEC_LOG2_3).to_integral_value())
 
 
 small = st.integers(-300, 300)
@@ -97,13 +81,13 @@ def above_one(pair: tuple[int, int]) -> tuple[int, int]:
 
 def log2_3_convergents(count: int) -> list[tuple[int, int]]:
     """The first convergents p/q of log2(3), from its 100-digit value."""
-    x, (p0, q0), (p, q) = _DEC_LOG2_3, (0, 1), (1, 0)
+    x, (p0, q0), (p, q) = DEC_LOG2_3, (0, 1), (1, 0)
     out = []
     for _ in range(count):
         a = int(x)
         (p0, q0), (p, q) = (p, q), (a * p + p0, a * q + q0)
         out.append((p, q))
-        x = _CTX.divide(1, x - a)
+        x = CTX.divide(1, x - a)
     return out
 
 
@@ -117,14 +101,14 @@ def test_log2_3_constant_is_within_its_stated_error():
     # `_FLOAT_ERROR` assumes LOG2_3 within 2**-53 of log2(3).
     lo, hi = _log_ratio_bounds(40)
     assert 1 / hi - Fraction(2) ** -53 < Fraction(LOG2_3) < 1 / lo + Fraction(2) ** -53
-    assert abs(decimal.Decimal(LOG2_3) - _DEC_LOG2_3) < decimal.Decimal(2) ** -53
+    assert abs(decimal.Decimal(LOG2_3) - DEC_LOG2_3) < decimal.Decimal(2) ** -53
 
 
 @EXACT
 @given(st.tuples(st.integers(-2000, 2000), st.integers(-2000, 2000)))
 def test_decimal_oracle_agrees_with_fractions(pair):
     du, dv = pair
-    x = _CTX.add(du, _CTX.multiply(dv, _DEC_LOG2_3))
+    x = CTX.add(du, CTX.multiply(dv, DEC_LOG2_3))
     assert (x > 0) - (x < 0) == oracle_sign(du, dv)
 
 
@@ -164,14 +148,8 @@ def test_floor_log_matches_the_oracle(pair, base):
     assert oracle_sign(u - (n + 1) * pu, v - (n + 1) * pv) < 0
 
 
-# Squared fundamental-domain bounds by period, written out independently of
-# `scales`: (1/3, 3] for the tritave scales, (c**2/2, 2*c**2] with c the comma
-# for the octave scales.
-_BOUNDS = {TRITAVE: ((0, -1), (0, 1)), OCTAVE: ((-39, 24), (-37, 24))}
-
-
 def oracle_in_domain(ratio: FreqRatio, system) -> bool:
-    (lu, lv), (hu, hv) = _BOUNDS[system.period]
+    (lu, lv), (hu, hv) = DOMAIN_BOUNDS[system.period]
     u, v = 2 * ratio.u, 2 * ratio.v
     return oracle_sign(u - lu, v - lv) > 0 and oracle_sign(hu - u, hv - v) >= 0
 
@@ -205,32 +183,6 @@ def test_period_reduce_lands_in_the_domain_by_whole_periods(probe):
     assert rep == ratio / system.period ** shift
     assert oracle_in_domain(rep, system)
     assert period_reduce(rep, system) == (rep, 0)
-
-
-def oracle_period_shift(ratio: FreqRatio, period: FreqRatio) -> int:
-    """How many periods a note sits above its class's note in the fundamental
-    interval: the least s with ``(ratio / period**s)**2`` at or under the upper
-    squared bound, searched from a float guess by `oracle_sign` alone."""
-    (lu, lv), (hu, hv) = _BOUNDS[period]
-    pu, pv = period.u, period.v
-
-    def fits(s: int) -> bool:
-        return oracle_sign(hu - 2 * (ratio.u - s * pu), hv - 2 * (ratio.v - s * pv)) >= 0
-
-    log2_3 = math.log2(3)
-    lo = hi = math.ceil(((2 * ratio.u - hu) + (2 * ratio.v - hv) * log2_3)
-                        / (2 * (pu + pv * log2_3)))
-    step = 1
-    while not fits(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while fits(lo):
-        lo, hi, step = lo - step, lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-    # One squared period under the upper bound is the lower one: the note is inside.
-    assert oracle_sign(2 * (ratio.u - hi * pu) - lu, 2 * (ratio.v - hi * pv) - lv) > 0
-    return hi
 
 
 def outcome(call, *args):
@@ -273,12 +225,18 @@ def test_period_reduce_and_the_domain_test_are_those_of_the_sign_oracle(probe):
     ratio, system = probe
     shift = oracle_period_shift(ratio, system.period)
     rep = outcome(FreqRatio, ratio.u - shift * system.period.u, ratio.v - shift * system.period.v)
-    want = rep if isinstance(rep, str) else (rep, shift)
-    got = outcome(period_reduce, ratio, system)
-    assert got == want
-    assert outcome(in_fundamental_interval, ratio, system) == (
-        want if isinstance(want, str) else shift == 0)
-    assert got == outcome(period_reduce, ratio, PYTH2 if system.period == OCTAVE else PYTH3)
+
+    def want(system):
+        """The note and its shift, or the refusal of a representative past int64
+        by the note and the system."""
+        return (rep, shift) if isinstance(rep, FreqRatio) else (
+            f"{ratio!r} is too far out to reduce by whole {system.id} periods: its "
+            "representative's exponents leave [-2**63, 2**63)")
+    assert outcome(period_reduce, ratio, system) == want(system)
+    # The domain test builds no representative: a far note is just outside.
+    assert in_fundamental_interval(ratio, system) == (shift == 0)
+    same = PYTH2 if system.period == OCTAVE else PYTH3
+    assert outcome(period_reduce, ratio, same) == want(same)
 
 
 def oracle_in_tritave_above(note: FreqRatio, root: FreqRatio) -> bool:

@@ -47,6 +47,29 @@ def test_from_fraction_exhaustive_small_powers():
             assert FreqRatio.from_fraction(2**a * 3**b) == FreqRatio(a, b)
 
 
+def best_of_3(call) -> float:
+    """Least process time of three calls: a growth ratio, unmoved by other processes."""
+    times = []
+    for _ in range(3):
+        start = time.process_time()
+        call()
+        times.append(time.process_time() - start)
+    return min(times)
+
+
+def test_from_fraction_far_up_is_cheap():
+    # the gcd and the repeated divisions took 10.6 s at this height
+    far = 6**10**6 * 2**7
+    start = time.perf_counter()
+    assert FreqRatio.from_fraction(far, 3**5) == FreqRatio(10**6 + 7, 10**6 - 5)
+    assert time.perf_counter() - start < 0.5
+    # 8x the exponent: one Karatsuba power of 3 reads about 27x, the divisions 64x
+    low, high = (6**n * 2**7 for n in (10**5, 8 * 10**5))
+    growth = (best_of_3(lambda: FreqRatio.from_fraction(high, 3**5))
+              / best_of_3(lambda: FreqRatio.from_fraction(low, 3**5)))
+    assert growth < 40
+
+
 def test_round_trip_through_fraction():
     for u in range(-30, 31):
         for v in range(-30, 31):
@@ -101,8 +124,8 @@ def test_exponent_overflow_signalled():
      "exponents in"),
     (lambda: note_at_scale_degree(10**30, PYTH2), "degree of 100 bits is too far out for pyth2 "
      "exponents in"),
-    (lambda: note_at_scale_degree(-10**30, PYTH3), "degree of 100 bits is too far out for pyth3 "
-     "exponents in"),
+    (lambda: note_at_scale_degree(-10**30, PYTH3), "negative degree of 100 bits is too far out "
+     "for pyth3 exponents in"),
 ], ids=["v-below", "v-above", "octave-power", "5000-digits", "negative-5000-digits", "degree-1e30",
         "degree-1e30-pyth2", "degree-minus-1e30"])
 def test_exponent_out_of_range_is_a_value_error_naming_it(make, message):
