@@ -9,11 +9,10 @@ locale, and nothing depends on time or environment.  `csv`, `json` and
 from __future__ import annotations
 
 import io
-import itertools
 import math
 
 from . import harmony, notation, scales, tonnetz
-from .ratios import MAX_STR_DIGITS, FreqRatio, _check_type, _parts, _shown
+from .ratios import MAX_STR_DIGITS, _check_type, _parts, _shown
 
 __all__ = [
     "ProgressionError",
@@ -299,7 +298,12 @@ def parse_progression(text: str) -> list[harmony.Chord]:
     _check_type(text, str, "progression text must be")
     chords = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = list(itertools.takewhile(lambda tok: not tok.startswith("#"), raw.split()))
+        tokens = raw.split()
+        if "#" in raw:      # the comment is cut at its first word, which `split` leaves non-empty
+            for k, token in enumerate(tokens):
+                if token[0] == "#":
+                    del tokens[k:]
+                    break
         if not tokens:
             continue
         if len(tokens) != 3:
@@ -331,44 +335,46 @@ def emit_tonnetz_path(chords: list[harmony.Chord]) -> str:
     chain through the chord nodes in playing order.  Chords that are not
     major/minor/augmented/diminished are kept but flagged with '?'.  A note
     with no name is labelled by its ratio, or by its exponents, ``2^u*3^v``,
-    when the ratio is too long to write.
+    when the ratio is too long to write.  Notes are keyed, sorted and placed
+    by their exponents ``(u, v)``, read off the checked chords, and a chord's
+    quality by the steps between them, as `harmony.classify` reads it.
     """
     chords = harmony._items(chords, "a progression")
     if not chords:
         raise ValueError("empty progression")
-    notes: dict[FreqRatio, str] = {}
+    notes, keyed = {}, []     # each note by its exponents; each chord's note keys
     for chord in chords:
         _check_type(chord, harmony.Chord, "emit_tonnetz_path takes")
         # Identity first, as in `harmony.reduce_chord_to_domain`.
         if chord.system is not harmony.TONNETZ_234 and chord.system != harmony.TONNETZ_234:
             raise ValueError("lattice paths are drawn for 2:3:4 progressions")
-        notes.update((n, notation._label(n)) for n in chord.notes if n not in notes)
+        a, b, c = chord.notes
+        keys = (a.u, a.v), (b.u, b.v), (c.u, c.v)
+        notes.update(zip(keys, chord.notes))
+        keyed.append(keys)
 
     lines = [
         "digraph tonnetz_path {",
         "  // octave (+2,0), fifth (+1,+1), fourth (+1,-1)",
         "  node [fontsize=10];",
     ]
-    for note in sorted(notes, key=lambda r: (r.u, r.v)):
-        x, y = tonnetz.note_coordinates(note)
-        lines.append(f'  "{notes[note]}" [shape=circle, pos="{x},{y}!"];')
-    for i, chord in enumerate(chords, start=1):
-        quality = harmony.classify(chord)
-        flagged = quality is harmony.ChordQuality.OTHER
-        label = f"{i}?" if flagged else str(i)
-        fill = "white" if flagged else "lightgray"
-        coords = [tonnetz.note_coordinates(n) for n in chord.notes]
-        cx = sum(c[0] for c in coords) / 3
-        cy = sum(c[1] for c in coords) / 3
+    for u, v in sorted(notes):      # each note at its `tonnetz.note_coordinates`
+        notes[u, v] = label = notation._label(notes[u, v])
+        lines.append(f'  "{label}" [shape=circle, pos="{2 * u + 3 * v},{v}!"];')
+    qualities = harmony._QUALITIES[harmony.TONNETZ_234.id]
+    for i, ((au, av), (bu, bv), (cu, cv)) in enumerate(keyed, start=1):
+        if ((bu - au, bv - av), (cu - bu, cv - bv)) in qualities:
+            label, fill = i, "lightgray"
+        else:
+            label, fill = f"{i}?", "white"
+        u, v = au + bu + cu, av + bv + cv     # the centroid is a third of these
         lines.append(
             f'  chord{i} [label="{label}", shape=triangle, style=filled, '
-            f'fillcolor={fill}, pos="{cx:.4f},{cy:.4f}!"];'
+            f'fillcolor={fill}, pos="{(2 * u + 3 * v) / 3:.4f},{v / 3:.4f}!"];\n'
+            f'  chord{i} -> "{notes[au, av]}" [style=dotted, arrowhead=none];\n'
+            f'  chord{i} -> "{notes[bu, bv]}" [style=dotted, arrowhead=none];\n'
+            f'  chord{i} -> "{notes[cu, cv]}" [style=dotted, arrowhead=none];'
         )
-        for note in chord.notes:
-            lines.append(
-                f'  chord{i} -> "{notes[note]}" [style=dotted, arrowhead=none];'
-            )
-    for i in range(1, len(chords)):
-        lines.append(f"  chord{i} -> chord{i + 1} [penwidth=2];")
+    lines += [f"  chord{i} -> chord{i + 1} [penwidth=2];" for i in range(1, len(chords))]
     lines.append("}")
     return "\n".join(lines) + "\n"

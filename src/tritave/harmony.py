@@ -44,15 +44,19 @@ so its subdominant, dominant and second dominant are worked out once, on
 the origin, and moved to each tonic's root.
 
 A chord is checked once, where it enters: the public `Chord` constructor
-checks the system, the count, the note type and the order.  Chords the
-package derives from a checked one without changing note type or order
-are built by `_chord`, which checks nothing: a triad stacked on a checked
-root, a domain reduction after its sort and its collapse check, and a
-sequence chord moved to a checked tonic's root.  Any other chord goes
-through `Chord`; `chord_234` and `chord_456` take notes in any order and
-check each before the sort compares it.  Every public function taking a
-chord refuses anything else by its type.  A system's three public methods
-check their input; its note arithmetic (``_shift``, ``_parse``, ...) trusts it.
+checks the system, the count, the note type and the order.  Chords whose
+notes the package built itself, of the system's type and in order, are
+built by `_chord`, which checks nothing: a triad stacked on a checked
+root, a domain reduction after its sort and its collapse check, a sequence
+chord moved to a checked tonic's root, and the chord of three names that
+read as three distinct notes.  Both sorts are `_ascending`, at most three
+comparisons.  `parse_chord` reads any other names (a refused name, a
+repeated note, a count other than three) by sorting all it has read, which
+words the refusal.  Any other chord goes through `Chord`; `chord_234` and
+`chord_456` take notes in any order and check each before the sort
+compares it.  Every public function taking a chord refuses anything else
+by its type.  A system's three public methods check their input; its
+note arithmetic (``_shift``, ``_parse``, ...) trusts it.
 """
 
 from __future__ import annotations
@@ -135,6 +139,14 @@ class TonnetzSystem(_Record):
         """Chord of three distinct note names given in any order.  Of two names
         for one note, the later is refused with the earlier, before a later bad name."""
         names, notes = _items(names, "chord names"), []
+        if len(names) == 3:
+            try:
+                low, mid, high = _ascending(*map(self._parse, names))
+            except ValueError:  # refused by the read below, which words it
+                pass
+            else:
+                if low != mid != high:  # Trusted: the system's notes, ordered and distinct
+                    return _chord((low, mid, high), self)
         try:
             for name in names:
                 notes.append(self._parse(name))
@@ -145,9 +157,7 @@ class TonnetzSystem(_Record):
                 q, p = min(repeats)
                 raise ValueError(f"chord notes must be distinct: {_shown(names[p])} "
                                  f"and {_shown(names[q])} are one note")
-        notes = tuple(map(notes.__getitem__, order))
-        # Trusted: `_parse` builds the system's notes, and they are sorted and distinct.
-        return _chord(notes, self) if len(notes) == 3 else Chord(notes, self)
+        return Chord(tuple(map(notes.__getitem__, order)), self)     # refuses the count
 
     def class_name(self, note) -> str:
         self.check_note(note)
@@ -327,6 +337,17 @@ def _chord(notes: tuple, system: TonnetzSystem) -> Chord:
     return chord
 
 
+def _ascending(a, b, c) -> tuple:
+    """``tuple(sorted((a, b, c)))`` in at most three comparisons."""
+    if b < a:
+        a, b = b, a
+    if c < b:
+        b, c = c, b
+        if b < a:
+            a, b = b, a
+    return a, b, c
+
+
 def _items(values, what: str) -> tuple:
     """``tuple(values)``, refusing a non-iterable by its type."""
     try:
@@ -424,8 +445,8 @@ def reduce_chord_to_domain(c: Chord, root: FreqRatio | None = None) -> Chord:
         raise ValueError(f"reduce_chord_to_domain takes a FreqRatio root, not "
                          f"{type(root).__name__}")
     # n / TRITAVE**k lies in [root, 3*root) for k = floor(log3(n / root)).
-    low, mid, high = notes = tuple(sorted(
-        _ratio(n.u, n.v - _floor_log(n.u - root.u, n.v - root.v, 0, 1)) for n in c.notes))
+    low, mid, high = notes = _ascending(
+        *[_ratio(n.u, n.v - _floor_log(n.u - root.u, n.v - root.v, 0, 1)) for n in c.notes])
     if low == mid or mid == high:
         raise ValueError("domain reduction collapses two notes onto one")
     # Trusted: `_ratio` builds FreqRatio notes, and they are sorted and distinct.

@@ -23,9 +23,10 @@ which words the refusal.
 This module owns every spelling: note names, the 2:3:4 class names and the
 4:5:6 just names (as 12-EDO names).  Names are read off the piano keyboard:
 the note ``2**u * 3**v`` sits ``12*u + 19*v`` keys up in both just scales,
-and a scale's base names fill one window of keys, so a key splits into the
-period shift (whole windows above it) and the base name (its place in it);
-of the notes a comma apart on a key, the one in the harmonic range is named.
+and a scale's base names fill one window of keys, so one ``divmod`` splits
+a key into the period shift (whole windows above it) and the base name (its
+place in it); of the notes a comma apart on a key, the one in the harmonic
+range is named.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ def _marks(shift: int, up: str, down: str) -> str:
 
 
 # Per just scale, by id: the window's lowest key, keys per period and base
-# names in key order, base name -> note, the period marks and the error kind.
+# names in key order, base name -> note, the period marks, the error kind and
+# whether the harmonic degree is v (the octave scale) rather than u.
 _BASES = {
     system.id: (system.harmonic_range[0], system.notes_per_period, names,
                 {name: scales._just_note(key, system)
                  for key, name in enumerate(names, system.harmonic_range[0])},
-                up, down, kind)
+                up, down, kind, system.period.u)
     for system, names, up, down, kind in (
         (scales.PYTH3, BASE_NAMES_PYTH3, "^", "v", "a tritave"),
         (scales.PYTH2, BASE_NAMES_PYTH2, "'", ",", "an octave"))
@@ -96,7 +98,7 @@ _BASES = {
 
 def _base_at(key: int, system: scales.ScaleSystem) -> tuple[str, int]:
     """Base name and period shift of a just scale's note on a key."""
-    lo, n, names, _, _, _, _ = _BASES[system.id]
+    lo, n, names, _, _, _, _, _ = _BASES[system.id]
     return names[(key - lo) % n], (key - lo) // n
 
 
@@ -144,20 +146,22 @@ class NoteName(_Record):
 _set_base, _set_shift = NoteName._setters
 
 
-def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int]:
-    """Base name and period shift of a note in a just scale, off its key ``12*u + 19*v``."""
-    h = scales._harmonic_degree(ratio, system)
-    if not system.harmonic_range[0] <= h <= system.harmonic_range[1]:     # raises
-        scales._check_harmonic(h, system, f": not {_BASES[system.id][6]}-system note, "
-                                          "reduce to the fundamental set first")
-    return _base_at(12 * ratio.u + 19 * ratio.v, system)
+def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int, str, str]:
+    """Base name, period shift and period marks of a note in a just scale: the
+    name and the shift in one ``divmod`` of its key ``12*u + 19*v`` by the window."""
+    lo, n, names, _, up, down, kind, octave = _BASES[system.id]
+    u, v = ratio.u, ratio.v
+    if not lo <= (v if octave else u) < lo + n:     # raises
+        scales._check_harmonic(v if octave else u, system,
+                               f": not {kind}-system note, reduce to the fundamental set first")
+    shift, place = divmod(12 * u + 19 * v - lo, n)
+    return names[place], shift, up, down
 
 
 def _name_in(ratio: FreqRatio, system: scales.ScaleSystem = scales.PYTH3) -> str:
     """Spelling of a note in a just scale, the tritave one by default: its
     base name and one period mark per period from that name's note."""
-    base, shift = _spell(ratio, system)
-    _, _, _, _, up, down, _ = _BASES[system.id]
+    base, shift, up, down = _spell(ratio, system)
     return base + _marks(shift, up, down)
 
 
@@ -165,11 +169,10 @@ def _just_names(u: int, v: int) -> tuple[str, ...]:
     """The names of ``2**u * 3**v`` in each just scale whose window holds u
     (tritave) or v (octave)."""
     key, names = 12 * u + 19 * v, []
-    for h, system in ((u, scales.PYTH3), (v, scales.PYTH2)):
-        lo, n, _, _, up, down, _ = _BASES[system.id]
-        if lo <= h < lo + n:
-            base, shift = _base_at(key, system)
-            names.append(base + _marks(shift, up, down))
+    for lo, n, bases, _, up, down, _, octave in _BASES.values():
+        if lo <= (v if octave else u) < lo + n:
+            shift, place = divmod(key - lo, n)
+            names.append(bases[place] + _marks(shift, up, down))
     return tuple(names)
 
 
@@ -202,7 +205,8 @@ def name_of(ratio: FreqRatio) -> NoteName:
     an arbitrary 3-smooth ratio reduce it to the fundamental set first.
     """
     _check_type(ratio, FreqRatio, "a note must be")
-    return NoteName(*_spell(ratio, scales.PYTH3))
+    base, shift, _, _ = _spell(ratio, scales.PYTH3)
+    return NoteName(base, shift)
 
 
 def note_name_at_degree(degree: int) -> NoteName:

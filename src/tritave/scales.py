@@ -121,7 +121,7 @@ def _check_harmonic(h: int, system: ScaleSystem, hint: str = "") -> None:
     _check_type(system, ScaleSystem, "a scale system must be")
     lo, hi = system.harmonic_range
     if not lo <= h <= hi:
-        raise ValueError(f"harmonic degree {_shown(h)} outside [{lo}, {hi}]{hint}")
+        raise ValueError(f"{_named('harmonic degree', h)} outside [{lo}, {hi}]{hint}")
 
 
 def harmonic_degree(ratio: FreqRatio, system: ScaleSystem) -> int:
@@ -347,7 +347,7 @@ def pyth2_pyth3_differences(
         _check_int(degree, name)
         if abs(degree) > MAX_DEGREE:
             raise ValueError(f"{name} must be in [-{MAX_DEGREE}, {MAX_DEGREE}], "
-                             f"not int {_shown(degree)}")
+                             f"not {_named('int', degree)}")
     if degree_lo > degree_hi:
         raise ValueError(f"degree_lo {_shown(degree_lo)} exceeds degree_hi {_shown(degree_hi)}")
     out = []

@@ -15,20 +15,27 @@ and never calls that code:
 * `oracle_from_fraction`: `FreqRatio.from_fraction` from `Fraction`'s
   reduction, the binary digits' trailing zeros and division by ``3**64``
   and 3 while they divide.
+* `reference_spelling`: a just note's name, its base name that of its
+  harmonic degree's scale degree and its marks counted by
+  `oracle_period_shift`; `reference_just_names`: those names in each just
+  scale whose window holds the note's harmonic degree.  Neither reads a key.
 
 The refusals are worded through the package's own message rule,
 `ratios._shown`, and `read_outcome` compares a call and its oracle by the
-value, or by the exception's type and message.
+value, or by the exception's type and message.  The spellings write their
+marks with `notation._marks` and refuse a note outside the window through
+`scales._check_harmonic`, so their messages are the package's.
 """
 
 import decimal
 import math
 from fractions import Fraction
 
-from tritave.notation import (BASE_NAMES_PYTH2, BASE_NAMES_PYTH3, NAMES_EDO12, NoteName,
+from tritave import scales
+from tritave.notation import (BASE_NAMES_PYTH2, BASE_NAMES_PYTH3, NAMES_EDO12, NoteName, _marks,
                               parse_edo12_note, parse_note, parse_pyth2_note)
 from tritave.ratios import OCTAVE, TRITAVE, FreqRatio, NotThreeSmoothError, _shown
-from tritave.scales import PYTH2, note_at_scale_degree
+from tritave.scales import PYTH2, PYTH3, note_at_scale_degree
 
 CTX = decimal.Context(prec=100)
 DEC_LOG2_3 = CTX.divide(decimal.Decimal(3).ln(CTX), decimal.Decimal(2).ln(CTX))
@@ -157,3 +164,32 @@ def oracle_from_fraction(numerator, denominator=1):
                                   f"{_shown(rests[0] * rests[1])}")
     (a, b), (c, d) = exponents
     return FreqRatio(a - c, b - d)
+
+
+SPELLINGS = {   # per just scale: base names, marks up and down, error hint
+    PYTH3.id: (BASE_NAMES_PYTH3, "^", "v", "a tritave"),
+    PYTH2.id: (BASE_NAMES_PYTH2, "'", ",", "an octave"),
+}
+
+
+def reference_spelling(ratio, system) -> str:
+    """A note's name with the shift taken from `oracle_period_shift`.
+
+    The base name is that of the note's scale degree in the window; the
+    shift is how many periods the note sits above its representative in
+    the fundamental interval, found by sign tests on the squared bounds.
+    """
+    names, up, down, kind = SPELLINGS[system.id]
+    h = scales.harmonic_degree(ratio, system)
+    scales._check_harmonic(
+        h, system, f": not {kind}-system note, reduce to the fundamental set first")
+    base = names[scales.harmonic_to_scale_degree(h, system) - system.harmonic_range[0]]
+    return base + _marks(oracle_period_shift(ratio, system.period), up, down)
+
+
+def reference_just_names(ratio):
+    """`reference_spelling` in each just scale whose harmonic range holds the
+    note's degree there, each degree read by `scales.harmonic_degree`."""
+    return tuple(reference_spelling(ratio, system) for system in (PYTH3, PYTH2)
+                 if system.harmonic_range[0] <= scales.harmonic_degree(ratio, system)
+                 <= system.harmonic_range[1])

@@ -462,6 +462,26 @@ def test_a_just_pitch_past_the_exponent_range_is_refused_by_its_degree(system):
     assert held == {True, False}
 
 
+# Each refusal of a far degree, with ``{}`` where a negative one says so.
+@pytest.mark.parametrize("make, message", [
+    (lambda x: scales.harmonic_to_scale_degree(x, scales.PYTH3),
+     "{}harmonic degree of 100 bits outside [-9, 9]"),
+    (lambda x: scales.fundamental_note(x, scales.PYTH2),
+     "{}harmonic degree of 100 bits outside [-5, 6]"),
+    (notation.key_color_by_harmonic_degree, "{}harmonic degree of 100 bits outside [-9, 9]"),
+    (scales.pyth2_pyth3_differences,
+     "degree_lo must be in [-10000, 10000], not {}int of 100 bits"),
+    (lambda x: scales.pyth2_pyth3_differences(0, x),
+     "degree_hi must be in [-10000, 10000], not {}int of 100 bits"),
+], ids=["harmonic_to_scale_degree", "fundamental_note", "key_color", "differences-lo",
+        "differences-hi"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+def test_a_far_degree_is_refused_with_its_sign(make, message, sign):
+    with pytest.raises(ValueError) as excinfo:
+        make(sign * 10**30)
+    assert str(excinfo.value) == message.format("negative " if sign < 0 else "")
+
+
 def test_an_equal_pitch_just_inside_float_range_is_finite():
     assert scales.note_at_scale_degree(10**306, scales.EDO12) == 10**306 / 12 * 1200.0
     assert scales.note_at_scale_degree(-10**306, scales.EDT19, "equal") < 0

@@ -1,20 +1,20 @@
 """The pitch and chord layers' fast paths against the checked paths they replaced.
 
 Arithmetic builds its results through `ratios._ratio`, which checks only
-the exponent range; `numerator`, `denominator` and `str` build ``2**a``
-and ``3**b`` directly, and `from_fraction` reads a 3-smooth fraction's
-exponents off its parts' bits; `scales` reads just pitches off the keyboard's
-degree map, and the period shift too in the period's window of harmonic
-degrees, tests domain membership by that shift and finds where the two
-just scales differ by the comma power that reduces one to the other,
+the exponent range; `numerator`, `denominator` and `str` build ``2**a`` and
+``3**b`` directly, and `from_fraction` reads a 3-smooth fraction's
+exponents off its parts' bits; `scales` reads just pitches off the
+keyboard's degree map, and the period shift too in the period's window of
+harmonic degrees, tests domain membership by that shift and finds where the
+two just scales differ by the comma power that reduces one to the other,
 skipping the keys where they agree, and builds each deviation row's just
 note from its exponents; `notation` reads a note's base name and period
-shift off its key, testing each just scale's window once for purity's
-names, and reads a name's base by one lookup; `exports` writes table JSON
-without the indenting encoder; chord parsing sorts the notes with their
-places; and the walk primitives build their chords and P/L/R images
-through `harmony._chord` and `tonnetz._triad`, which check nothing.  Each
-is compared here with the path it replaced or with an oracle that does
+shift off its key in one `divmod`, testing each just scale's window once
+for purity's names, and reads a name's base by one lookup; `exports` writes
+table JSON without the indenting encoder; chord parsing sorts the notes
+with their places; and the walk primitives build their chords and P/L/R
+images through `harmony._chord` and `tonnetz._triad`, which check nothing.
+Each is compared here with the path it replaced or with an oracle that does
 not call it: the public `FreqRatio`, `Chord` and `Triad` constructors,
 `Fraction` powers, the trial division of `oracles.oracle_from_fraction`,
 the step-at-a-time period reduction of ``6**h``, the two-sided test on the
@@ -22,10 +22,10 @@ squared domain bounds, the period shift that `oracles.oracle_period_shift`
 finds by sign tests on those bounds (`tests/test_ordering.py` checks
 `period_reduce` against it too), the per-row `FreqRatio` product and
 `Fraction` of the deviation rows, the per-key difference build, the
-per-scale spelling, the startswith and ``set()`` name reader of
-`oracles.READERS` (`tests/test_notation.py` checks the parsers against it
-too), the messages of the dict-keyed chord parse, and `json.dumps` with an
-indent.
+per-scale spelling of `oracles.reference_spelling`, the startswith and
+``set()`` name reader of `oracles.READERS` (`tests/test_notation.py` checks
+the parsers against it too), the messages of the dict-keyed chord parse,
+and `json.dumps` with an indent.
 """
 
 import itertools
@@ -42,7 +42,8 @@ from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_ST
                            TRITAVE, FreqRatio, _floor_log)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 
-from oracles import READERS, oracle_from_fraction, oracle_period_shift, read_outcome
+from oracles import (READERS, oracle_from_fraction, oracle_period_shift, read_outcome,
+                     reference_just_names, reference_spelling)
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -342,27 +343,6 @@ def test_period_reduce_near_the_range_end_needs_no_power_of_the_period(ratio):
 
 # --- spelling by the degree table --------------------------------------------
 
-SPELLINGS = {   # per just scale: base names, marks up and down, error hint
-    PYTH3.id: (notation.BASE_NAMES_PYTH3, "^", "v", "a tritave"),
-    PYTH2.id: (notation.BASE_NAMES_PYTH2, "'", ",", "an octave"),
-}
-
-
-def reference_spelling(ratio, system) -> str:
-    """A note's name with the shift taken from `oracle_period_shift`.
-
-    The base name is that of the note's scale degree in the window; the
-    shift is how many periods the note sits above its representative in
-    the fundamental interval, found by sign tests on the squared bounds.
-    """
-    names, up, down, kind = SPELLINGS[system.id]
-    h = scales.harmonic_degree(ratio, system)
-    scales._check_harmonic(
-        h, system, f": not {kind}-system note, reduce to the fundamental set first")
-    base = names[scales.harmonic_to_scale_degree(h, system) - system.harmonic_range[0]]
-    return base + notation._marks(oracle_period_shift(ratio, system.period), up, down)
-
-
 def spelled(name, *args):
     """The name as a string, or the message of the ValueError raised."""
     try:
@@ -639,14 +619,6 @@ def text_outcome(make, *args):
         return make(*args)
     except ValueError as exc:
         return str(exc)
-
-
-def reference_just_names(ratio):
-    """`notation._name_in` in each just scale whose harmonic range holds the
-    note's degree there, each degree read by `scales._harmonic_degree`."""
-    return tuple(notation._name_in(ratio, system) for system in (PYTH3, PYTH2)
-                 if system.harmonic_range[0] <= scales._harmonic_degree(ratio, system)
-                 <= system.harmonic_range[1])
 
 
 # Exponents up to 10**4 either way, one window either side of each range,

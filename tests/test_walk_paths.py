@@ -7,7 +7,14 @@ the two cached origin chords to the tonic's root.  Here the floor-log is
 checked against signs decided in integer arithmetic alone, purity against a
 report built from `Fraction`s of the notes with names found by parsing
 every base name, and the sequences against each tonic's own circle shifts
-voiced near it.
+voiced near it.  Three calls that work on exponents or read three names
+straight are checked against the routes they replaced: `parse_chord`
+against a reader that reads every name with `oracles`' startswith reader,
+refuses a repeat as it reads it and sorts by exact `Fraction` values;
+`emit_tonnetz_path` against the drawing keyed by `FreqRatio`, placed by
+`tonnetz.note_coordinates` and flagged by `harmony.classify`; and
+`reduce_chord_to_domain` against tritave steps decided by integer
+cross-multiplication.
 """
 
 import functools
@@ -16,10 +23,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tritave import harmony, notation
+from tritave import exports, harmony, notation, tonnetz
 from tritave.harmony import TONNETZ_234, TONNETZ_456, ChordQuality, PurityReport
-from tritave.ratios import FreqRatio, _floor_log
+from tritave.ratios import FreqRatio, _floor_log, _shown
+
+from oracles import oracle_parse_edo12_note, oracle_parse_note, read_outcome
 
 # --- _floor_log ---------------------------------------------------------------
 
@@ -235,3 +245,184 @@ def test_sequences_on_the_grid_are_the_voiced_circle_shifts(system):
                              for k in steps), tonic]
             got = make(tonic)
             assert got == want and repr(got) == repr(want), tonic
+
+
+# --- reading, drawing and reducing the walk's chords ------------------------------
+
+def exact(note) -> Fraction:
+    """A chord note's exact value: the ratio of a 2:3:4 note, the semitone of a 4:5:6 one."""
+    if isinstance(note, FreqRatio):
+        return Fraction(2) ** note.u * Fraction(3) ** note.v
+    return Fraction(note)
+
+
+def generic_parse_chord(system, names):
+    """`TonnetzSystem.parse_chord` as a read-sort-repeat reader: each name read
+    by the startswith reader of `oracles.READERS`, a repeat refused when its
+    second name is read, the notes sorted by their exact values."""
+    parse = oracle_parse_note if system is TONNETZ_234 else oracle_parse_edo12_note
+    first = {}      # each note read so far, with the name that first gave it
+    for name in names:
+        note = parse(name)
+        if note in first:
+            raise ValueError(f"chord notes must be distinct: {_shown(first[note])} and "
+                             f"{_shown(name)} are one note")
+        first[note] = name
+    return harmony.Chord(tuple(sorted(first, key=exact)), system)
+
+
+# Per system: pools of four or five of its names, each with up to two of one
+# mark.  A name of the other system, with mixed marks or with no base.
+NAME_POOLS = {
+    system: st.lists(st.builds(lambda base, mark, n: base + mark * n, st.sampled_from(bases),
+                               st.sampled_from(marks), st.integers(0, 2)),
+                     min_size=4, max_size=5, unique=True)
+    for system, bases, marks in ((TONNETZ_234, notation.BASE_NAMES_PYTH3, "^v"),
+                                 (TONNETZ_456, notation.NAMES_EDO12, "',"))}
+odd_names = st.builds(lambda base, marks: base + marks,
+                      st.sampled_from([*notation.BASE_NAMES_PYTH3, *notation.NAMES_EDO12, "H", ""]),
+                      st.sampled_from(["", "^", "'", "^v", "',"]))
+
+
+@st.composite
+def chord_names(draw):
+    """A system and two to four names, mostly three: half the time distinct
+    ones of a pool of its names, else drawn from the pool with repeats; one
+    time in four the pool holds an odd name."""
+    system = draw(st.sampled_from(list(NAME_POOLS)))
+    pool = draw(NAME_POOLS[system])
+    if draw(st.integers(0, 3)) == 0:
+        pool[-1] = draw(odd_names)
+    count = draw(st.sampled_from([2, 3, 3, 3, 4]))
+    if draw(st.booleans()):
+        return system, draw(st.permutations(pool))[:count]
+    return system, [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                   min_size=count, max_size=count))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(chord_names())
+@example((TONNETZ_234, ["A", "E", "A'"]))
+@example((TONNETZ_234, ["A'", "E", "A"]))
+@example((TONNETZ_234, ["A", "A", "H"]))
+@example((TONNETZ_234, ["A", "H", "A"]))
+@example((TONNETZ_234, ["E", "A", "E", "A'"]))
+@example((TONNETZ_456, ["G", "C", "E"]))
+@example((TONNETZ_456, ["C", "E"]))
+def test_parse_chord_reads_as_the_generic_reader(case):
+    system, names = case
+    got = read_outcome(system.parse_chord, names)
+    want = read_outcome(generic_parse_chord, system, names)
+    assert got == want
+    if isinstance(got, harmony.Chord):
+        assert type(got.notes) is tuple and got.system is system
+
+
+def reference_tonnetz_path(chords) -> str:
+    """`emit_tonnetz_path` with its notes keyed by `FreqRatio`, each placed by
+    `tonnetz.note_coordinates` and each chord's quality from `harmony.classify`."""
+    notes = {}
+    for chord in chords:
+        if chord.system is not TONNETZ_234:
+            raise ValueError("lattice paths are drawn for 2:3:4 progressions")
+        for n in chord.notes:
+            notes.setdefault(n, notation._label(n))
+    lines = ["digraph tonnetz_path {", "  // octave (+2,0), fifth (+1,+1), fourth (+1,-1)",
+             "  node [fontsize=10];"]
+    for note in sorted(notes, key=lambda r: (r.u, r.v)):
+        x, y = tonnetz.note_coordinates(note)
+        lines.append(f'  "{notes[note]}" [shape=circle, pos="{x},{y}!"];')
+    for i, chord in enumerate(chords, start=1):
+        flagged = harmony.classify(chord) is ChordQuality.OTHER
+        coords = [tonnetz.note_coordinates(n) for n in chord.notes]
+        cx, cy = (sum(c[k] for c in coords) / 3 for k in (0, 1))
+        lines.append(f'  chord{i} [label="{i}{"?" if flagged else ""}", shape=triangle, '
+                     f'style=filled, fillcolor={"white" if flagged else "lightgray"}, '
+                     f'pos="{cx:.4f},{cy:.4f}!"];')
+        lines += [f'  chord{i} -> "{notes[n]}" [style=dotted, arrowhead=none];'
+                  for n in chord.notes]
+    lines += [f"  chord{i} -> chord{i + 1} [penwidth=2];" for i in range(1, len(chords))]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+# Roots near the window, a few tritaves out, past the names' mark limit (a
+# ratio label) and past the ratio's digit limit too (an exponent label).
+path_roots = st.builds(FreqRatio, st.integers(-14, 14),
+                       st.integers(-6, 6) | st.sampled_from([-12000, 9000, 10**6 + 5, -10**7]))
+def near_chord(root, steps):
+    """The root and two notes a few steps off it (mostly an OTHER chord), or
+    the major triad on the root where the steps give no three notes."""
+    notes = {root, *(root * FreqRatio(u, v) for u, v in steps)}
+    return harmony.chord_234(notes) if len(notes) == 3 else harmony.major_triad_234(root)
+
+
+# Classified triads on a root, or three notes a few steps off it.
+path_chords = (st.builds(lambda root, make: make(root), path_roots,
+                         st.sampled_from([harmony.major_triad_234, harmony.minor_triad_234]))
+               | st.builds(near_chord, path_roots,
+                           st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+                                    min_size=2, max_size=2)))
+# Progressions drawn from a pool of chords, so that chords and notes repeat.
+progressions = st.lists(path_chords, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+# A note a ratio labels, one its exponents label, and a chord flagged OTHER.
+FAR_PATH = [harmony.major_triad_234(FreqRatio(14, 0)),
+            harmony.minor_triad_234(FreqRatio(0, -10**7)),
+            near_chord(FreqRatio(1, 1), [(1, 0), (3, 2)])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(progressions)
+@example(FAR_PATH)
+@example(FAR_PATH[::-1] * 2)
+def test_a_tonnetz_path_is_the_ratio_keyed_drawing(chords):
+    assert exports.emit_tonnetz_path(chords) == reference_tonnetz_path(chords)
+
+
+def parts(note) -> tuple[int, int]:
+    """A 2:3:4 note's numerator and denominator, built in integers."""
+    return (2 ** max(note.u, 0) * 3 ** max(note.v, 0),
+            2 ** max(-note.u, 0) * 3 ** max(-note.v, 0))
+
+
+def below(a, b) -> bool:
+    """``a < b`` for two 2:3:4 notes, by cross-multiplying their parts."""
+    (an, ad), (bn, bd) = parts(a), parts(b)
+    return an * bd < bn * ad
+
+
+def oracle_reduce_chord_to_domain(chord, root=None):
+    """Each note moved by whole tritaves until it is at or over the root and
+    under three roots, each step decided by integer cross-multiplication."""
+    if chord.system is not TONNETZ_234:
+        raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
+    root = chord.notes[0] if root is None else root
+    top = FreqRatio(root.u, root.v + 1)
+    reduced = []
+    for note in chord.notes:
+        while not below(note, top):
+            note = FreqRatio(note.u, note.v - 1)
+        while below(note, root):
+            note = FreqRatio(note.u, note.v + 1)
+        reduced.append(note)
+    if len(set(reduced)) < 3:
+        raise ValueError("domain reduction collapses two notes onto one")
+    return harmony.Chord(tuple(sorted(reduced, key=exact)), TONNETZ_234)
+
+
+# Notes with few 2-exponents, so that two of them share one and collapse often.
+domain_notes = st.builds(FreqRatio, st.integers(-4, 4), st.integers(-40, 40))
+domain_chords = st.sets(domain_notes, min_size=3, max_size=3).map(harmony.chord_234)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(domain_chords, st.none() | domain_notes)
+@example(harmony.chord_234((FreqRatio(0, 0), FreqRatio(1, 0), FreqRatio(0, 1))), None)
+@example(harmony.chord_234((FreqRatio(0, 0), FreqRatio(1, 0), FreqRatio(2, 0))), FreqRatio(0, 0))
+def test_a_domain_reduction_is_that_of_the_integer_oracle(chord, root):
+    got = read_outcome(harmony.reduce_chord_to_domain, chord, root)
+    assert got == read_outcome(oracle_reduce_chord_to_domain, chord, root)
+    if isinstance(got, harmony.Chord):
+        assert type(got.notes) is tuple and got.system is TONNETZ_234
