@@ -146,6 +146,15 @@ class NoteName(_Record):
 _set_base, _set_shift = NoteName._setters
 
 
+def _note_name(base: str, tritave_shift: int) -> NoteName:
+    """``NoteName(base, tritave_shift)`` for a base name and an int shift the
+    package has just read off a key: nothing is checked, as in `ratios._ratio`."""
+    name = object.__new__(NoteName)
+    _set_base(name, base)
+    _set_shift(name, tritave_shift)
+    return name
+
+
 def _spell(ratio: FreqRatio, system: scales.ScaleSystem) -> tuple[str, int, str, str]:
     """Base name, period shift and period marks of a note in a just scale: the
     name and the shift in one ``divmod`` of its key ``12*u + 19*v`` by the window."""
@@ -206,13 +215,13 @@ def name_of(ratio: FreqRatio) -> NoteName:
     """
     _check_type(ratio, FreqRatio, "a note must be")
     base, shift, _, _ = _spell(ratio, scales.PYTH3)
-    return NoteName(base, shift)
+    return _note_name(base, shift)
 
 
 def note_name_at_degree(degree: int) -> NoteName:
     """Name of the tritave-system note at an absolute scale degree, on that key."""
     _check_int(degree, "degree")
-    return NoteName(*_base_at(degree, scales.PYTH3))
+    return _note_name(*_base_at(degree, scales.PYTH3))
 
 
 def _read(text: str, bases: dict, up: str, down: str, kind: str) -> tuple:

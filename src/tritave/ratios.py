@@ -42,6 +42,7 @@ _LOG10_2 = math.log10(2)    # for digit counts only
 Cents = float
 
 _INT64 = 1 << 63
+_INT64_MIN = -_INT64    # negated once: each negation would build a new big int
 
 #: Most digits of a numerator or denominator that `str` writes or the CLI
 #: reads: Python's default limit for converting an int to or from digits.
@@ -121,6 +122,15 @@ def _fraction_type() -> type:
     from fractions import Fraction
 
     return Fraction
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)`` for coprime parts and a positive
+    denominator, built with no gcd: `Fraction` has no public constructor that
+    skips it, so its two slots are set directly, as `Fraction` itself does."""
+    fraction = object.__new__(_fraction_type())
+    fraction._numerator, fraction._denominator = numerator, denominator
+    return fraction
 
 
 def _atanh_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -230,12 +240,12 @@ class _Record:
 
     The build path follows the cost.  The hot records, `FreqRatio`,
     `NoteName` and `PurityReport`, and the trusted builders `_ratio`,
-    `harmony._chord` and `tonnetz._triad` call the slots' setters one by
-    one; the others, off the per-note and per-chord paths, go through
-    `_set`'s loop, which takes an eight-field `ScaleRow` about 1.3 us to
-    build against 0.07 us for the tuple of its fields.  One builder for
-    all, `_set` and a trusted ``_new`` generated with ``exec`` once per
-    field count, costs start-up: on the benchmark's cli-mix workload (6
+    `notation._note_name`, `harmony._chord` and `tonnetz._triad` call the
+    slots' setters one by one; the others, off the per-note and per-chord
+    paths, go through `_set`'s loop, which takes an eight-field `ScaleRow`
+    about 1.3 us to build against 0.07 us for the tuple of its fields.  One
+    builder for all, `_set` and a trusted ``_new`` generated with ``exec``
+    once per field count, costs start-up: on the benchmark's cli-mix workload (6
     alternating 20 s pairs, 2-vCPU VM) ``op_cpu_ms_p50`` read x1.024 and
     ``work_per_cpu_s`` x0.973, worse in 5 of 6 pairs each.
     """
@@ -285,8 +295,8 @@ class FreqRatio(_Record):
     def __init__(self, u: int, v: int) -> None:
         if type(u) is not int or type(v) is not int:    # no bool either
             raise ValueError(f"exponent {_shown(v if type(u) is int else u)} is not an integer")
-        if not (-_INT64 <= u < _INT64 and -_INT64 <= v < _INT64):
-            raise ValueError(f"{_named('exponent', v if -_INT64 <= u < _INT64 else u)} is "
+        if not (_INT64_MIN <= u < _INT64 and _INT64_MIN <= v < _INT64):
+            raise ValueError(f"{_named('exponent', v if _INT64_MIN <= u < _INT64 else u)} is "
                              "outside [-2**63, 2**63)")
         _set_u(self, u)
         _set_v(self, v)
@@ -359,8 +369,9 @@ class FreqRatio(_Record):
         return 3 ** b << a
 
     def as_fraction(self) -> Fraction:
-        """The exact value as a big-integer fraction."""
-        return _fraction_type()(*_parts(self.u, self.v))
+        """The exact value as a big-integer fraction.  Its parts ``2**a * 3**b`` and
+        ``2**c * 3**d`` are coprime by construction, so it is built with no gcd."""
+        return _coprime_fraction(*_parts(self.u, self.v))
 
     def cents(self) -> Cents:
         return 1200.0 * (self.u + self.v * LOG2_3)
@@ -409,7 +420,7 @@ def _ratio(u: int, v: int) -> FreqRatio:
     """``FreqRatio(u, v)`` for int exponents, as built by the package's own
     arithmetic: only the range is checked, and out of range the public
     constructor raises its error."""
-    if -_INT64 <= u < _INT64 and -_INT64 <= v < _INT64:
+    if _INT64_MIN <= u < _INT64 and _INT64_MIN <= v < _INT64:
         ratio = object.__new__(FreqRatio)
         _set_u(ratio, u)
         _set_v(ratio, v)
@@ -430,10 +441,14 @@ def _part(u: int, v: int, part: str) -> tuple[int, int]:
 
 
 def _parts(u: int, v: int) -> tuple[int, int]:
-    """Numerator and denominator of ``2**u * 3**v``, each refused by `_part`."""
-    a, b = _part(u, v, "numerator")
-    c, d = _part(u, v, "denominator")
-    return 3 ** b << a, 3 ** d << c
+    """Numerator and denominator of ``2**u * 3**v``, each refused by `_part`.
+    Neither part has more bits than ``abs(u) + abs(v)*LOG2_3``, so only a
+    pair past `MAX_POWER_BITS` by that sum goes to `_part`'s two checks."""
+    if abs(u) + abs(v) * LOG2_3 >= MAX_POWER_BITS:
+        _part(u, v, "numerator")
+        _part(u, v, "denominator")
+    return ((3 ** v if v > 0 else 1) << (u if u > 0 else 0),
+            (3 ** -v if v < 0 else 1) << (-u if u < 0 else 0))
 
 
 def cents(ratio: FreqRatio) -> Cents:

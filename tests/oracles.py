@@ -19,6 +19,11 @@ and never calls that code:
   harmonic degree's scale degree and its marks counted by
   `oracle_period_shift`; `reference_just_names`: those names in each just
   scale whose window holds the note's harmonic degree.  Neither reads a key.
+* `oracle_reduce_chord_to_domain`: each note of a 2:3:4 chord moved by
+  whole tritaves into [root, 3*root), each step decided by cross-multiplying
+  integer parts; `exact` is a chord note's value, which sorts the notes.
+* `assert_same_fraction`: a `Fraction` built with no gcd against one that
+  `Fraction(n, d)` reduced, in all that a `Fraction` shows.
 
 The refusals are worded through the package's own message rule,
 `ratios._shown`, and `read_outcome` compares a call and its oracle by the
@@ -29,9 +34,12 @@ marks with `notation._marks` and refuse a note outside the window through
 
 import decimal
 import math
+import operator
+import pickle
 from fractions import Fraction
 
-from tritave import scales
+from tritave import harmony, scales
+from tritave.harmony import TONNETZ_234
 from tritave.notation import (BASE_NAMES_PYTH2, BASE_NAMES_PYTH3, NAMES_EDO12, NoteName, _marks,
                               parse_edo12_note, parse_note, parse_pyth2_note)
 from tritave.ratios import OCTAVE, TRITAVE, FreqRatio, NotThreeSmoothError, _shown
@@ -193,3 +201,59 @@ def reference_just_names(ratio):
     return tuple(reference_spelling(ratio, system) for system in (PYTH3, PYTH2)
                  if system.harmonic_range[0] <= scales.harmonic_degree(ratio, system)
                  <= system.harmonic_range[1])
+
+
+def exact(note) -> Fraction:
+    """A chord note's exact value: the ratio of a 2:3:4 note, the semitone of a 4:5:6 one."""
+    if isinstance(note, FreqRatio):
+        return Fraction(2) ** note.u * Fraction(3) ** note.v
+    return Fraction(note)
+
+
+def _parts(note) -> tuple[int, int]:
+    """A 2:3:4 note's numerator and denominator, built in integers."""
+    return (2 ** max(note.u, 0) * 3 ** max(note.v, 0),
+            2 ** max(-note.u, 0) * 3 ** max(-note.v, 0))
+
+
+def _below(a, b) -> bool:
+    """``a < b`` for two 2:3:4 notes, by cross-multiplying their parts."""
+    (an, ad), (bn, bd) = _parts(a), _parts(b)
+    return an * bd < bn * ad
+
+
+def oracle_reduce_chord_to_domain(chord, root=None):
+    """Each note moved by whole tritaves until it is at or over the root and
+    under three roots, each step decided by integer cross-multiplication."""
+    if chord.system is not TONNETZ_234:
+        raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
+    root = chord.notes[0] if root is None else root
+    top = FreqRatio(root.u, root.v + 1)
+    reduced = []
+    for note in chord.notes:
+        while not _below(note, top):
+            note = FreqRatio(note.u, note.v - 1)
+        while _below(note, root):
+            note = FreqRatio(note.u, note.v + 1)
+        reduced.append(note)
+    if len(set(reduced)) < 3:
+        raise ValueError("domain reduction collapses two notes onto one")
+    return harmony.Chord(tuple(sorted(reduced, key=exact)), TONNETZ_234)
+
+
+def assert_same_fraction(got, want: Fraction) -> None:
+    """``got`` is ``want`` in all that a `Fraction` shows: its type, its parts,
+    its value and hash, its arithmetic, and its repr, str and pickle round trip,
+    or their refusal of parts past the digit limit."""
+    assert type(got) is Fraction and type(got.numerator) is int and type(got.denominator) is int
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    for other in (1, Fraction(-2, 3), want):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.floordiv,
+                   operator.mod, operator.lt, operator.eq):
+            assert read_outcome(op, got, other) == read_outcome(op, want, other)
+            assert read_outcome(op, other, got) == read_outcome(op, other, want)
+    assert (-got, abs(got), got ** 2, math.floor(got), round(got)) == (
+        -want, abs(want), want ** 2, math.floor(want), round(want))
+    for show in (float, repr, str, lambda f: repr(pickle.loads(pickle.dumps(f)))):
+        assert read_outcome(show, got) == read_outcome(show, want)

@@ -2,8 +2,9 @@
 
 Arithmetic builds its results through `ratios._ratio`, which checks only
 the exponent range; `numerator`, `denominator` and `str` build ``2**a`` and
-``3**b`` directly, and `from_fraction` reads a 3-smooth fraction's
-exponents off its parts' bits; `scales` reads just pitches off the
+``3**b`` directly, `as_fraction` and `Convergent.value` build their
+`Fraction` from coprime parts with no gcd, and `from_fraction` reads a
+3-smooth fraction's exponents off its parts' bits; `scales` reads just pitches off the
 keyboard's degree map, and the period shift too in the period's window of
 harmonic degrees, tests domain membership by that shift and finds where the
 two just scales differ by the comma power that reduces one to the other,
@@ -16,9 +17,11 @@ with their places; and the walk primitives build their chords and P/L/R
 images through `harmony._chord` and `tonnetz._triad`, which check nothing.
 Each is compared here with the path it replaced or with an oracle that does
 not call it: the public `FreqRatio`, `Chord` and `Triad` constructors,
-`Fraction` powers, the trial division of `oracles.oracle_from_fraction`,
-the step-at-a-time period reduction of ``6**h``, the two-sided test on the
-squared domain bounds, the period shift that `oracles.oracle_period_shift`
+`Fraction` powers, the `Fraction` that ``Fraction(n, d)`` reduces, the
+integer tritave steps of `oracles.oracle_reduce_chord_to_domain`, the
+trial division of `oracles.oracle_from_fraction`, the step-at-a-time
+period reduction of ``6**h``, the two-sided test on the squared domain
+bounds, the period shift that `oracles.oracle_period_shift`
 finds by sign tests on those bounds (`tests/test_ordering.py` checks
 `period_reduce` against it too), the per-row `FreqRatio` product and
 `Fraction` of the deviation rows, the per-key difference build, the
@@ -39,17 +42,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from tritave import exports, harmony, notation, scales, tonnetz
 from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_STR_DIGITS, OCTAVE,
-                           TRITAVE, FreqRatio, _floor_log)
+                           TRITAVE, FreqRatio)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
+from tritave.temperament import MAX_TERMS, Convergent, convergents
 
-from oracles import (READERS, oracle_from_fraction, oracle_period_shift, read_outcome,
-                     reference_just_names, reference_spelling)
+from oracles import (READERS, assert_same_fraction, oracle_from_fraction, oracle_period_shift,
+                     oracle_reduce_chord_to_domain, read_outcome, reference_just_names,
+                     reference_spelling)
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 SYSTEMS = (PYTH2, PYTH3, EDO12, EDT19)
 
 moderate = st.integers(-20_000, 20_000)
+#: The least b with ``3**b`` past `MAX_POWER_BITS` bits.
+FIRST_THREE_PAST = math.ceil(MAX_POWER_BITS / math.log2(3))
 # Exponents a few steps from either end of [-2**63, 2**63), where sums and
 # products leave the range.
 edge = st.integers(_INT64 - 4, _INT64 - 1) | st.integers(-_INT64, -_INT64 + 3)
@@ -87,6 +94,36 @@ def test_parts_and_text_are_those_of_the_fraction(u, v):
     else:
         with pytest.raises(ValueError, match=r"^cannot write FreqRatio\("):
             str(ratio)
+
+
+# --- Fractions built from coprime parts with no gcd ---------------------------------
+
+@EXACT
+@given(st.integers(-2000, 2000), st.integers(-2000, 2000))
+@example(0, 0)
+@example(-19, 12)
+def test_as_fraction_is_the_fraction_the_gcd_builds(u, v):
+    num, den = 2 ** max(u, 0) * 3 ** max(v, 0), 2 ** max(-u, 0) * 3 ** max(-v, 0)
+    assert_same_fraction(FreqRatio(u, v).as_fraction(), Fraction(num, den))
+
+
+@EXACT
+@given(st.integers(-10**6, 10**6), st.integers(-3, 10**6))
+@example(12, 19)
+@example(0, 1)
+@example(-5, 1)
+@example(2, 4)
+def test_a_convergent_value_is_the_fraction_the_gcd_builds(p, q):
+    if q < 1 or math.gcd(p, q) != 1:
+        with pytest.raises(ValueError, match=r"^p/q must be in lowest terms with q >= 1, not "):
+            Convergent(p, q)
+    else:
+        assert_same_fraction(Convergent(p, q).value, Fraction(p, q))
+
+
+def test_each_convergent_value_is_the_fraction_the_gcd_builds():
+    for c in convergents(MAX_TERMS):
+        assert_same_fraction(c.value, Fraction(c.p, c.q))
 
 
 # --- from_fraction's exponents read off the bits ----------------------------------
@@ -480,17 +517,6 @@ def test_the_json_writer_writes_what_the_indenting_encoder_writes(table):
 # --- chords built without checks ----------------------------------------------
 
 
-def reference_reduce(c, root=None):
-    """`reduce_chord_to_domain` as a power and a quotient per note, checked."""
-    if c.system != harmony.TONNETZ_234:
-        raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
-    root = c.notes[0] if root is None else root
-    reduced = [n / TRITAVE ** _floor_log(n.u - root.u, n.v - root.v, 0, 1) for n in c.notes]
-    if len(set(reduced)) != 3:
-        raise ValueError("domain reduction collapses two notes onto one")
-    return harmony.chord_234(reduced)
-
-
 def reference_invert(c, direction):
     a, b, top = c.notes
     shift = c.system._shift
@@ -548,7 +574,7 @@ def test_trusted_chords_are_those_the_checked_constructor_builds(triad, steps, r
     if system is harmony.TONNETZ_234:
         for r in (root, None):
             assert (chord_outcome(harmony.reduce_chord_to_domain, chord, r)
-                    == chord_outcome(reference_reduce, chord, r))
+                    == chord_outcome(oracle_reduce_chord_to_domain, chord, r))
     if harmony.classify(chord) is harmony.ChordQuality.MAJOR:
         for sequence in (harmony.basic_sequence, harmony.cadence_sequence):
             for c in sequence(chord):
@@ -562,7 +588,8 @@ def test_a_collapse_under_a_trusted_chord_is_refused_as_by_the_checked_one():
                        (harmony.invert, (spans_a_tritave, "first")),
                        (harmony.invert, (spans_a_tritave, "second")),
                        (harmony.invert, (harmony.chord_456((0, 5, 12)), "first"))):
-        reference = reference_reduce if make is harmony.reduce_chord_to_domain else reference_invert
+        reference = (oracle_reduce_chord_to_domain if make is harmony.reduce_chord_to_domain
+                     else reference_invert)
         with pytest.raises(ValueError) as want:
             reference(*args)
         with pytest.raises(ValueError) as got:   # raised by the call itself, not by `checked`
@@ -656,7 +683,8 @@ def test_both_parts_in_one_call_are_those_of_the_properties(u, v):
 
 @pytest.mark.parametrize("u, v", [(MAX_POWER_BITS - 1, 0), (MAX_POWER_BITS, 0),
                                   (-MAX_POWER_BITS + 1, 0), (-MAX_POWER_BITS, 0),
-                                  (MAX_POWER_BITS, -MAX_POWER_BITS)])
+                                  (MAX_POWER_BITS, -MAX_POWER_BITS),
+                                  (0, FIRST_THREE_PAST), (-1, -FIRST_THREE_PAST)])
 def test_the_parts_are_refused_at_the_bit_bound_with_the_check_message(u, v):
     from tritave.ratios import _part, _parts
 

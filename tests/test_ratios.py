@@ -17,6 +17,7 @@ from tritave.ratios import (
     TRITAVE,
     FreqRatio,
     NotThreeSmoothError,
+    _ratio,
     cents,
 )
 from tritave.scales import PYTH2, PYTH3, note_at_scale_degree
@@ -70,6 +71,15 @@ def test_from_fraction_far_up_is_cheap():
     assert growth < 40
 
 
+def test_as_fraction_far_out_is_cheap():
+    # `Fraction`'s gcd on the two coprime parts took 2.0-2.9 s at this size
+    ratio = FreqRatio(-10**6, 10**6)
+    start = time.perf_counter()
+    value = ratio.as_fraction()
+    assert time.perf_counter() - start < 0.5
+    assert value.denominator == 1 << 10**6 and value.numerator == 3**10**6
+
+
 def test_round_trip_through_fraction():
     for u in range(-30, 31):
         for v in range(-30, 31):
@@ -112,6 +122,18 @@ def test_exponent_overflow_signalled():
         big * big
     with pytest.raises(ValueError, match=r"^exponent 9223372036854775808 is outside"):
         FreqRatio(2**63, 0)
+
+
+@pytest.mark.parametrize("make", [FreqRatio, _ratio], ids=["checked", "trusted"])
+def test_the_exponent_range_is_from_minus_2_63_up_to_2_63(make):
+    for u, v in ((-2**63, 0), (0, -2**63), (2**63 - 1, -2**63)):
+        ratio = make(u, v)
+        assert type(ratio) is FreqRatio and (ratio.u, ratio.v) == (u, v)
+    for u, v, shown in ((-2**63 - 1, 0, -2**63 - 1), (0, -2**63 - 1, -2**63 - 1),
+                        (2**63, 0, 2**63), (-2**63, 2**63, 2**63)):
+        with pytest.raises(ValueError, match=f"^exponent {shown} is outside "
+                                             r"\[-2\*\*63, 2\*\*63\)$"):
+            make(u, v)
 
 
 @pytest.mark.parametrize("make, message", [

@@ -6,7 +6,8 @@ its memoised shape and builds its report unchecked, and the sequences move
 the two cached origin chords to the tonic's root.  Here the floor-log is
 checked against signs decided in integer arithmetic alone, purity against a
 report built from `Fraction`s of the notes with names found by parsing
-every base name, and the sequences against each tonic's own circle shifts
+every base name (its two frequencies, built with no gcd, also in all that a
+`Fraction` shows), and the sequences against each tonic's own circle shifts
 voiced near it.  Three calls that work on exponents or read three names
 straight are checked against the routes they replaced: `parse_chord`
 against a reader that reads every name with `oracles`' startswith reader,
@@ -14,7 +15,8 @@ refuses a repeat as it reads it and sorts by exact `Fraction` values;
 `emit_tonnetz_path` against the drawing keyed by `FreqRatio`, placed by
 `tonnetz.note_coordinates` and flagged by `harmony.classify`; and
 `reduce_chord_to_domain` against tritave steps decided by integer
-cross-multiplication.
+cross-multiplication (`oracles.oracle_reduce_chord_to_domain`, which
+`tests/test_fast_paths.py` checks the trusted chords against too).
 """
 
 import functools
@@ -29,7 +31,8 @@ from tritave import exports, harmony, notation, tonnetz
 from tritave.harmony import TONNETZ_234, TONNETZ_456, ChordQuality, PurityReport
 from tritave.ratios import FreqRatio, _floor_log, _shown
 
-from oracles import oracle_parse_edo12_note, oracle_parse_note, read_outcome
+from oracles import (assert_same_fraction, exact, oracle_parse_edo12_note, oracle_parse_note,
+                     oracle_reduce_chord_to_domain, read_outcome)
 
 # --- _floor_log ---------------------------------------------------------------
 
@@ -203,13 +206,18 @@ ROOTS = {
 }
 
 
+def stacked(system, root, first: str, second: str):
+    """The chord of a root and its two diagonal steps, ``"up"`` or ``"down"``."""
+    middle = system._shift(root, getattr(system, f"{first}_diagonal"))
+    top = system._shift(middle, getattr(system, f"{second}_diagonal"))
+    return harmony.Chord((root, middle, top), system)
+
+
 def grid(system):
     """The major, minor, augmented and diminished chords on every root of the grid."""
     for root in ROOTS[system.id]:
         for first, second, quality in QUALITIES:
-            middle = system._shift(root, getattr(system, f"{first}_diagonal"))
-            top = system._shift(middle, getattr(system, f"{second}_diagonal"))
-            yield harmony.Chord((root, middle, top), system), quality
+            yield stacked(system, root, first, second), quality
 
 
 def typed(value):
@@ -231,6 +239,21 @@ def test_purity_on_the_grid_is_the_fraction_report(system):
     assert named > 0
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from([TONNETZ_234, TONNETZ_456]), st.integers(-60, 60), st.integers(-60, 60),
+       st.sampled_from(QUALITIES))
+@example(TONNETZ_234, 0, 2000, QUALITIES[0])     # far out: the overtone from the base's parts
+@example(TONNETZ_234, 5, 10**4, QUALITIES[1])
+@example(TONNETZ_234, 0, -2000, QUALITIES[2])
+@example(TONNETZ_234, -7, -10**4, QUALITIES[3])
+def test_purity_frequencies_are_the_fractions_the_gcd_builds(system, u, v, quality):
+    root = FreqRatio(u, v) if system is TONNETZ_234 else u
+    chord = stacked(system, root, *quality[:2])
+    got, want = harmony.purity(chord), fraction_report(chord)
+    assert_same_fraction(got.base_frequency, want.base_frequency)
+    assert_same_fraction(got.overtone_frequency, want.overtone_frequency)
+
+
 # --- sequences --------------------------------------------------------------------
 
 @pytest.mark.parametrize("system", [TONNETZ_234, TONNETZ_456], ids=lambda s: s.id)
@@ -248,13 +271,6 @@ def test_sequences_on_the_grid_are_the_voiced_circle_shifts(system):
 
 
 # --- reading, drawing and reducing the walk's chords ------------------------------
-
-def exact(note) -> Fraction:
-    """A chord note's exact value: the ratio of a 2:3:4 note, the semitone of a 4:5:6 one."""
-    if isinstance(note, FreqRatio):
-        return Fraction(2) ** note.u * Fraction(3) ** note.v
-    return Fraction(note)
-
 
 def generic_parse_chord(system, names):
     """`TonnetzSystem.parse_chord` as a read-sort-repeat reader: each name read
@@ -379,37 +395,6 @@ FAR_PATH = [harmony.major_triad_234(FreqRatio(14, 0)),
 @example(FAR_PATH[::-1] * 2)
 def test_a_tonnetz_path_is_the_ratio_keyed_drawing(chords):
     assert exports.emit_tonnetz_path(chords) == reference_tonnetz_path(chords)
-
-
-def parts(note) -> tuple[int, int]:
-    """A 2:3:4 note's numerator and denominator, built in integers."""
-    return (2 ** max(note.u, 0) * 3 ** max(note.v, 0),
-            2 ** max(-note.u, 0) * 3 ** max(-note.v, 0))
-
-
-def below(a, b) -> bool:
-    """``a < b`` for two 2:3:4 notes, by cross-multiplying their parts."""
-    (an, ad), (bn, bd) = parts(a), parts(b)
-    return an * bd < bn * ad
-
-
-def oracle_reduce_chord_to_domain(chord, root=None):
-    """Each note moved by whole tritaves until it is at or over the root and
-    under three roots, each step decided by integer cross-multiplication."""
-    if chord.system is not TONNETZ_234:
-        raise ValueError("domain reduction by tritaves applies to 2:3:4 chords")
-    root = chord.notes[0] if root is None else root
-    top = FreqRatio(root.u, root.v + 1)
-    reduced = []
-    for note in chord.notes:
-        while not below(note, top):
-            note = FreqRatio(note.u, note.v - 1)
-        while below(note, root):
-            note = FreqRatio(note.u, note.v + 1)
-        reduced.append(note)
-    if len(set(reduced)) < 3:
-        raise ValueError("domain reduction collapses two notes onto one")
-    return harmony.Chord(tuple(sorted(reduced, key=exact)), TONNETZ_234)
 
 
 # Notes with few 2-exponents, so that two of them share one and collapse often.
