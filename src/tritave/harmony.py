@@ -38,11 +38,11 @@ note, and the size-checked exponents of a, b, c and ``lcm(a,b,c)`` over
 the base; a call adds the lowest note's vector to the first two and names
 them.  Only then does the second build those integers from the exponents
 or hand them back, so a chord refused by name leaves no big integer behind.
-Last come the base frequency and the overtone, each from its own vector:
-its positive exponents make the numerator and its negative ones the
-denominator, two coprime parts, so each `Fraction` is built with no gcd.
-A far chord's overtone takes the base's parts times small powers instead,
-so its big power of 3 is built once.
+Last come the base frequency and the overtone, the base times the lcm.
+Both `Fraction`s are built with no gcd of their big parts: the base's
+positive exponents make its numerator and its negative ones its
+denominator, two coprime parts, and the overtone's only common factor,
+that of the small lcm and the base's denominator, is divided out first.
 Sequences move the same way: every major tonic of a system has one shape,
 so its subdominant, dominant and second dominant are worked out once, on
 the origin, and moved to each tonic's root.
@@ -548,23 +548,16 @@ class PurityReport(_Record):
  _set_overtone_names) = PurityReport._setters
 
 
-def _value(monzo) -> Fraction:
-    """The exact value of a monzo, built with no gcd: its numerator and
-    denominator share no prime by construction; `_parts` checks their sizes."""
+def _fractions(monzo, lcm: int) -> tuple[Fraction, Fraction]:
+    """The exact value of a monzo and ``lcm`` times it, built with no gcd of
+    their big parts: the value's numerator and denominator share no prime by
+    construction, and the lcm's common factor with the denominator is divided
+    out before the product; `_parts` checks the sizes."""
     two, three, five = monzo
     num, den = _parts(two, three)
-    return _coprime_fraction(num * 5 ** max(five, 0), den * 5 ** max(-five, 0))
-
-
-def _overtone(base: Fraction, low, high) -> Fraction:
-    """`_value` of ``high`` from ``base``, the value of ``low``, which is a few
-    steps under it in each prime: each part changes by a small power, so a far
-    chord's big power of 3 is built once, for the base."""
-    num, den = base.numerator, base.denominator
-    for prime, e, f in zip((2, 3, 5), low, high):
-        num *= prime ** (max(f, 0) - max(e, 0))
-        den //= prime ** (max(-e, 0) - max(-f, 0))
-    return _coprime_fraction(num, den)
+    num, den = num * 5 ** max(five, 0), den * 5 ** max(-five, 0)
+    g = math.gcd(lcm, den)
+    return _coprime_fraction(num, den), _coprime_fraction(num * (lcm // g), den // g)
 
 
 @functools.lru_cache(maxsize=16)
@@ -586,14 +579,14 @@ def _shape(system_id: str, steps: tuple) -> tuple:
 def _purity_shape(system_id: str, steps: tuple) -> tuple:
     """The integers of `purity` that every transposition of a chord shares.
 
-    a:b:c and the overtone distance for the chord with these steps, built
-    from `_shape`'s checked exponents.  `purity` calls this only once the
-    chord's names are spelled, so the memo keeps no shape of a refused chord;
-    it is bounded at 16 shapes, each under `MAX_POWER_BITS`.
+    a:b:c, the overtone distance and ``lcm(a,b,c)`` for the chord with these
+    steps, built from `_shape`'s checked exponents.  `purity` calls this only
+    once the chord's names are spelled, so the memo keeps no shape of a
+    refused chord; it is bounded at 16 shapes, each under `MAX_POWER_BITS`.
     """
     a, b, top, lcm = ((3 ** three << two) * 5 ** five
                       for two, three, five in _shape(system_id, steps)[2])
-    return (a, b, top), lcm // top
+    return (a, b, top), lcm // top, lcm
 
 
 def purity(c: Chord) -> PurityReport:
@@ -612,8 +605,6 @@ def purity(c: Chord) -> PurityReport:
     # Names before values: a note too far up to spell fails as such, and
     # before any big integer is built or kept.
     base_names, overtone_names = system._monzo_names(low), system._monzo_names(high)
-    ratio, d_overtone = _purity_shape(system.id, steps)
-    base = _value(low)
-    # Building the overtone's power of 3 afresh is cheaper up to about 3**2000.
-    overtone = _value(high) if -2000 < three < 2000 else _overtone(base, low, high)
+    ratio, d_overtone, lcm = _purity_shape(system.id, steps)
+    base, overtone = _fractions(low, lcm)
     return PurityReport(ratio, ratio[0], d_overtone, base, overtone, base_names, overtone_names)

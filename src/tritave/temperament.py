@@ -17,10 +17,7 @@ calls to exact arithmetic; no power of 2 or 3 is ever built.
 
 from __future__ import annotations
 
-import math
-
-from .ratios import (Cents, FreqRatio, _check_int, _coprime_fraction, _floor_log, _named, _Record,
-                     _shown)
+from .ratios import Cents, FreqRatio, _check_int, _floor_log, _fraction_type, _Record, _shown
 
 __all__ = ["Convergent", "cf_coefficients", "convergents", "comma_for"]
 
@@ -52,17 +49,11 @@ class Convergent(_Record):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
-        _check_int(p, "p")
-        _check_int(q, "q")
-        if q < 1 or math.gcd(p, q) != 1:
-            raise ValueError("p/q must be in lowest terms with q >= 1, "
-                             f"not {_named('p', p)} over {_named('q', q)}")
         self._set(p, q)
 
     @property
     def value(self) -> Fraction:
-        """p/q as a `Fraction`, built with no gcd: the constructor checked p and q coprime."""
-        return _coprime_fraction(self.p, self.q)
+        return _fraction_type()(self.p, self.q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"

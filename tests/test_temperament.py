@@ -1,10 +1,9 @@
 import math
-import re
 
 import pytest
 
 from tritave.ratios import FreqRatio
-from tritave.temperament import Convergent, cf_coefficients, comma_for, convergents
+from tritave.temperament import cf_coefficients, comma_for, convergents
 
 
 def mpmath_cf(count: int) -> list[int]:
@@ -66,21 +65,6 @@ def test_convergent_recurrence_and_coprimality():
         assert convs[k].q == coeffs[k] * convs[k - 1].q + convs[k - 2].q
     for conv in convs:
         assert math.gcd(conv.p, conv.q) == 1
-
-
-@pytest.mark.parametrize("p, q, message", [
-    (2, 4, "p/q must be in lowest terms with q >= 1, not p 2 over q 4"),
-    (1, 0, "p/q must be in lowest terms with q >= 1, not p 1 over q 0"),
-    (-1, -2, "p/q must be in lowest terms with q >= 1, not p -1 over q -2"),
-    (10**30, 2, "p/q must be in lowest terms with q >= 1, not p of 100 bits over q 2"),
-    (-10**30, -3, "p/q must be in lowest terms with q >= 1, not negative p of 100 bits over q -3"),
-    (True, 1, "p must be an int, not True"),
-    (1, 2.0, "q must be an int, not 2.0"),
-])
-def test_a_convergent_is_refused_unless_in_lowest_terms(p, q, message):
-    # `value` builds its `Fraction` with no gcd, so the record holds only reduced p/q
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Convergent(p, q)
 
 
 def cmp_to_log_ratio(p: int, q: int) -> int:
