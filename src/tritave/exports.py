@@ -12,7 +12,7 @@ import io
 import math
 
 from . import harmony, notation, scales, tonnetz
-from .ratios import MAX_STR_DIGITS, _check_type, _parts, _shown
+from .ratios import MAX_STR_DIGITS, _check_type, _named, _parts, _shown
 
 __all__ = [
     "ProgressionError",
@@ -55,12 +55,13 @@ def emit_scl(scale: str = "pyth3", description: str | None = None) -> str:
     system = scales._SYSTEMS[scale]
     n = system.notes_per_period
     lines = [_SCL_DESCRIPTIONS[scale] if description is None else description, str(n)]
-    for degree in range(1, n + 1):
-        if system.just:
+    if system.just:
+        for degree in range(1, n + 1):
             pitch = scales._just_note(degree, system)
             lines.append("%d/%d" % _parts(pitch.u, pitch.v))
-        else:
-            lines.append(f"{scales.note_at_scale_degree(degree, system):.5f}")
+    else:   # `scales.note_at_scale_degree`'s cents, in its order of operations
+        period_cents = system.period.cents()
+        lines += [f"{degree / n * period_cents:.5f}" for degree in range(1, n + 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -213,27 +214,41 @@ def _purity_rows(system: harmony.TonnetzSystem, source_rows):
     return header, rows
 
 
+#: The rows of each table but ``diff``; each lambda reads its builder when called.
+_TABLES = {
+    **{table: (lambda pair=pair: _deviation_rows(pair))
+       for table, pair in _DEVIATION_TABLES.values()},
+    "plr456": lambda: _plr_rows(harmony.TONNETZ_456, 3),
+    "plr234": lambda: _plr_rows(harmony.TONNETZ_234, 8),
+    "purity234": lambda: _purity_rows(harmony.TONNETZ_234, _PURITY_234_ROWS),
+    "purity456": lambda: _purity_rows(harmony.TONNETZ_456, _PURITY_456_ROWS),
+}
+#: The default degree range, as the signatures below bind it.
+_PIANO_RANGE = (scales.PIANO_DEGREE_LO, scales.PIANO_DEGREE_HI)
+
+
 def _table_rows(
     which: str,
     degree_lo: int = scales.PIANO_DEGREE_LO,
     degree_hi: int = scales.PIANO_DEGREE_HI,
+    format: str = "csv",
 ):
-    """Header and rows of one reference table (``which`` as for `emit_table`)."""
+    """Header and rows of one reference table (arguments as for `emit_table`).
+    The id, then the format, then the degree range are checked before any row
+    is built; a range on a table without one is refused, not ignored."""
     _check_type(which, str, "a table id must be")
-    tables = {
-        "diff": lambda: _diff_rows(degree_lo, degree_hi),
-        "plr456": lambda: _plr_rows(harmony.TONNETZ_456, 3),
-        "plr234": lambda: _plr_rows(harmony.TONNETZ_234, 8),
-        "purity234": lambda: _purity_rows(harmony.TONNETZ_234, _PURITY_234_ROWS),
-        "purity456": lambda: _purity_rows(harmony.TONNETZ_456, _PURITY_456_ROWS),
-    }
     key = which.lower()
-    deviation_pairs = dict(_DEVIATION_TABLES.values())
-    if key in deviation_pairs:
-        return _deviation_rows(deviation_pairs[key])
-    if key not in tables:
+    if key not in TABLE_IDS:
         raise ValueError(f"unknown table {_shown(which)}; choose from {TABLE_IDS}")
-    return tables[key]()
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', not {_shown(format)}")
+    if key == "diff":       # `pyth2_pyth3_differences` checks the range first
+        return _diff_rows(degree_lo, degree_hi)
+    # The default by type too: ``-41.0`` is refused here as ``diff`` refuses it.
+    if (degree_lo, degree_hi) != _PIANO_RANGE or {type(degree_lo), type(degree_hi)} != {int}:
+        raise ValueError(f"table {_shown(which)} takes no degree range, not "
+                         f"{_named('degree_lo', degree_lo)}, {_named('degree_hi', degree_hi)}")
+    return _TABLES[key]()
 
 
 def emit_table(
@@ -247,20 +262,20 @@ def emit_table(
     ``which`` is one of ``t1`` (12-per-octave vs 12-EDO), ``t2``
     (19-per-tritave vs 19-EDT), ``diff`` (degrees where the just scales
     differ; range configurable), ``plr234``/``plr456`` (note classes
-    reachable by P/L/R moves) and ``purity234``/``purity456``.
+    reachable by P/L/R moves) and ``purity234``/``purity456``.  Only ``diff``
+    takes ``degree_lo`` and ``degree_hi``; any other table refuses a range
+    other than the default.
     """
-    header, rows = _table_rows(which, degree_lo, degree_hi)
-    if format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
+    header, rows = _table_rows(which, degree_lo, degree_hi, format)
     if format == "json":
         return _json_table(header, rows)
-    raise ValueError(f"format must be 'csv' or 'json', not {_shown(format)}")
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _json_table(header: list[str], rows) -> str:

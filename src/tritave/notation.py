@@ -278,30 +278,32 @@ class KeyLabel(_Record):
     __slots__ = ("midi", "name", "scale_degree", "color")    # color: "white" | "black"
 
     def __init__(self, midi: int, name: NoteName, scale_degree: int, color: str) -> None:
-        self._set(midi, name, scale_degree, color)
+        _set_midi(self, midi)
+        _set_name(self, name)
+        _set_degree(self, scale_degree)
+        _set_color(self, color)
 
+
+_set_midi, _set_name, _set_degree, _set_color = KeyLabel._setters
 
 _BLACK_PCS = {1, 3, 6, 8, 10}
 
 
 def keyboard_labels(midi_lo: int = 21, midi_hi: int = 108) -> list[KeyLabel]:
-    """Tritave-system labels for a run of piano keys (D4 = MIDI 62 = degree 0)."""
+    """Tritave-system labels for a run of piano keys (D4 = MIDI 62 = degree 0),
+    each name read off its key as `_spell` reads it."""
     _check_int(midi_lo, "midi_lo")
     _check_int(midi_hi, "midi_hi")
     if not 0 <= midi_lo <= midi_hi <= 127:
         raise ValueError("midi range must satisfy 0 <= lo <= hi <= 127, "
                          f"not lo={_shown(midi_lo)}, hi={_shown(midi_hi)}")
+    lo, n, names, *_ = _BASES[scales.PYTH3.id]
     labels = []
     for midi in range(midi_lo, midi_hi + 1):
         degree = midi - 62
-        labels.append(
-            KeyLabel(
-                midi=midi,
-                name=note_name_at_degree(degree),
-                scale_degree=degree,
-                color="black" if midi % 12 in _BLACK_PCS else "white",
-            )
-        )
+        shift, place = divmod(degree - lo, n)
+        labels.append(KeyLabel(midi, _note_name(names[place], shift), degree,
+                               "black" if midi % 12 in _BLACK_PCS else "white"))
     return labels
 
 

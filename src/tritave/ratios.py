@@ -91,10 +91,11 @@ def _check_type(value, kind: type, what: str) -> None:
         raise ValueError(f"{what} a {kind.__name__}, not {type(value).__name__}")
 
 
-def _named(noun: str, value: int) -> str:
-    """``noun`` and an int as `_shown` writes it, with ``negative`` in front where
-    `_shown` writes it by its bit count alone: ``negative degree of 100 bits``."""
-    return f"{'negative ' if value <= -_SHOWN_BELOW else ''}{noun} {_shown(value)}"
+def _named(noun: str, value) -> str:
+    """``noun`` and a value as `_shown` writes it, with ``negative`` in front of an
+    int it writes by its bit count alone: ``negative degree of 100 bits``."""
+    negative = isinstance(value, int) and value <= -_SHOWN_BELOW
+    return f"{'negative ' if negative else ''}{noun} {_shown(value)}"
 
 
 def _check_int(value, name: str) -> None:
@@ -108,11 +109,6 @@ def _strip(n: int, p: int) -> tuple[int, int]:
         return n, 0
     m, j = _strip(n // p, p * p)   # n // p = m * p**(2j), at most one p left in m
     return (m // p, 2 * j + 2) if m % p == 0 else (m, 2 * j + 1)
-
-
-def _written(numerator: int, denominator: int) -> str:
-    """A reduced fraction as `fractions.Fraction` writes it: ``N/D``, or ``N``."""
-    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 @functools.cache
@@ -239,15 +235,17 @@ class _Record:
     the fields.
 
     The build path follows the cost.  The hot records, `FreqRatio`,
-    `NoteName` and `PurityReport`, and the trusted builders `_ratio`,
-    `notation._note_name`, `harmony._chord` and `tonnetz._triad` call the
-    slots' setters one by one; the others, off the per-note and per-chord
-    paths, go through `_set`'s loop, which takes an eight-field `ScaleRow`
-    about 1.3 us to build against 0.07 us for the tuple of its fields.  One
-    builder for all, `_set` and a trusted ``_new`` generated with ``exec``
-    once per field count, costs start-up: on the benchmark's cli-mix workload (6
-    alternating 20 s pairs, 2-vCPU VM) ``op_cpu_ms_p50`` read x1.024 and
-    ``work_per_cpu_s`` x0.973, worse in 5 of 6 pairs each.
+    `NoteName` and `PurityReport`, the rows of the reference tables,
+    `ScaleRow`, `KeyLabel`, `ReachLevel` and `SectionResult`, and the
+    trusted builders `_ratio`, `notation._note_name`, `harmony._chord` and
+    `tonnetz._triad` call the slots' setters one by one: an eight-field
+    `ScaleRow` takes about 0.73 us to build that way against 1.16 us through
+    `_set`'s loop (best of 6 processes of 9 x 20000 builds).  The checked
+    `Chord` and `Triad` constructors and the rarely built records go through
+    `_set`.  One builder for all, `_set` and a trusted ``_new`` generated
+    with ``exec`` once per field count, costs start-up: on the benchmark's
+    cli-mix workload (6 alternating 20 s pairs, 2-vCPU VM) ``op_cpu_ms_p50``
+    read x1.024 and ``work_per_cpu_s`` x0.973, worse in 5 of 6 pairs each.
     """
 
     __slots__ = ()
@@ -397,17 +395,22 @@ class FreqRatio(_Record):
 
     def __str__(self) -> str:
         """``N/D``, or ``N`` for a whole number; checked against `MAX_STR_DIGITS` first."""
-        parts = []
-        for part, a, b in (("numerator", max(self.u, 0), max(self.v, 0)),
-                           ("denominator", max(-self.u, 0), max(-self.v, 0))):
-            # log10 of the part, from its exponents: no power is built to count
-            # digits.  Its digit bound is far under its bit bound.
-            digits = int((a + b * LOG2_3) * _LOG10_2) + 1
-            if digits > MAX_STR_DIGITS:
-                raise ValueError(f"cannot write FreqRatio({self.u}, {self.v}): its {part} has "
-                                 f"about {digits} digits, more than {MAX_STR_DIGITS}")
-            parts.append(3 ** b << a)
-        return _written(*parts)
+        u, v = self.u, self.v
+        # A part 2**a * 3**b is counted at ``int(x) + 1`` digits from its exponents,
+        # ``x = (a + b*LOG2_3) * _LOG10_2 >= 0``, so no power is built to count them;
+        # it is refused exactly when ``x >= MAX_STR_DIGITS``.  Both parts have
+        # ``a <= abs(u)`` and ``b <= abs(v)``, and int-to-float conversion and
+        # correctly rounded float products and sums are monotone, so each x is at
+        # most the value tested here: under it, no part is refused.
+        if (abs(u) + abs(v) * LOG2_3) * _LOG10_2 >= MAX_STR_DIGITS:
+            for part, a, b in (("numerator", max(u, 0), max(v, 0)),
+                               ("denominator", max(-u, 0), max(-v, 0))):
+                digits = int((a + b * LOG2_3) * _LOG10_2) + 1
+                if digits > MAX_STR_DIGITS:
+                    raise ValueError(f"cannot write FreqRatio({u}, {v}): its {part} has "
+                                     f"about {digits} digits, more than {MAX_STR_DIGITS}")
+        numerator, denominator = _parts(u, v)
+        return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
     def __repr__(self) -> str:
         return f"FreqRatio({self.u}, {self.v})"

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_type, _floor_log,
-                     _fraction_type, _named, _ratio, _Record, _shown, _SHOWN_BELOW, cents)
+from .ratios import (COMMA, FreqRatio, OCTAVE, TRITAVE, _check_int, _check_type,
+                     _coprime_fraction, _floor_log, _named, _ratio, _Record, _shown, _SHOWN_BELOW,
+                     cents)
 
 __all__ = [
     "ScaleSystem",
@@ -219,17 +220,6 @@ def fundamental_note(h: int, system: ScaleSystem) -> FreqRatio:
     return _just_note(harmonic_to_scale_degree(h, system), system)
 
 
-def _key_exponents(degree: int, system: ScaleSystem) -> tuple[int, int]:
-    """Exponents of the just note at an absolute scale degree: ``6**h``, for the
-    degree's harmonic degree ``h``, moved by the whole periods between its key
-    and the degree's."""
-    h = _window(system.degree_multiplier_inv * degree, system)
-    # Exact: 31 is b modulo the notes per period, so 31*h and the degree agree there.
-    t = (degree - _KEYS_PER_SIX * h) // system.notes_per_period
-    period = system.period
-    return h + t * period.u, h + t * period.v
-
-
 def note_at_scale_degree(
     degree: int, system: ScaleSystem, intonation: str | None = None
 ):
@@ -264,9 +254,15 @@ def note_at_scale_degree(
 
 def _just_note(degree: int, system: ScaleSystem, commas: int = 0) -> FreqRatio:
     """Just pitch at an absolute scale degree times ``COMMA**commas``; with no
-    commas, the one note on that key whose harmonic degree is in the range."""
-    u, v = _key_exponents(degree, system)
-    return _ratio(u + commas * COMMA.u, v + commas * COMMA.v)
+    commas, the one note on that key whose harmonic degree is in the range:
+    ``6**h``, for the degree's harmonic degree ``h``, moved by the whole
+    periods between its key and the degree's."""
+    lo, n = system.harmonic_range[0], system.notes_per_period
+    h = (system.degree_multiplier_inv * degree - lo) % n + lo     # `scale_to_harmonic`
+    # Exact: 31 is b modulo the notes per period, so 31*h and the degree agree there.
+    t = (degree - _KEYS_PER_SIX * h) // n
+    period = system.period
+    return _ratio(h + t * period.u + commas * COMMA.u, h + t * period.v + commas * COMMA.v)
 
 
 class ScaleRow(_Record):
@@ -279,8 +275,18 @@ class ScaleRow(_Record):
     def __init__(self, scale_degree: int, note: str, just_ratio: FreqRatio,
                  harmonic_degree: int, equal_exponent: Fraction, equal_value: float,
                  deviation_cents: float, boundary: bool = False) -> None:
-        self._set(scale_degree, note, just_ratio, harmonic_degree, equal_exponent,
-                  equal_value, deviation_cents, boundary)
+        _set_degree(self, scale_degree)
+        _set_note(self, note)
+        _set_just(self, just_ratio)
+        _set_harmonic(self, harmonic_degree)
+        _set_exponent(self, equal_exponent)
+        _set_value(self, equal_value)
+        _set_deviation(self, deviation_cents)
+        _set_boundary(self, boundary)
+
+
+(_set_degree, _set_note, _set_just, _set_harmonic, _set_exponent, _set_value, _set_deviation,
+ _set_boundary) = ScaleRow._setters
 
 
 # Each table pair: the just scale, its degrees, the boundary degrees (each
@@ -310,15 +316,16 @@ def deviation_table(pair: str = "pyth3_edt19") -> list[ScaleRow]:
     n_per, period_cents = system.notes_per_period, system.period.cents()
     period_value = float(system.period.numerator)
 
-    Fraction, rows = _fraction_type(), []
+    rows = []
     for n in degrees:
         just = _just_note(n, system, boundary.get(n, 0))
         # The window has no name of its own one degree outside.
         name = notation._name_in(just, boundary_names if n in boundary else system)
+        g = math.gcd(n, n_per)      # small ints: `Fraction(n, n_per)` reduces in Python
         # n / n_per and float(Fraction(n, n_per)) are the same correctly rounded float.
-        rows.append(ScaleRow(n, name, just, _harmonic_degree(just, system), Fraction(n, n_per),
-                             period_value ** (n / n_per), just.cents() - n / n_per * period_cents,
-                             n in boundary))
+        rows.append(ScaleRow(n, name, just, _harmonic_degree(just, system),
+                             _coprime_fraction(n // g, n_per // g), period_value ** (n / n_per),
+                             just.cents() - n / n_per * period_cents, n in boundary))
     return rows
 
 

@@ -169,7 +169,12 @@ class ReachLevel(_Record):
     __slots__ = ("moves", "count", "classes")
 
     def __init__(self, moves: int, count: int, classes: frozenset) -> None:
-        self._set(moves, count, classes)
+        _set_moves(self, moves)
+        _set_count(self, count)
+        _set_classes(self, classes)
+
+
+_set_moves, _set_count, _set_classes = ReachLevel._setters
 
 
 def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
@@ -201,7 +206,8 @@ def reachable_note_classes(start: Triad, max_moves: int) -> list[ReachLevel]:
     for k in range(max_moves + 1):
         nxt = []
         for root, major in frontier:
-            classes.update(table[(root + step) % n] for step in stacks[major])
+            a, b, c = stacks[major]     # three notes: one tuple, no generator per triad
+            classes.update((table[(root + a) % n], table[(root + b) % n], table[(root + c) % n]))
             for step in moves[major]:
                 key = ((root + step) % n, not major)
                 if key not in seen:

@@ -29,7 +29,13 @@ class SectionResult(_Record):
 
     def __init__(self, name: str, kind: str, passed: bool,
                  failures: list[str] | None = None) -> None:
-        self._set(name, kind, passed, [] if failures is None else failures)
+        _set_name(self, name)
+        _set_kind(self, kind)
+        _set_passed(self, passed)
+        _set_failures(self, [] if failures is None else failures)
+
+
+_set_name, _set_kind, _set_passed, _set_failures = SectionResult._setters
 
 
 class VerifyReport(_Record):

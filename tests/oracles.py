@@ -1,4 +1,4 @@
-"""The test oracles that more than one test module checks the package against.
+"""The test oracles the package is checked against, one home for each.
 
 Each oracle reaches its answer by another route than the code it checks,
 and never calls that code:
@@ -7,7 +7,9 @@ and never calls that code:
   `Fraction`s, or from 100-digit `decimal` logarithms for large exponents.
 * `oracle_period_shift`: how many periods a note sits above its class's
   note in the fundamental interval, searched by `oracle_sign` alone on the
-  squared domain bounds `DOMAIN_BOUNDS`, which never reads a key.
+  squared domain bounds `DOMAIN_BOUNDS`, which never reads a key;
+  `oracle_in_domain`: whether a note lies between those bounds, by the same
+  sign.
 * `oracle_parse_note`, `oracle_parse_pyth2_note`, `oracle_parse_edo12_note`:
   the three name readers as they read names before the prefix lookup and
   the str.count mark check, a longest-first startswith scan and ``set()``
@@ -19,6 +21,16 @@ and never calls that code:
   harmonic degree's scale degree and its marks counted by
   `oracle_period_shift`; `reference_just_names`: those names in each just
   scale whose window holds the note's harmonic degree.  Neither reads a key.
+* `reference_domain`: the squared bounds of the fundamental interval as
+  `Fraction`s; `reference_fundamental_note`: ``6**h`` moved one period at a
+  time between them; `reference_note_at_scale_degree`: that note of the
+  degree's harmonic degree times whole periods.  None of the three reads a
+  key.  `reference_deviation_rows`: a deviation table's rows from the just
+  notes of `scales._just_note`, each boundary note a `FreqRatio` product,
+  each equal exponent the `Fraction` that ``Fraction(n, d)`` reduces and
+  each row built by keyword.
+* `oracle_ratio_str`: `str` of a `FreqRatio` with each part's digit count
+  estimated and checked, then both parts built by powers.
 * `oracle_reduce_chord_to_domain`: each note of a 2:3:4 chord moved by
   whole tritaves into [root, 3*root), each step decided by cross-multiplying
   integer parts; `exact` is a chord note's value, which sorts the notes.
@@ -38,11 +50,12 @@ import operator
 import pickle
 from fractions import Fraction
 
-from tritave import harmony, scales
+from tritave import harmony, notation, scales
 from tritave.harmony import TONNETZ_234
 from tritave.notation import (BASE_NAMES_PYTH2, BASE_NAMES_PYTH3, NAMES_EDO12, NoteName, _marks,
                               parse_edo12_note, parse_note, parse_pyth2_note)
-from tritave.ratios import OCTAVE, TRITAVE, FreqRatio, NotThreeSmoothError, _shown
+from tritave.ratios import (COMMA, LOG2_3, MAX_STR_DIGITS, OCTAVE, TRITAVE, FreqRatio,
+                            NotThreeSmoothError, _shown)
 from tritave.scales import PYTH2, PYTH3, note_at_scale_degree
 
 CTX = decimal.Context(prec=100)
@@ -102,6 +115,14 @@ def oracle_period_shift(ratio: FreqRatio, period: FreqRatio) -> int:
     # One squared period under the upper bound is the lower one: the note is inside.
     assert oracle_sign(2 * (ratio.u - hi * pu) - lu, 2 * (ratio.v - hi * pv) - lv) > 0
     return hi
+
+
+def oracle_in_domain(ratio: FreqRatio, system) -> bool:
+    """Whether a note is in its system's fundamental interval: its square
+    above the lower squared bound and at or under the upper, by `oracle_sign`."""
+    (lu, lv), (hu, hv) = DOMAIN_BOUNDS[system.period]
+    u, v = 2 * ratio.u, 2 * ratio.v
+    return oracle_sign(u - lu, v - lv) > 0 and oracle_sign(hu - u, hv - v) >= 0
 
 
 def oracle_split(text, bases):
@@ -201,6 +222,74 @@ def reference_just_names(ratio):
     return tuple(reference_spelling(ratio, system) for system in (PYTH3, PYTH2)
                  if system.harmonic_range[0] <= scales.harmonic_degree(ratio, system)
                  <= system.harmonic_range[1])
+
+
+def reference_domain(system):
+    """The squared bounds ``(c**2/P, c**2*P)`` of the fundamental interval.
+
+    The interval is ``(c/sqrt(P), c*sqrt(P)]`` around the centre c, 1 for
+    the tritave scales and the comma for the octave ones; squared, its
+    bounds are rational, so the test is on Fractions.
+    """
+    period = Fraction(system.period.numerator, system.period.denominator)
+    centre = Fraction(531441, 524288) if system.period == OCTAVE else Fraction(1)
+    return centre ** 2 / period, centre ** 2 * period
+
+
+def reference_fundamental_note(h, system):
+    """``6**h`` moved one period at a time into the fundamental interval."""
+    period = Fraction(system.period.numerator, system.period.denominator)
+    lower, upper = reference_domain(system)
+    note = Fraction(6) ** h
+    while note ** 2 > upper:
+        note /= period
+    while note ** 2 <= lower:
+        note *= period
+    return FreqRatio.from_fraction(note.numerator, note.denominator)
+
+
+def reference_note_at_scale_degree(degree, system):
+    """The formula the degree map replaced: reduce, then shift by whole periods."""
+    lo = system.harmonic_range[0]
+    t, place = divmod(degree - lo, system.notes_per_period)
+    note = reference_fundamental_note(scales.scale_to_harmonic(lo + place, system), system)
+    return note * system.period ** t
+
+
+def reference_deviation_rows(pair):
+    """The rows as built one `FreqRatio` product and one `Fraction` at a time."""
+    system, degrees, boundary, boundary_names = scales._TABLE_PAIRS[pair]
+    rows = []
+    for n in degrees:
+        just = scales._just_note(n, system) * COMMA ** boundary.get(n, 0)
+        equal_exp = Fraction(n, system.notes_per_period)
+        rows.append(scales.ScaleRow(
+            scale_degree=n,
+            note=notation._name_in(just, boundary_names if n in boundary else system),
+            just_ratio=just,
+            harmonic_degree=scales.harmonic_degree(just, system),
+            equal_exponent=equal_exp,
+            equal_value=float(system.period.numerator) ** float(equal_exp),
+            deviation_cents=just.cents() - n / system.notes_per_period * system.period.cents(),
+            boundary=n in boundary,
+        ))
+    return rows
+
+
+def oracle_ratio_str(ratio) -> str:
+    """`str` of a `FreqRatio` as it was written part by part: each part's digit
+    count estimated from its exponents and refused past `MAX_STR_DIGITS`, then
+    both parts built and written as `Fraction` writes them."""
+    parts = []
+    for part, a, b in (("numerator", max(ratio.u, 0), max(ratio.v, 0)),
+                       ("denominator", max(-ratio.u, 0), max(-ratio.v, 0))):
+        digits = int((a + b * LOG2_3) * math.log10(2)) + 1
+        if digits > MAX_STR_DIGITS:
+            raise ValueError(f"cannot write FreqRatio({ratio.u}, {ratio.v}): its {part} has "
+                             f"about {digits} digits, more than {MAX_STR_DIGITS}")
+        parts.append(3 ** b << a)
+    numerator, denominator = parts
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
 def exact(note) -> Fraction:

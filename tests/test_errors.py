@@ -171,6 +171,42 @@ def test_a_difference_range_beyond_the_bound_is_refused_at_once(make, message):
     assert str(excinfo.value) == message
 
 
+def no_rows(*args):
+    raise AssertionError("a row was built before the arguments were checked")
+
+
+TABLES = str(exports.TABLE_IDS)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("t3", "yaml", -2, 2), f"unknown table 't3'; choose from {TABLES}"),
+    (("t2", "yaml", -2, 2), "format must be 'csv' or 'json', not 'yaml'"),
+    (("diff", "yaml", -10**5), "format must be 'csv' or 'json', not 'yaml'"),
+    (("t2", "json", -2, 2), "table 't2' takes no degree range, not degree_lo -2, degree_hi 2"),
+    (("PLR234", "csv", scales.PIANO_DEGREE_LO, 0),
+     "table 'PLR234' takes no degree range, not degree_lo -41, degree_hi 0"),
+    (("purity456", "csv", -10**30, "x"),
+     "table 'purity456' takes no degree range, not negative degree_lo of 100 bits, "
+     "degree_hi 'x'"),
+    (("t1", "csv", -41.0), "table 't1' takes no degree range, not degree_lo -41.0, degree_hi 46"),
+    (("diff", "csv", 5, 3), "degree_lo 5 exceeds degree_hi 3"),
+], ids=["id-first", "format-second", "format-before-diff-range", "range-t2", "range-plr234",
+        "range-named", "range-float", "diff-range"])
+def test_a_table_is_refused_by_its_id_then_format_then_range_before_any_row(
+        monkeypatch, args, message):
+    for module, builder in ((scales, "_just_note"), (exports, "_deviation_rows"),
+                            (exports, "_plr_rows"), (exports, "_purity_rows")):
+        monkeypatch.setattr(module, builder, no_rows)
+    with pytest.raises(ValueError) as excinfo:
+        exports.emit_table(*args)
+    assert str(excinfo.value) == message
+
+
+def test_a_table_takes_its_default_range_by_value():
+    assert exports.emit_table("t2", "csv", scales.PIANO_DEGREE_LO, scales.PIANO_DEGREE_HI) == (
+        exports.emit_table("t2"))
+
+
 def test_the_difference_range_may_reach_the_bound():
     for degree in (-scales.MAX_DEGREE, scales.MAX_DEGREE):     # the scales differ there
         assert [row[0] for row in scales.pyth2_pyth3_differences(degree, degree)] == [degree]
@@ -440,6 +476,15 @@ def test_an_equal_pitch_past_float_range_is_refused_by_its_degree(degree, messag
     assert str(excinfo.value) == message
 
 
+def key_exponents(degree, system):
+    """The exponents of the just note at a degree, in unbounded ints: ``6**h``,
+    for the degree's harmonic degree ``h``, moved by the whole periods between
+    the key ``31*h`` of ``6**h`` and the degree."""
+    h = scales.scale_to_harmonic(degree, system)
+    periods = (degree - 31 * h) // system.notes_per_period
+    return h + periods * system.period.u, h + periods * system.period.v
+
+
 @pytest.mark.parametrize("system", [scales.PYTH3, scales.PYTH2, scales.EDT19],
                          ids=lambda s: s.id)
 def test_a_just_pitch_past_the_exponent_range_is_refused_by_its_degree(system):
@@ -448,7 +493,7 @@ def test_a_just_pitch_past_the_exponent_range_is_refused_by_its_degree(system):
     ends = range(system.notes_per_period * (2**63 - 2), system.notes_per_period * (2**63 + 2))
     held = set()
     for degree in (*ends, *(-d for d in ends)):
-        u, v = scales._key_exponents(degree, system)
+        u, v = key_exponents(degree, system)
         fits = -2**63 <= u < 2**63 and -2**63 <= v < 2**63
         held.add(fits)
         if fits:

@@ -1,34 +1,37 @@
 """The pitch and chord layers' fast paths against the checked paths they replaced.
 
-Arithmetic builds its results through `ratios._ratio`, which checks only
-the exponent range; `numerator`, `denominator` and `str` build ``2**a`` and
-``3**b`` directly, `as_fraction` builds its `Fraction` from coprime
-parts with no gcd, and `from_fraction` reads a
-3-smooth fraction's exponents off its parts' bits; `scales` reads just pitches off the
-keyboard's degree map, and the period shift too in the period's window of
-harmonic degrees, tests domain membership by that shift and finds where the
-two just scales differ by the comma power that reduces one to the other,
-skipping the keys where they agree, and builds each deviation row's just
-note from its exponents; `notation` reads a note's base name and period
-shift off its key in one `divmod`, testing each just scale's window once
-for purity's names, and reads a name's base by one lookup; `exports` writes
-table JSON without the indenting encoder; chord parsing sorts the notes
-with their places; and the walk primitives build their chords and P/L/R
-images through `harmony._chord` and `tonnetz._triad`, which check nothing.
-Each is compared here with the path it replaced or with an oracle that does
-not call it: the public `FreqRatio`, `Chord` and `Triad` constructors,
-`Fraction` powers, the `Fraction` that ``Fraction(n, d)`` reduces, the
-integer tritave steps of `oracles.oracle_reduce_chord_to_domain`, the
-trial division of `oracles.oracle_from_fraction`, the step-at-a-time
-period reduction of ``6**h``, the two-sided test on the squared domain
-bounds, the period shift that `oracles.oracle_period_shift`
-finds by sign tests on those bounds (`tests/test_ordering.py` checks
-`period_reduce` against it too), the per-row `FreqRatio` product and
-`Fraction` of the deviation rows, the per-key difference build, the
-per-scale spelling of `oracles.reference_spelling`, the startswith and
-``set()`` name reader of `oracles.READERS` (`tests/test_notation.py` checks
-the parsers against it too), the messages of the dict-keyed chord parse,
-and `json.dumps` with an indent.
+Arithmetic builds its results through `ratios._ratio`, which checks only the
+exponent range; `numerator`, `denominator` and `str` build ``2**a`` and
+``3**b`` directly, `str` counting each part's digits only near the digit
+limit, `as_fraction` builds its `Fraction` from coprime parts with no gcd,
+and `from_fraction` reads a 3-smooth fraction's exponents off its parts'
+bits; `scales` reads just pitches off the keyboard's degree map, and the
+period shift too in the period's window of harmonic degrees, tests domain
+membership by that shift and finds where the two just scales differ by the
+comma power that reduces one to the other, skipping the keys where they
+agree, and builds each deviation row's just note from its exponents;
+`notation` reads a note's base name and period shift off its key in one
+`divmod`, testing each just scale's window once for purity's names and
+labelling each piano key that way, and reads a name's base by one lookup;
+`exports` writes table JSON without the indenting encoder; chord parsing
+sorts the notes with their places; and the walk primitives build their
+chords and P/L/R images through `harmony._chord` and `tonnetz._triad`, which
+check nothing. Each is compared here with the path it replaced or with an
+oracle that does not call it: the public `FreqRatio`, `Chord` and `Triad`
+constructors, `Fraction` powers, the `Fraction` that ``Fraction(n, d)``
+reduces, the per-part digit count of `oracles.oracle_ratio_str`, the labels
+built from `note_name_at_degree` and keyword `KeyLabel`s, the integer
+tritave steps of `oracles.oracle_reduce_chord_to_domain`, the trial division
+of `oracles.oracle_from_fraction`, the step-at-a-time period reduction of
+``6**h``, the two-sided test on the squared domain bounds, the period shift
+that `oracles.oracle_period_shift` finds by sign tests on those bounds
+(`tests/test_ordering.py` checks `period_reduce` against it too), the
+per-row `FreqRatio` product and `Fraction` of the deviation rows, the
+per-key difference build, the per-scale spelling of
+`oracles.reference_spelling`, the startswith and ``set()`` name reader of
+`oracles.READERS` (`tests/test_notation.py` checks the parsers against it
+too), the messages of the dict-keyed chord parse, and `json.dumps` with an
+indent.
 """
 
 import itertools
@@ -41,14 +44,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tritave import exports, harmony, notation, scales, tonnetz
-from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, MAX_POWER_BITS, MAX_STR_DIGITS, OCTAVE,
-                           TRITAVE, FreqRatio)
+from tritave.ratios import (_INT64, COMMA, FIFTH, FOURTH, LOG2_3, MAX_POWER_BITS, MAX_STR_DIGITS,
+                           OCTAVE, TRITAVE, FreqRatio)
 from tritave.scales import EDO12, EDT19, PYTH2, PYTH3
 from tritave.temperament import MAX_TERMS, Convergent, convergents
 
 from oracles import (READERS, assert_same_fraction, oracle_from_fraction, oracle_period_shift,
-                     oracle_reduce_chord_to_domain, read_outcome, reference_just_names,
-                     reference_spelling)
+                     oracle_ratio_str, oracle_reduce_chord_to_domain, read_outcome,
+                     reference_deviation_rows, reference_domain, reference_fundamental_note,
+                     reference_just_names, reference_note_at_scale_degree, reference_spelling)
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -94,6 +98,51 @@ def test_parts_and_text_are_those_of_the_fraction(u, v):
     else:
         with pytest.raises(ValueError, match=r"^cannot write FreqRatio\("):
             str(ratio)
+
+
+def estimated_digits(a, b):
+    """The digit count `oracle_ratio_str` estimates for the part ``2**a * 3**b``."""
+    return int((a + b * LOG2_3) * math.log10(2)) + 1
+
+
+def both_ends(digits, b=None, a=None):
+    """The least and the greatest exponent, of 2 for a given ``b`` or of 3 for a
+    given ``a``, that gives a part estimated at ``digits`` digits."""
+    def count(k):
+        return estimated_digits(k, b) if a is None else estimated_digits(a, k)
+    k = 0
+    while count(k + 1024) < digits:     # the digit count grows by at most 1 per step
+        k += 1024
+    while count(k) < digits:
+        k += 1
+    first = k
+    while count(k + 1) == digits:
+        k += 1
+    return first, k
+
+
+DIGIT_BOUND = (MAX_STR_DIGITS - 1, MAX_STR_DIGITS, MAX_STR_DIGITS + 1)
+TWOS = [a for d in DIGIT_BOUND for a in both_ends(d, b=0)]
+THREES = [b for d in DIGIT_BOUND for b in both_ends(d, a=0)]
+MIXED = [(a, b) for d in DIGIT_BOUND for b in (1, 4000) for a in both_ends(d, b=b)]
+#: Parts of 4299, 4300 and 4301 estimated digits: a power of 2 over a power of
+#: 3 and the other way round, and one part with both primes, up or down.
+AT_THE_DIGIT_BOUND = ([(a, -b) for a in TWOS for b in THREES]
+                      + [(-a, b) for a in TWOS for b in THREES]
+                      + [pair for a, b in MIXED for pair in ((a, b), (-a, -b))]
+                      + [pair for a in TWOS for pair in ((a, 0), (-a, 0))]
+                      + [pair for b in THREES for pair in ((0, b), (0, -b))])
+
+
+def test_a_ratio_is_written_as_the_per_part_digit_count_writes_it():
+    outcomes = [(read_outcome(str, ratio), read_outcome(oracle_ratio_str, ratio))
+                for ratio in (FreqRatio(u, v) for u, v in AT_THE_DIGIT_BOUND)]
+    assert all(got == want for got, want in outcomes)
+    refused = {want[1].split(": its ")[1].split()[0] for _, want in outcomes
+               if type(want) is tuple}
+    assert refused == {"numerator", "denominator"}
+    assert any(type(want) is str for _, want in outcomes)
+    assert {estimated_digits(a, 0) for a in TWOS} == set(DIGIT_BOUND)
 
 
 # --- Fractions built from coprime parts with no gcd ---------------------------------
@@ -157,38 +206,6 @@ def fraction_pairs(draw):
 @example((0, 0))
 def test_from_fraction_is_the_trial_division_oracle(pair):
     assert read_outcome(FreqRatio.from_fraction, *pair) == read_outcome(oracle_from_fraction, *pair)
-
-
-def reference_domain(system):
-    """The squared bounds ``(c**2/P, c**2*P)`` of the fundamental interval.
-
-    The interval is ``(c/sqrt(P), c*sqrt(P)]`` around the centre c, 1 for
-    the tritave scales and the comma for the octave ones; squared, its
-    bounds are rational, so the test is on Fractions.
-    """
-    period = Fraction(system.period.numerator, system.period.denominator)
-    centre = Fraction(531441, 524288) if system.period == OCTAVE else Fraction(1)
-    return centre ** 2 / period, centre ** 2 * period
-
-
-def reference_fundamental_note(h, system):
-    """``6**h`` moved one period at a time into the fundamental interval."""
-    period = Fraction(system.period.numerator, system.period.denominator)
-    lower, upper = reference_domain(system)
-    note = Fraction(6) ** h
-    while note ** 2 > upper:
-        note /= period
-    while note ** 2 <= lower:
-        note *= period
-    return FreqRatio.from_fraction(note.numerator, note.denominator)
-
-
-def reference_note_at_scale_degree(degree, system):
-    """The formula the degree map replaced: reduce, then shift by whole periods."""
-    lo = system.harmonic_range[0]
-    t, place = divmod(degree - lo, system.notes_per_period)
-    note = reference_fundamental_note(scales.scale_to_harmonic(lo + place, system), system)
-    return note * system.period ** t
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.id)
@@ -266,26 +283,6 @@ def test_the_differences_are_those_of_the_reference_notes(degree_lo, degree_hi):
     assert scales.pyth2_pyth3_differences(degree_lo, degree_hi) == want
     # A power of the comma, the only 3-smooth ratios 0 keys up: 12u + 19v = 0.
     assert all(12 * q.u + 19 * q.v == 0 and q.v for *_, q in want)
-
-
-def reference_deviation_rows(pair):
-    """The rows as built one `FreqRatio` product and one `Fraction` at a time."""
-    system, degrees, boundary, boundary_names = scales._TABLE_PAIRS[pair]
-    rows = []
-    for n in degrees:
-        just = scales._just_note(n, system) * COMMA ** boundary.get(n, 0)
-        equal_exp = Fraction(n, system.notes_per_period)
-        rows.append(scales.ScaleRow(
-            scale_degree=n,
-            note=notation._name_in(just, boundary_names if n in boundary else system),
-            just_ratio=just,
-            harmonic_degree=scales.harmonic_degree(just, system),
-            equal_exponent=equal_exp,
-            equal_value=float(system.period.numerator) ** float(equal_exp),
-            deviation_cents=just.cents() - n / system.notes_per_period * system.period.cents(),
-            boundary=n in boundary,
-        ))
-    return rows
 
 
 def exact_fields(row):
@@ -437,6 +434,18 @@ def test_the_name_at_a_degree_is_that_of_the_just_note_there():
     for degree in KEYS:
         note = scales.note_at_scale_degree(degree, PYTH3, "just")
         assert notation.note_name_at_degree(degree) == notation.name_of(note)
+
+
+def test_the_keyboard_labels_are_those_of_the_name_at_each_degree():
+    # Each key as the labels were built one public name and one keyword record at a time.
+    want = [notation.KeyLabel(midi=midi, name=notation.note_name_at_degree(midi - 62),
+                              scale_degree=midi - 62,
+                              color="black" if midi % 12 in (1, 3, 6, 8, 10) else "white")
+            for midi in range(128)]
+    got = notation.keyboard_labels(0, 127)
+    assert got == want and list(map(repr, got)) == list(map(repr, want))
+    for lo, hi in ((0, 0), (21, 108), (60, 64), (127, 127)):
+        assert notation.keyboard_labels(lo, hi) == want[lo:hi + 1]
 
 
 def test_a_tritave_class_is_the_base_name_of_its_fundamental_note():
@@ -765,7 +774,8 @@ def per_key_differences(degree_lo, degree_hi):
     reducing the PYTH3 note to PYTH2's range takes a comma."""
     out = []
     for n in range(degree_lo, degree_hi + 1):
-        u, v = scales._key_exponents(n, PYTH3)
+        note = scales._just_note(n, PYTH3)
+        u, v = note.u, note.v
         m = (scales._window(v, PYTH2) - v) // COMMA.v
         if m:
             p3, p2 = FreqRatio(u, v), FreqRatio(u + m * COMMA.u, v + m * COMMA.v)
@@ -785,5 +795,5 @@ def test_the_differences_are_those_of_the_per_key_build(bounds):
 
 def test_the_agreeing_keys_are_those_where_no_comma_is_taken():
     for n in range(-400, 401):
-        u, v = scales._key_exponents(n, PYTH3)
+        v = scales._just_note(n, PYTH3).v
         assert (n in scales._AGREEING_KEYS) == (scales._window(v, PYTH2) == v)

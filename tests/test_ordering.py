@@ -34,7 +34,7 @@ from tritave.ratios import (
 from tritave.scales import (EDO12, EDT19, PYTH2, PYTH3, ScaleSystem, in_fundamental_interval,
                             period_reduce)
 
-from oracles import CTX, DEC_LOG2_3, DOMAIN_BOUNDS, oracle_period_shift, oracle_sign
+from oracles import CTX, DEC_LOG2_3, oracle_in_domain, oracle_period_shift, oracle_sign
 
 # Reproducible in CI: the examples depend only on the test code.
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -146,12 +146,6 @@ def test_floor_log_matches_the_oracle(pair, base):
     n = _floor_log(u, v, pu, pv)
     assert oracle_sign(u - n * pu, v - n * pv) >= 0
     assert oracle_sign(u - (n + 1) * pu, v - (n + 1) * pv) < 0
-
-
-def oracle_in_domain(ratio: FreqRatio, system) -> bool:
-    (lu, lv), (hu, hv) = DOMAIN_BOUNDS[system.period]
-    u, v = 2 * ratio.u, 2 * ratio.v
-    return oracle_sign(u - lu, v - lv) > 0 and oracle_sign(hu - u, hv - v) >= 0
 
 
 systems = st.sampled_from([PYTH2, PYTH3])

@@ -88,6 +88,30 @@ def test_equal_only_to_its_own_class_with_equal_fields(record, text, fields):
     assert all(record != other and other != record for other in others)
 
 
+#: The records of the reference tables' rows, each with its fields by keyword.
+ROWS = [
+    (ScaleRow, dict(scale_degree=2, note="E", just_ratio=FreqRatio(-3, 2), harmonic_degree=-3,
+                    equal_exponent=Fraction(2, 19), equal_value=1.5, deviation_cents=3.5,
+                    boundary=True)),
+    (KeyLabel, dict(midi=62, name=NoteName("D"), scale_degree=0, color="white")),
+    (ReachLevel, dict(moves=1, count=3, classes=frozenset({"C"}))),
+    (SectionResult, dict(name="keyboard", kind="invariants", passed=False, failures=["boom"])),
+]
+
+
+@pytest.mark.parametrize("cls, fields", ROWS, ids=[cls.__name__ for cls, _ in ROWS])
+def test_a_row_is_the_same_built_by_keyword_by_place_or_from_its_fields(cls, fields):
+    by_keyword, by_place = cls(**fields), cls(*fields.values())
+    assert cls._fields == tuple(fields)
+    assert tuple(getattr(by_keyword, name) for name in cls._fields) == tuple(fields.values())
+    rebuilt = cls(*by_keyword._key(by_keyword))
+    assert by_keyword == by_place == rebuilt
+    for record in (by_keyword, by_place, rebuilt):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and repr(twin) == repr(by_keyword)
+
+
 def test_same_fields_in_another_class_are_unequal():
     assert Convergent(3, 5) != FreqRatio(3, 5)
     assert FreqRatio(3, 5) != Convergent(3, 5)
